@@ -124,6 +124,9 @@ def sweep(spec: SweepSpec, cache_dir=None, threads: int = 1) -> list[SweepRecord
                 ),
             )
 
+        # fill the unlocked lru_caches of slope_cn and first_excited_susy
+        # here, so concurrent points cannot both miss and diagonalize twice
+        deviation_first_order(N, spec.beta, spec.coupling, 0.0)
         if threads > 1 and spec.estimator.startswith("exact"):
             with ThreadPoolExecutor(max_workers=threads) as ex:
                 records.extend(ex.map(point, spec.values))

@@ -349,6 +349,9 @@ def main(argv=None) -> int:
         print(f"bad config file: {exc}", file=sys.stderr)
         return 2
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
+        return 2
     try:
         return _COMMANDS[args.command](args)
     except NumericalConsistencyError as exc:

@@ -17,15 +17,16 @@ pool state reachable in one step.
 
 Reproducibility: walkers are partitioned into fixed-size blocks; each
 block consumes its own counter-based random stream seeded by (base seed,
-protocol tag, N, first run index of the block). Results are folded in
-block order, so outputs are bit-identical for any thread count.
+protocol tag, N, first run index of the block). Blocks run as tasks of
+one process map and are folded in task order, so outputs are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -106,53 +107,98 @@ def seed_stream(base_seed: int, tag: str, N: int, run_index: int) -> np.random.G
 
 @dataclass(frozen=True)
 class _Pool:
+    """Pool states: energies, and the parity (-1)**n_d in the sector, 0 outside."""
+
     energies: np.ndarray
-    parities: np.ndarray
-    legit: np.ndarray
+    signed: np.ndarray
 
 
 def _chain_pool(chain: FullChainSpectrum, target_nd: int) -> _Pool:
-    e, p, m = [], [], []
+    e, p = [], []
     for nd, block in enumerate(chain.blocks):
-        k = len(block.energies)
+        parity = (-1.0 if nd % 2 else 1.0) if nd == target_nd else 0.0
         e.append(block.energies)
-        p.append(np.full(k, -1.0 if nd % 2 else 1.0))
-        m.append(np.full(k, nd == target_nd))
-    return _Pool(np.concatenate(e), np.concatenate(p), np.concatenate(m))
+        p.append(np.full(len(block.energies), parity))
+    return _Pool(np.concatenate(e), np.concatenate(p))
 
 
 def _merge(pools: list[_Pool]) -> _Pool:
-    return _Pool(
-        np.concatenate([p.energies for p in pools]),
-        np.concatenate([p.parities for p in pools]),
-        np.concatenate([p.legit for p in pools]),
-    )
+    return _Pool(np.concatenate([p.energies for p in pools]),
+                 np.concatenate([p.signed for p in pools]))
 
 
-def _walk_block(pool: _Pool, beta: float, iterations: int, window_start: int,
-                rng: np.random.Generator, size: int):
-    """One block of walkers, full trajectory, deterministic draw order."""
+def _walk_block(key: tuple, pool: _Pool, beta: float, iterations: int,
+                window_start: int, size: int, occupancy: str | None = None):
+    """One block of walkers, full trajectory, deterministic draw order.
+
+    `key` is the block's seed_stream key. occupancy 'final' also counts
+    walkers per pool state at the end, 'visits' at every iteration.
+    """
+    rng = seed_stream(*key)
     dim = len(pool.energies)
     cur = rng.integers(0, dim, size)
     counts = np.zeros(iterations, dtype=np.int64)
     sums = np.zeros(iterations)
     wsum = np.zeros(size)
     wcnt = np.zeros(size, dtype=np.int64)
+    visits = np.zeros(dim, dtype=np.int64)
     for t in range(iterations):
+        if occupancy == "visits":
+            visits += np.bincount(cur, minlength=dim)
         prop = rng.integers(0, dim, size)
         u = rng.random(size)
         accept = metropolis_accept(pool.energies[prop] - pool.energies[cur], beta, u)
         cur = np.where(accept, prop, cur)
-        inside = pool.legit[cur]
-        n = int(inside.sum())
+        signed = pool.signed[cur]
+        n = np.count_nonzero(signed)
         counts[t] = n
         if n:
-            signed = np.where(inside, pool.parities[cur], 0.0)
             sums[t] = signed.sum()
             if t >= window_start:
                 wsum += signed
-                wcnt += inside
-    return counts, sums, wsum, wcnt
+                wcnt += signed != 0.0
+    if occupancy is not None:
+        visits += np.bincount(cur, minlength=dim)
+    return counts, sums, wsum, wcnt, visits
+
+
+def _worker_count(threads: int, tasks: int, cpus: int) -> int:
+    """Worker processes for a map: never more than threads, tasks or CPUs."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return max(1, min(threads, tasks, cpus))
+
+
+def _parallel_map(fn, tasks: list[tuple], workers: int) -> list:
+    """[fn(*task) for task in tasks] over worker processes, in task order.
+
+    Workers are forked where the platform offers it: pools are built in the
+    parent and workers never call LAPACK. `fn` is module-level and the
+    tasks pickle, so the default start method works elsewhere.
+    """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = _worker_count(workers, len(tasks), cpus)
+    if workers == 1:
+        return [fn(*task) for task in tasks]
+    import multiprocessing as mp
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    method = "fork" if "fork" in mp.get_all_start_methods() else None
+    with ProcessPoolExecutor(workers, mp_context=mp.get_context(method)) as ex:
+        return list(ex.map(fn, *zip(*tasks)))
+
+
+def _walk(config: ProtocolConfig, pools: list[tuple[str, _Pool]], threads: int,
+          window_start: int, occupancy: str | None = None) -> list:
+    """One map task per (pool, block); results in task order."""
+    tasks = [
+        ((config.base_seed, tag, config.N, start), pool, config.beta, config.iterations,
+         window_start, min(BLOCK_SIZE, config.runs - start), occupancy)
+        for tag, pool in pools
+        for start in range(0, config.runs, BLOCK_SIZE)
+    ]
+    return _parallel_map(_walk_block, tasks, threads)
 
 
 def _run_pools(config: ProtocolConfig, pools: list[tuple[str, _Pool]],
@@ -160,34 +206,10 @@ def _run_pools(config: ProtocolConfig, pools: list[tuple[str, _Pool]],
     """Drive `config.runs` walkers over each named pool and fold the results."""
     iters = config.iterations
     window_start = iters - max(1, iters // 5)
-
-    tasks = []
-    for tag, pool in pools:
-        for start in range(0, config.runs, BLOCK_SIZE):
-            size = min(BLOCK_SIZE, config.runs - start)
-            tasks.append((tag, pool, start, size))
-
-    def job(task):
-        tag, pool, start, size = task
-        rng = seed_stream(config.base_seed, tag, config.N, start)
-        return _walk_block(pool, config.beta, iters, window_start, rng, size)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(job, tasks))
-    else:
-        results = [job(t) for t in tasks]
-
-    counts = np.zeros(iters, dtype=np.int64)
-    sums = np.zeros(iters)
-    wsums, wcnts = [], []
-    for cnt, s, ws, wc in results:  # fixed task order: deterministic fold
-        counts += cnt
-        sums += s
-        wsums.append(ws)
-        wcnts.append(wc)
-    wsum = np.concatenate(wsums)
-    wcnt = np.concatenate(wcnts)
+    results = _walk(config, pools, threads, window_start)
+    cnts, sums, wsums, wcnts, _ = zip(*results)  # task order: deterministic fold
+    counts, sums = sum(cnts), sum(sums)
+    wsum, wcnt = np.concatenate(wsums), np.concatenate(wcnts)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         estimate = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
@@ -253,42 +275,9 @@ def gca_occupancy(config: ProtocolConfig, cache_dir=None, threads: int = 1,
     if mode not in ("final", "visits"):
         raise ValueError(f"unknown mode {mode!r}")
     pool = _gca_pool(config, cache_dir)
-    dim = len(pool.energies)
-
-    tasks = [
-        (start, min(BLOCK_SIZE, config.runs - start))
-        for start in range(0, config.runs, BLOCK_SIZE)
-    ]
-
-    def job(task):
-        start, size = task
-        rng = seed_stream(config.base_seed, "gca", config.N, start)
-        cur = rng.integers(0, dim, size)
-        visits = np.zeros(dim, dtype=np.int64)
-        if mode == "visits":
-            visits += np.bincount(cur, minlength=dim)
-        for _ in range(config.iterations):
-            prop = rng.integers(0, dim, size)
-            u = rng.random(size)
-            accept = metropolis_accept(
-                pool.energies[prop] - pool.energies[cur], config.beta, u
-            )
-            cur = np.where(accept, prop, cur)
-            if mode == "visits":
-                visits += np.bincount(cur, minlength=dim)
-        if mode == "final":
-            visits += np.bincount(cur, minlength=dim)
-        return visits
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(job, tasks))
-    else:
-        results = [job(t) for t in tasks]
-    counts = np.zeros(dim, dtype=np.int64)
-    for v in results:
-        counts += v
-    return counts, pool.energies.copy()
+    # window_start past the last iteration: no window sums are kept
+    results = _walk(config, [("gca", pool)], threads, config.iterations, mode)
+    return sum(r[-1] for r in results), pool.energies.copy()
 
 
 def run_qgca(config: ProtocolConfig, cache_dir=None, threads: int = 1) -> WittenTrace:

@@ -24,7 +24,6 @@ from .spectra import (
     cached_block,
     diagonalize,
     full_chain_spectrum,
-    partition_function,
 )
 
 ZERO_TOL = 1e-10
@@ -133,7 +132,11 @@ def wtilde_gca_exact(spec: SusySpectrum, beta: float) -> float:
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    w = np.exp(-beta * spec.energies())
+    e = spec.energies()
+    # shift by the ground energy only where e^{-beta E0} leaves the float range:
+    # slope_cn's central difference magnifies the weights' last bits 5000-fold
+    e0 = e.min() if beta * abs(e.min()) > 600.0 else 0.0
+    w = np.exp(-beta * (e - e0))
     return float((spec.parities() * w).sum() / w.sum())
 
 
@@ -165,18 +168,20 @@ def wtilde_qgca_exact(N: int, params: ModelParams, beta: float, cache_dir=None) 
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    num = 0.0
-    den = 0.0
+    log_w, parity = [], []
     for key in decompose_n_sector(N).members:
         chain = _full_chain(key.L, params, cache_dir)
-        z = partition_function(chain, beta)
-        block = chain.blocks[key.n_d]
-        w = float(np.exp(-beta * block.energies).sum()) / z
-        num += key.parity * w
-        den += w
-    if den == 0.0:
-        return 0.0
-    return num / den
+        log_w.append(_log_gibbs(chain.blocks[key.n_d].energies, beta)
+                     - _log_gibbs(chain.all_energies(), beta))
+        parity.append(key.parity)
+    w = np.exp(np.array(log_w) - max(log_w))
+    return float((np.array(parity) * w).sum() / w.sum())
+
+
+def _log_gibbs(energies: np.ndarray, beta: float) -> float:
+    """log sum exp(-beta E), shifted by the minimum energy so nothing underflows."""
+    e0 = energies.min()
+    return -beta * e0 + math.log(np.exp(-beta * (energies - e0)).sum())
 
 
 # ---------------------------------------------------------------------------

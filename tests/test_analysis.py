@@ -14,7 +14,13 @@ from susychain.analysis import (
     write_sweep_csv,
 )
 from susychain.model import ModelParams
-from susychain.susy import deviation_first_order, wtilde_gca_exact, assemble
+from susychain.susy import (
+    assemble,
+    deviation_first_order,
+    first_excited_susy,
+    slope_cn,
+    wtilde_gca_exact,
+)
 
 
 class TestSpecValidation:
@@ -86,6 +92,30 @@ def test_exact_sweep_is_thread_stable():
     assert [(r.N, r.value, r.wtilde) for r in a] == [
         (r.N, r.value, r.wtilde) for r in b
     ]
+
+
+def test_sweep_diagonalizes_the_same_blocks_at_any_thread_count(monkeypatch):
+    import susychain.spectra as spectra_mod
+    import susychain.susy as susy_mod
+
+    calls = []
+    real = spectra_mod.diagonalize
+
+    def counting(matrix):
+        calls.append(matrix.key)
+        return real(matrix)
+
+    monkeypatch.setattr(spectra_mod, "diagonalize", counting)
+    monkeypatch.setattr(susy_mod, "diagonalize", counting)
+    spec = SweepSpec("delta", (0.97, 0.98, 0.99, 1.01, 1.02, 1.03), (5, 6, 7))
+    counts = []
+    for threads in (1, 2):
+        slope_cn.cache_clear()
+        first_excited_susy.cache_clear()
+        calls.clear()
+        sweep(spec, threads=threads)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 SMALL_SHIFTS = tuple(1.0 + s for s in (-0.05, -0.03, -0.01, 0.01, 0.03, 0.05))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -59,6 +60,18 @@ class TestWitten:
                                "regularized", "--beta0", "2.0")
         assert code == 0
         assert float(out.strip()) == pytest.approx(-1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("which", ["gca", "qgca"])
+    def test_large_beta_reaches_exact_limit(self, capsys, which):
+        # N=3 has no zero mode: its levels (2,0) and (1,1) pair at E=1, so
+        # both estimators tend to 0; the unshifted Gibbs weights underflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "witten", "--N", "3", "--which", which,
+                                     "--beta", "800")
+        assert code == 0
+        assert float(out) == 0.0
+        assert err == ""
 
     def test_out_file_and_manifest(self, capsys, tmp_path):
         out_file = tmp_path / "w.json"
@@ -196,6 +209,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["witten", "--N", "4", "--frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--N", "4"],
+        ["witten", "--N", "4"],
+        ["dynamics", "--N", "4", "--runs", "10", "--iterations", "2"],
+        ["sweep", "--N", "4", "--points", "3"],
+        ["cache", "inspect"],
+    ])
+    def test_threads_below_one_is_usage_error(self, capsys, argv, threads):
+        code, out, err = run_cli(capsys, *argv, "--threads", threads)
+        assert code == 2
+        assert out == ""
+        assert "--threads" in err
 
     def test_numerical_consistency_maps_to_3(self, capsys, monkeypatch):
         import susychain.cli as cli_mod

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susychain.dynamics import (
     BLOCK_SIZE,
@@ -17,6 +19,7 @@ from susychain.dynamics import (
     seed_stream,
     write_trace_csv,
 )
+from susychain.dynamics import _parallel_map, _worker_count
 from susychain.model import ModelParams
 from susychain.susy import assemble, wtilde_gca_exact, wtilde_qgca_exact
 
@@ -189,6 +192,54 @@ class TestDeterminism:
         b = _trace(PROTOCOL_QGCA, 5, 2.0, runs=600, iterations=30, threads=4)
         assert np.array_equal(a.estimate, b.estimate, equal_nan=True)
         assert a.window_estimate == b.window_estimate
+
+
+class TestParallelMap:
+    def test_worker_count_is_capped(self):
+        # pure arithmetic: no process is started for any of these
+        assert _worker_count(10**9, 238, 2) == 2
+        assert _worker_count(10**9, 3, 64) == 3
+        assert _worker_count(4, 238, 64) == 4
+        assert _worker_count(10**9, 1, 64) == 1
+        assert _worker_count(10**9, 0, 64) == 1
+
+    def test_worker_count_rejects_nonpositive_threads(self):
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match="threads"):
+                _worker_count(threads, 10, 2)
+        with pytest.raises(ValueError, match="threads"):
+            _trace(PROTOCOL_GCA, 4, 2.0, runs=10, iterations=2, threads=0)
+
+    def test_results_come_back_in_task_order(self):
+        tasks = [(2, k) for k in range(12)]
+        assert _parallel_map(pow, tasks, 3) == [2**k for k in range(12)]
+        assert _parallel_map(pow, [], 3) == []
+
+
+def _csv_bytes(trace, directory, name):
+    path = directory / name
+    write_trace_csv(trace, path)
+    return path.read_bytes()
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(
+    runs=st.integers(1, 2 * BLOCK_SIZE).filter(lambda r: r % BLOCK_SIZE),
+    iterations=st.integers(1, 6),
+    workers=st.integers(1, 3),
+)
+def test_outputs_do_not_depend_on_worker_count(tmp_path_factory, runs, iterations, workers):
+    out = tmp_path_factory.mktemp("workers")
+    for protocol in (PROTOCOL_GCA, PROTOCOL_QGCA):
+        cfg = ProtocolConfig(protocol, 5, 2.0, iterations=iterations, runs=runs)
+        serial = _csv_bytes(run_protocol(cfg, threads=1), out, "serial.csv")
+        mapped = _csv_bytes(run_protocol(cfg, threads=workers), out, "mapped.csv")
+        assert serial == mapped
+    cfg = ProtocolConfig(PROTOCOL_GCA, 5, 2.0, iterations=iterations, runs=runs)
+    for mode in ("final", "visits"):
+        serial, _ = gca_occupancy(cfg, threads=1, mode=mode)
+        mapped, _ = gca_occupancy(cfg, threads=workers, mode=mode)
+        assert np.array_equal(serial, mapped)
 
 
 class TestOccupancy:
