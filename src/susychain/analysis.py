@@ -8,6 +8,7 @@ laws, and contrast low and high temperature.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +23,6 @@ from .susy import (
     assemble,
     deviation_first_order,
     first_excited_susy,
-    slope_cn,
     wtilde_gca_exact,
     wtilde_qgca_exact,
 )
@@ -50,6 +50,8 @@ class SweepSpec:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if not self.values:
             raise ValueError("values must be non-empty")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -107,8 +109,10 @@ def sweep(spec: SweepSpec, cache_dir=None, threads: int = 1) -> list[SweepRecord
     for N in spec.n_list:
         susy_value = _SUSY_VALUE[spec.coupling]
         w_ref, _ = _evaluate(spec, N, susy_value, ref_seed, cache_dir, threads)
+        # first-order deviation per unit |shift|: (c_N beta) * 1.0 == c_N beta
+        rate = deviation_first_order(N, spec.beta, spec.coupling, 1.0)
 
-        def point(value, N=N, w_ref=w_ref):
+        def point(value, N=N, w_ref=w_ref, rate=rate):
             w, se = _evaluate(spec, N, value, spec.base_seed, cache_dir, threads)
             shift = value - _SUSY_VALUE[spec.coupling]
             return SweepRecord(
@@ -119,14 +123,9 @@ def sweep(spec: SweepSpec, cache_dir=None, threads: int = 1) -> list[SweepRecord
                 wtilde_susy=w_ref,
                 deviation=abs(w - w_ref),
                 stderr=se,
-                first_order_prediction=deviation_first_order(
-                    N, spec.beta, spec.coupling, shift
-                ),
+                first_order_prediction=rate * abs(shift),
             )
 
-        # fill the unlocked lru_caches of slope_cn and first_excited_susy
-        # here, so concurrent points cannot both miss and diagonalize twice
-        deviation_first_order(N, spec.beta, spec.coupling, 0.0)
         if threads > 1 and spec.estimator.startswith("exact"):
             with ThreadPoolExecutor(max_workers=threads) as ex:
                 records.extend(ex.map(point, spec.values))
@@ -167,11 +166,7 @@ def compare_first_order(records: list[SweepRecord], beta: float) -> list[FitRepo
         x = np.array([p[0] for p in pts])
         y = np.array([p[1] for p in pts])
         fitted = float((x @ y) / (x @ x))
-        coupling = records[0].coupling
-        c = slope_cn(N, beta, coupling)
-        predicted = c * beta
-        if N % 3 != 0:
-            predicted *= np.exp(-beta * first_excited_susy(N))
+        predicted = deviation_first_order(N, beta, records[0].coupling, 1.0)
         rel = abs(fitted - predicted) / predicted if predicted > 0 else float("inf")
         resid = y - fitted * x
         span = fitted * x.max()

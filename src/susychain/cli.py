@@ -27,6 +27,7 @@ from .analysis import (
 )
 from .dynamics import ProtocolConfig, run_protocol, write_trace_csv
 from .model import ModelParams
+from .spectra import cache_header
 from .susy import (
     NumericalConsistencyError,
     assemble,
@@ -244,16 +245,20 @@ def _emit(args, command: str, text: str) -> int:
 def _cmd_dynamics(args) -> int:
     started = _timestamp()
     sectors = [args.N] if args.N is not None else list(DEFAULT_N_LIST)
-    out = Path(args.out) if args.out else None
-    if out:
-        out.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for N in sectors:
-        config = ProtocolConfig(
+    # every config is validated before the first run writes anything
+    configs = [
+        ProtocolConfig(
             protocol=args.protocol, N=N, beta=args.beta,
             iterations=args.iterations, runs=args.runs,
             base_seed=args.seed, params=_params(args),
         )
+        for N in sectors
+    ]
+    out = Path(args.out) if args.out else None
+    if out:
+        out.mkdir(parents=True, exist_ok=True)
+    outputs = []
+    for N, config in zip(sectors, configs):
         trace = run_protocol(config, args.cache_dir, args.threads)
         line = (
             f"{args.protocol} N={N} beta={args.beta}: "
@@ -272,6 +277,7 @@ def _cmd_dynamics(args) -> int:
 
 def _cmd_sweep(args) -> int:
     started = _timestamp()
+    _params(args)  # the sweep sets its own couplings, but rejects non-finite ones
     n_list = tuple(int(s) for s in str(args.N).split(","))
     if args.values is not None:
         values = tuple(float(s) for s in args.values.split(","))
@@ -315,16 +321,16 @@ def _cmd_cache(args) -> int:
             shutil.rmtree(root)
         print(f"cleared {root}")
         return 0
-    entries = sorted(root.glob("v*/*.json"))
-    for sidecar in entries:
-        info = json.loads(sidecar.read_text())
-        print(
-            f"{sidecar.with_suffix('.spec').name}: "
-            f"L={info['L']} n_d={info['n_d']} "
-            f"J={info['J']} Delta={info['Delta']} h={info['h']} "
-            f"levels={len(info['energies'])}"
-        )
-    print(f"{len(entries)} entries")
+    entries = 0
+    for path in sorted(root.glob("v*/*.spec")):
+        header = cache_header(path)
+        if header is None:
+            print(f"{path.name}: damaged or foreign entry, skipped", file=sys.stderr)
+            continue
+        L, n_d, J, Delta, h, levels = header
+        print(f"{path.name}: L={L} n_d={n_d} J={J} Delta={Delta} h={h} levels={levels}")
+        entries += 1
+    print(f"{entries} entries")
     return 0
 
 

@@ -25,6 +25,7 @@ bit-identical for any worker count.
 from __future__ import annotations
 
 import json
+import math
 import os
 import zlib
 from dataclasses import dataclass, field
@@ -34,8 +35,7 @@ import numpy as np
 
 from .basis import decompose_n_sector
 from .model import ModelParams
-from .spectra import FullChainSpectrum
-from .susy import _full_chain
+from .spectra import FullChainSpectrum, full_chain_spectrum
 
 PROTOCOL_GCA = "gca"
 PROTOCOL_QGCA = "qgca"
@@ -58,6 +58,8 @@ class ProtocolConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.iterations < 1 or self.runs < 1:
             raise ValueError("iterations and runs must be >= 1")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -252,7 +254,7 @@ def run_gca(config: ProtocolConfig, cache_dir=None, threads: int = 1) -> WittenT
 def _gca_pool(config: ProtocolConfig, cache_dir) -> _Pool:
     pools = []
     for key in decompose_n_sector(config.N).members:
-        chain = _full_chain(key.L, config.params, cache_dir)
+        chain = full_chain_spectrum(key.L, config.params, cache_dir)
         pools.append(_chain_pool(chain, key.n_d))
     if not pools:
         raise ValueError(f"empty pool for N={config.N}")
@@ -290,7 +292,7 @@ def run_qgca(config: ProtocolConfig, cache_dir=None, threads: int = 1) -> Witten
         raise ValueError("config.protocol must be 'qgca'")
     pools = []
     for key in decompose_n_sector(config.N).members:
-        chain = _full_chain(key.L, config.params, cache_dir)
+        chain = full_chain_spectrum(key.L, config.params, cache_dir)
         pools.append((f"qgca:L{key.L}", _chain_pool(chain, key.n_d)))
     return _run_pools(config, pools, threads)
 

@@ -14,15 +14,12 @@ what the rest of the package measures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import SectorKey, enumerate_sector
-
-# Couplings with exact binary representations; the degeneracy structure
-# holds only exactly at this point.
-SUSY_POINT = None  # assigned below, needs the class
 
 
 @dataclass(frozen=True)
@@ -33,6 +30,11 @@ class ModelParams:
     Delta: float = 1.0
     h: float = 0.5
 
+    def __post_init__(self):
+        for name in ("J", "Delta", "h"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+
     def is_susy_point(self) -> bool:
         return self.J == -1.0 and self.Delta == 1.0 and self.h == 0.5
 
@@ -42,6 +44,8 @@ class ModelParams:
         return ModelParams(**d)
 
 
+# Couplings with exact binary representations; the degeneracy structure
+# holds only exactly at this point.
 SUSY_POINT = ModelParams()
 
 
@@ -58,64 +62,41 @@ class SectorMatrix:
             raise ValueError("matrix shape does not match block dimension")
 
 
-def _diagonal_energy(bits: int, L: int, params: ModelParams) -> float:
-    sz = [0.5 - ((bits >> i) & 1) for i in range(L)]
-    e = params.Delta * sum(sz[i] * sz[i + 1] for i in range(L - 1))
-    if L == 1:
-        # Single site: the boundary term reads site 1 twice. Only this
-        # convention keeps the N=3 pair degenerate.
-        e -= 2.0 * params.h * sz[0]
-    else:
-        e -= params.h * (sz[0] + sz[L - 1])
-    return e + (3.0 * L - 1.0) / 4.0
+def _block_operators(key: SectorKey) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, D, B) of one block, so that H = J A + Delta diag(D) - h diag(B) + const.
+
+    A is the 0/1 adjacency of adjacent-exchange moves: S+ S- + S- S+ on a
+    bond swaps an adjacent up/down pair and never leaves the block
+    (magnetization is conserved). D is sum_i Sz_i Sz_{i+1} and B is
+    Sz_1 + Sz_L per config; on a single site B reads site 1 twice, the only
+    convention that keeps the N=3 pair degenerate.
+    """
+    bits = np.array([c.bits for c in enumerate_sector(key)])
+    sz = 0.5 - ((bits[:, None] >> np.arange(key.L)) & 1)
+    A = np.zeros((len(bits), len(bits)))
+    for bond in range(key.L - 1):
+        col = np.flatnonzero(((bits >> bond) ^ (bits >> (bond + 1))) & 1)
+        # configs are sorted by bits, so searchsorted finds the swapped one
+        A[np.searchsorted(bits, bits[col] ^ (3 << bond)), col] = 1.0
+    D = (sz[:, :-1] * sz[:, 1:]).sum(axis=1)
+    B = sz[:, 0] + sz[:, -1]
+    return A, D, B
 
 
 def build_hamiltonian(key: SectorKey, params: ModelParams) -> SectorMatrix:
-    """Hamiltonian restricted to the (L, n_d) block.
-
-    S+ S- + S- S+ on a bond exchanges an adjacent up/down pair, so the
-    off-diagonal entries are J on exchange-connected config pairs. The
-    block never couples outside itself (magnetization is conserved).
-    """
-    configs = enumerate_sector(key)
-    index = {c.bits: i for i, c in enumerate(configs)}
-    dim = len(configs)
-    H = np.zeros((dim, dim))
-    for col, c in enumerate(configs):
-        H[col, col] = _diagonal_energy(c.bits, key.L, params)
-        for bond in range(key.L - 1):
-            b0 = (c.bits >> bond) & 1
-            b1 = (c.bits >> (bond + 1)) & 1
-            if b0 != b1:
-                flipped = c.bits ^ ((1 << bond) | (1 << (bond + 1)))
-                row = index[flipped]
-                H[row, col] = params.J
-                H[col, row] = params.J
+    """Hamiltonian restricted to the (L, n_d) block."""
+    A, D, B = _block_operators(key)
+    # select rather than multiply: a negative J times the zeros of A is -0.0
+    H = np.where(A, params.J, 0.0)
+    np.fill_diagonal(H, (params.Delta * D - params.h * B) + (3.0 * key.L - 1.0) / 4.0)
     return SectorMatrix(key, params, H)
 
 
 def build_dh_ddelta(key: SectorKey) -> SectorMatrix:
     """d H / d Delta: diagonal matrix of sum_i Sz_i Sz_{i+1}."""
-    configs = enumerate_sector(key)
-    diag = np.empty(len(configs))
-    for i, c in enumerate(configs):
-        sz = [0.5 - ((c.bits >> b) & 1) for b in range(key.L)]
-        diag[i] = sum(sz[b] * sz[b + 1] for b in range(key.L - 1))
-    return SectorMatrix(key, None, np.diag(diag))
+    return SectorMatrix(key, None, np.diag(_block_operators(key)[1]))
 
 
 def build_dh_dj(key: SectorKey) -> SectorMatrix:
     """d H / d J: the bare adjacency matrix of adjacent-exchange moves."""
-    configs = enumerate_sector(key)
-    index = {c.bits: i for i, c in enumerate(configs)}
-    dim = len(configs)
-    A = np.zeros((dim, dim))
-    for col, c in enumerate(configs):
-        for bond in range(key.L - 1):
-            b0 = (c.bits >> bond) & 1
-            b1 = (c.bits >> (bond + 1)) & 1
-            if b0 != b1:
-                flipped = c.bits ^ ((1 << bond) | (1 << (bond + 1)))
-                A[index[flipped], col] = 1.0
-                A[col, index[flipped]] = 1.0
-    return SectorMatrix(key, None, A)
+    return SectorMatrix(key, None, _block_operators(key)[0])

@@ -8,7 +8,7 @@ block and the exact coupling values.
 from __future__ import annotations
 
 import hashlib
-import json
+import math
 import os
 import struct
 import tempfile
@@ -23,6 +23,8 @@ from .model import ModelParams, SectorMatrix, build_hamiltonian
 
 CACHE_VERSION = 1
 _MAGIC = b"SCSP"
+# magic, version, L, n_d, J, Delta, h, dimension, sha256 of the payload
+_HEADER = struct.Struct("<4sIII3dI32s")
 
 
 class SolverError(RuntimeError):
@@ -77,18 +79,10 @@ def diagonalize(matrix: SectorMatrix) -> ChainSectorSpectrum:
     return ChainSectorSpectrum(matrix.key, matrix.params, energies, states)
 
 
-def full_chain_spectrum(L: int, params: ModelParams) -> FullChainSpectrum:
-    """Diagonalize every n_d block of an L-site chain."""
-    blocks = tuple(
-        diagonalize(build_hamiltonian(SectorKey(L, nd), params)) for nd in range(L + 1)
-    )
-    return FullChainSpectrum(L, params, blocks)
-
-
 def partition_function(spec: FullChainSpectrum, beta: float) -> float:
     """Canonical Z = sum over all 2**L levels of exp(-beta E)."""
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
     return float(np.exp(-beta * spec.all_energies()).sum())
 
 
@@ -150,11 +144,12 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _entry_name(L: int, n_d: int, J: float, Delta: float, h: float) -> str:
+    return f"L{L}_nd{n_d}_J{_fmt(J)}_D{_fmt(Delta)}_h{_fmt(h)}.spec"
+
+
 def _entry_path(cache_dir: Path, key: SectorKey, params: ModelParams) -> Path:
-    name = (
-        f"L{key.L}_nd{key.n_d}"
-        f"_J{_fmt(params.J)}_D{_fmt(params.Delta)}_h{_fmt(params.h)}.spec"
-    )
+    name = _entry_name(key.L, key.n_d, params.J, params.Delta, params.h)
     return cache_dir / f"v{CACHE_VERSION}" / name
 
 
@@ -167,8 +162,7 @@ def cache_put(cache_dir: str | Path, spectrum: ChainSectorSpectrum) -> Path:
         np.ascontiguousarray(spectrum.energies, dtype=np.float64).tobytes()
         + np.ascontiguousarray(spectrum.states, dtype=np.float64).tobytes()
     )
-    header = struct.pack(
-        "<4sIII3dI32s",
+    header = _HEADER.pack(
         _MAGIC,
         CACHE_VERSION,
         spectrum.key.L,
@@ -189,45 +183,48 @@ def cache_put(cache_dir: str | Path, spectrum: ChainSectorSpectrum) -> Path:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    sidecar = {
-        "version": CACHE_VERSION,
-        "L": spectrum.key.L,
-        "n_d": spectrum.key.n_d,
-        "J": spectrum.params.J,
-        "Delta": spectrum.params.Delta,
-        "h": spectrum.params.h,
-        "energies": [float(e) for e in spectrum.energies],
-    }
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=1))
     return path
 
 
-_HEADER_SIZE = struct.calcsize("<4sIII3dI32s")
+def _read_entry(path: Path) -> tuple[tuple, bytes] | None:
+    """((L, n_d, J, Delta, h, dim), payload) of an intact entry, else None.
+
+    The header must name the file it sits in, so a damaged key field is
+    caught as surely as a damaged payload.
+    """
+    try:
+        raw = path.read_bytes()
+    except OSError:
+        return None
+    if len(raw) < _HEADER.size:
+        return None
+    magic, version, *key, dim, digest = _HEADER.unpack_from(raw)
+    payload = raw[_HEADER.size:]
+    if (
+        magic != _MAGIC
+        or version != CACHE_VERSION
+        or path.name != _entry_name(*key)
+        or len(payload) != dim * 8 + dim * dim * 8
+        or hashlib.sha256(payload).digest() != digest
+    ):
+        return None
+    return (*key, dim), payload
+
+
+def cache_header(path: str | Path) -> tuple[int, int, float, float, float, int] | None:
+    """(L, n_d, J, Delta, h, levels) of an intact cache entry, else None."""
+    entry = _read_entry(Path(path))
+    return None if entry is None else entry[0]
 
 
 def cache_get(
     cache_dir: str | Path, key: SectorKey, params: ModelParams
 ) -> ChainSectorSpectrum | None:
     """Load a block spectrum; any corruption or mismatch is a miss."""
-    path = _entry_path(Path(cache_dir), key, params)
-    try:
-        raw = path.read_bytes()
-    except OSError:
+    entry = _read_entry(_entry_path(Path(cache_dir), key, params))
+    if entry is None:
         return None
-    if len(raw) < _HEADER_SIZE:
-        return None
-    magic, version, L, nd, J, Delta, h, dim, digest = struct.unpack(
-        "<4sIII3dI32s", raw[:_HEADER_SIZE]
-    )
-    if magic != _MAGIC or version != CACHE_VERSION:
-        return None
-    if (L, nd) != (key.L, key.n_d) or (J, Delta, h) != (params.J, params.Delta, params.h):
-        return None
-    payload = raw[_HEADER_SIZE:]
-    if len(payload) != dim * 8 + dim * dim * 8:
-        return None
-    if hashlib.sha256(payload).digest() != digest:
-        return None
+    (*_, dim), payload = entry
     energies = np.frombuffer(payload[: dim * 8], dtype=np.float64).copy()
     states = (
         np.frombuffer(payload[dim * 8 :], dtype=np.float64).reshape(dim, dim).copy()
@@ -247,3 +244,11 @@ def cached_block(
     if cache_dir is not None:
         cache_put(cache_dir, spec)
     return spec
+
+
+def full_chain_spectrum(
+    L: int, params: ModelParams, cache_dir: str | Path | None = None
+) -> FullChainSpectrum:
+    """Every n_d block of an L-site chain, through the cache when one is configured."""
+    blocks = tuple(cached_block(SectorKey(L, nd), params, cache_dir) for nd in range(L + 1))
+    return FullChainSpectrum(L, params, blocks)

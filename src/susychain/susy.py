@@ -11,20 +11,14 @@ and the estimators respond, which is what the deviation laws quantify.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import SectorKey, decompose_n_sector
-from .model import ModelParams, build_dh_ddelta, build_dh_dj, build_hamiltonian
-from .spectra import (
-    FullChainSpectrum,
-    cached_block,
-    diagonalize,
-    full_chain_spectrum,
-)
+from .model import ModelParams, build_dh_ddelta, build_dh_dj
+from .spectra import cached_block, full_chain_spectrum
 
 ZERO_TOL = 1e-10
 PAIR_TOL = 1e-8
@@ -118,8 +112,8 @@ def assemble(N: int, params: ModelParams, cache_dir=None) -> SusySpectrum:
 def witten_regularized(spec: SusySpectrum, beta0: float) -> float:
     """Tr[(-1)^F e^{-beta0 H}] over the sector; beta0-independent when
     every positive level is parity-paired."""
-    if beta0 < 0:
-        raise ValueError("beta0 must be >= 0")
+    if not 0.0 <= beta0 < math.inf:
+        raise ValueError(f"beta0 must be finite and >= 0, got {beta0}")
     return float(np.sum(spec.parities() * np.exp(-beta0 * spec.energies())))
 
 
@@ -130,23 +124,14 @@ def wtilde_gca_exact(spec: SusySpectrum, beta: float) -> float:
     protocol: the Gibbs weights of the sector's own levels, normalized
     within the sector.
     """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
     e = spec.energies()
     # shift by the ground energy only where e^{-beta E0} leaves the float range:
     # slope_cn's central difference magnifies the weights' last bits 5000-fold
     e0 = e.min() if beta * abs(e.min()) > 600.0 else 0.0
     w = np.exp(-beta * (e - e0))
     return float((spec.parities() * w).sum() / w.sum())
-
-
-def _full_chain(L: int, params: ModelParams, cache_dir) -> FullChainSpectrum:
-    if cache_dir is None:
-        return full_chain_spectrum(L, params)
-    blocks = tuple(
-        cached_block(SectorKey(L, nd), params, cache_dir) for nd in range(L + 1)
-    )
-    return FullChainSpectrum(L, params, blocks)
 
 
 def wtilde_qgca_exact(N: int, params: ModelParams, beta: float, cache_dir=None) -> float:
@@ -166,11 +151,11 @@ def wtilde_qgca_exact(N: int, params: ModelParams, beta: float, cache_dir=None) 
     estimate, and it is the quantity that converges to the pooled-chain
     value at low temperature.
     """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
     log_w, parity = [], []
     for key in decompose_n_sector(N).members:
-        chain = _full_chain(key.L, params, cache_dir)
+        chain = full_chain_spectrum(key.L, params, cache_dir)
         log_w.append(_log_gibbs(chain.blocks[key.n_d].energies, beta)
                      - _log_gibbs(chain.all_energies(), beta))
         parity.append(key.parity)
@@ -222,7 +207,7 @@ def hellmann_feynman_dw(N: int, beta: float, coupling: str) -> float:
     base = ModelParams()
     num = den = num_d = den_d = 0.0
     for key in decompose_n_sector(N).members:
-        spec = diagonalize(build_hamiltonian(key, base))
+        spec = cached_block(key, base)
         op = build_dh_ddelta(key) if coupling == COUPLING_DELTA else build_dh_dj(key)
         slopes = np.einsum("ij,ij->j", spec.states, op.entries @ spec.states)
         w = np.exp(-beta * spec.energies)
@@ -234,13 +219,11 @@ def hellmann_feynman_dw(N: int, beta: float, coupling: str) -> float:
     return -beta * (num_d - W * den_d) / den
 
 
-@functools.lru_cache(maxsize=None)
 def first_excited_susy(N: int) -> float:
     """E_1 of the sector at the supersymmetric point."""
     return assemble(N, ModelParams()).first_excited
 
 
-@functools.lru_cache(maxsize=None)
 def slope_cn(N: int, beta: float, coupling: str = COUPLING_DELTA) -> float:
     """Degeneracy-splitting rate c_N extracted from the index response.
 
@@ -250,8 +233,8 @@ def slope_cn(N: int, beta: float, coupling: str = COUPLING_DELTA) -> float:
     in beta. Sectors without a zero mode have no such factor. The finite
     difference is cross-checked against the Hellmann-Feynman estimate.
     """
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
     fd = finite_difference_dw(N, beta, coupling)
     hf = hellmann_feynman_dw(N, beta, coupling)
     scale = max(abs(fd), abs(hf))

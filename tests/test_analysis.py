@@ -17,8 +17,6 @@ from susychain.model import ModelParams
 from susychain.susy import (
     assemble,
     deviation_first_order,
-    first_excited_susy,
-    slope_cn,
     wtilde_gca_exact,
 )
 
@@ -96,7 +94,6 @@ def test_exact_sweep_is_thread_stable():
 
 def test_sweep_diagonalizes_the_same_blocks_at_any_thread_count(monkeypatch):
     import susychain.spectra as spectra_mod
-    import susychain.susy as susy_mod
 
     calls = []
     real = spectra_mod.diagonalize
@@ -106,12 +103,9 @@ def test_sweep_diagonalizes_the_same_blocks_at_any_thread_count(monkeypatch):
         return real(matrix)
 
     monkeypatch.setattr(spectra_mod, "diagonalize", counting)
-    monkeypatch.setattr(susy_mod, "diagonalize", counting)
     spec = SweepSpec("delta", (0.97, 0.98, 0.99, 1.01, 1.02, 1.03), (5, 6, 7))
     counts = []
     for threads in (1, 2):
-        slope_cn.cache_clear()
-        first_excited_susy.cache_clear()
         calls.clear()
         sweep(spec, threads=threads)
         counts.append(len(calls))

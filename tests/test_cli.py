@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import susychain
 from susychain.cli import main
 from susychain.susy import NumericalConsistencyError
 
@@ -224,6 +227,28 @@ class TestExitCodes:
         assert out == ""
         assert "--threads" in err
 
+    @pytest.mark.parametrize("argv,bad", [
+        (argv, bad)
+        for argv in (
+            ["spectrum", "--N", "4"],
+            ["witten", "--N", "4"],
+            ["dynamics", "--N", "4", "--runs", "10", "--iterations", "2"],
+            ["sweep", "--N", "4", "--points", "3"],
+        )
+        for bad in (
+            ["--J", "nan"], ["--Delta", "inf"], ["--h=-inf"],
+            ["--beta", "inf"], ["--beta", "nan"], ["--beta", "-2"],
+        )
+        if argv[0] != "spectrum" or bad[0] != "--beta"  # spectrum has no --beta
+    ])
+    def test_non_finite_or_negative_input_is_usage_error(self, capsys, tmp_path,
+                                                         argv, bad):
+        code, out, err = run_cli(capsys, *argv, *bad, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err
+        assert not (tmp_path / "o").exists()
+
     def test_numerical_consistency_maps_to_3(self, capsys, monkeypatch):
         import susychain.cli as cli_mod
 
@@ -245,9 +270,13 @@ class TestExitCodes:
 
 
 def test_console_script_help_runs():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(susychain.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "susychain.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     for name in ("spectrum", "witten", "dynamics", "sweep", "cache"):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -84,3 +86,36 @@ def test_susy_point_spectrum_nonnegative(L):
     for nd in range(L + 1):
         evals = np.linalg.eigvalsh(build_hamiltonian(SectorKey(L, nd), SUSY).entries)
         assert evals.min() >= -1e-10
+
+
+# sha256 over the entries of every block with L <= 10, in (L, n_d) order,
+# recorded before the operators were rebuilt from one shared helper; the
+# sweeps' finite differences see any change in the last bit.
+FROZEN_BLOCKS = [SectorKey(L, nd) for L in range(1, 11) for nd in range(L + 1)]
+GENERIC = ModelParams(J=-0.73, Delta=1.37, h=0.29)
+FROZEN_DIGESTS = {
+    "H susy": "40b568ba8b910dbd9f395803f978ea112c8ff4ff3f25eada4352361a6f5680d9",
+    "H generic": "d0c4daad3aae28628437fd5614b72dd7e45b5946db94cdfb98564a66b31d56f5",
+    "dH/dJ": "3325d2d607f94cfa6d87782b8a73cd5b3c80ca4d5074825936a46228ed3cb393",
+    "dH/dDelta": "27e08450f5f20bfbb33d92c25b18196356c3b4a1833e295cf9f82e913a240e8c",
+}
+
+
+@pytest.mark.parametrize("name,build", [
+    ("H susy", lambda key: build_hamiltonian(key, SUSY)),
+    ("H generic", lambda key: build_hamiltonian(key, GENERIC)),
+    ("dH/dJ", build_dh_dj),
+    ("dH/dDelta", build_dh_ddelta),
+])
+def test_operator_entries_are_frozen(name, build):
+    digest = hashlib.sha256()
+    for key in FROZEN_BLOCKS:
+        digest.update(build(key).entries.tobytes())
+    assert digest.hexdigest() == FROZEN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("field", ["J", "Delta", "h"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_couplings_are_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        ModelParams(**{field: value})

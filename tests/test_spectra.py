@@ -1,11 +1,18 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import susychain.spectra as spectra
 from susychain.basis import SectorKey
+from susychain.cli import main
 from susychain.model import ModelParams, SectorMatrix, build_hamiltonian
 from susychain.spectra import (
     cache_get,
+    cache_header,
     cache_put,
     charpoly_eigenvalues,
     diagonalize,
@@ -132,17 +139,73 @@ class TestCache:
         path.write_bytes(path.read_bytes()[:10])
         assert cache_get(tmp_path, spec.key, spec.params) is None
 
+    def test_every_flipped_byte_and_truncation_is_a_miss(self, tmp_path):
+        spec = self._spec()
+        path = cache_put(tmp_path, spec)
+        raw = path.read_bytes()
+        damaged = [raw[:n] for n in range(len(raw))]
+        damaged += [raw[:i] + bytes([raw[i] ^ 0xFF]) + raw[i + 1:] for i in range(len(raw))]
+        for bad in damaged:
+            path.write_bytes(bad)
+            assert cache_get(tmp_path, spec.key, spec.params) is None
+            assert cache_header(path) is None
+
     def test_version_bump_is_a_miss(self, tmp_path, monkeypatch):
         spec = self._spec()
         cache_put(tmp_path, spec)
         monkeypatch.setattr(spectra, "CACHE_VERSION", 2)
         assert cache_get(tmp_path, spec.key, spec.params) is None
 
-    def test_sidecar_is_readable(self, tmp_path):
-        import json
 
-        spec = self._spec()
-        path = cache_put(tmp_path, spec)
-        info = json.loads(path.with_suffix(".json").read_text())
-        assert info["L"] == 2 and info["n_d"] == 1
-        assert np.allclose(info["energies"], spec.energies)
+COUPLINGS = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@st.composite
+def block_spectra(draw):
+    L = draw(st.integers(1, 6))
+    key = SectorKey(L, draw(st.integers(0, L)))
+    params = ModelParams(J=draw(COUPLINGS), Delta=draw(COUPLINGS), h=draw(COUPLINGS))
+    return diagonalize(build_hamiltonian(key, params))
+
+
+def run_inspect(root):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["cache", "inspect", "--cache-dir", str(root)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(spec=block_spectra())
+def test_cache_roundtrip_of_random_blocks_is_bit_exact(tmp_path_factory, spec):
+    root = tmp_path_factory.mktemp("cache")
+    path = cache_put(root, spec)
+    loaded = cache_get(root, spec.key, spec.params)
+    assert loaded.energies.tobytes() == spec.energies.tobytes()
+    assert loaded.states.tobytes() == spec.states.tobytes()
+    p = spec.params
+    assert cache_header(path) == (spec.key.L, spec.key.n_d, p.J, p.Delta, p.h,
+                                  len(spec.energies))
+    assert [q.name for q in root.rglob("*") if q.is_file()] == [path.name]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(spec=block_spectra(), flip=st.booleans(), data=st.data())
+def test_damaged_cache_entry_is_a_miss_and_skipped(tmp_path_factory, spec, flip, data):
+    root = tmp_path_factory.mktemp("cache")
+    path = cache_put(root, spec)
+    raw = path.read_bytes()
+    # half the draws land in the header, whose key fields no checksum covers
+    header = st.integers(0, spectra._HEADER.size - 1)
+    at = data.draw(st.one_of(header, st.integers(0, len(raw) - 1)), label="byte")
+    if flip:
+        mask = data.draw(st.integers(1, 255), label="mask")
+        raw = raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1:]
+    else:
+        raw = raw[:at]
+    path.write_bytes(raw)
+    assert cache_get(root, spec.key, spec.params) is None
+    assert cache_header(path) is None
+    code, out, err = run_inspect(root)
+    assert (code, out) == (0, "0 entries\n")
+    assert "skipped" in err and "Traceback" not in err
