@@ -22,7 +22,6 @@ from .spectra import (
     SolverError,
     cache_get,
     cache_put,
-    charpoly_eigenvalues,
     diagonalize,
     full_chain_spectrum,
     partition_function,
@@ -63,7 +62,7 @@ __all__ = [
     "SUSY_POINT", "ModelParams", "SectorMatrix",
     "build_dh_ddelta", "build_dh_dj", "build_hamiltonian",
     "ChainSectorSpectrum", "FullChainSpectrum", "SolverError",
-    "cache_get", "cache_put", "charpoly_eigenvalues", "diagonalize",
+    "cache_get", "cache_put", "diagonalize",
     "full_chain_spectrum", "partition_function",
     "NumericalConsistencyError", "SusyLevel", "SusySpectrum", "assemble",
     "deviation_first_order", "slope_cn", "witten_regularized",

@@ -16,20 +16,17 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ProtocolConfig, run_protocol
-from .model import ModelParams
+from .model import SUSY_POINT
 from .susy import (
-    COUPLING_DELTA,
-    COUPLING_J,
+    SUSY_VALUE,
     assemble,
     deviation_first_order,
-    first_excited_susy,
+    params_at,
     wtilde_gca_exact,
     wtilde_qgca_exact,
 )
 
 ESTIMATORS = ("exact-gca", "exact-qgca", "sampled-gca", "sampled-qgca")
-
-_SUSY_VALUE = {COUPLING_DELTA: 1.0, COUPLING_J: -1.0}
 
 
 @dataclass(frozen=True)
@@ -44,14 +41,15 @@ class SweepSpec:
     base_seed: int = 1
 
     def __post_init__(self):
-        if self.coupling not in (COUPLING_DELTA, COUPLING_J):
+        if self.coupling not in SUSY_VALUE:
             raise ValueError(f"unknown coupling {self.coupling!r}")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if not self.values:
             raise ValueError("values must be non-empty")
-        if not 0.0 <= self.beta < math.inf:
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        # the first-order rate needs beta > 0; reject it before any point runs
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -68,20 +66,14 @@ class SweepRecord:
 
 def default_grid(coupling: str, points: int = 21) -> tuple[float, ...]:
     """Grid spanning +-0.5 around the special value of the coupling."""
-    center = _SUSY_VALUE[coupling]
+    center = SUSY_VALUE[coupling]
     return tuple(float(v) for v in np.linspace(center - 0.5, center + 0.5, points))
-
-
-def _params_at(coupling: str, value: float) -> ModelParams:
-    if coupling == COUPLING_DELTA:
-        return ModelParams(Delta=value)
-    return ModelParams(J=value)
 
 
 def _evaluate(spec: SweepSpec, N: int, value: float, seed: int,
               cache_dir, threads: int) -> tuple[float, float]:
     """One (estimator, N, coupling value) evaluation -> (wtilde, stderr)."""
-    params = _params_at(spec.coupling, value)
+    params = params_at(spec.coupling, value)
     if spec.estimator == "exact-gca":
         return wtilde_gca_exact(assemble(N, params, cache_dir), spec.beta), 0.0
     if spec.estimator == "exact-qgca":
@@ -105,16 +97,16 @@ def sweep(spec: SweepSpec, cache_dir=None, threads: int = 1) -> list[SweepRecord
         entropy=spec.base_seed, spawn_key=(0x5EED,)
     ).generate_state(1)[0])
 
+    susy_value = SUSY_VALUE[spec.coupling]
     records = []
     for N in spec.n_list:
-        susy_value = _SUSY_VALUE[spec.coupling]
         w_ref, _ = _evaluate(spec, N, susy_value, ref_seed, cache_dir, threads)
-        # first-order deviation per unit |shift|: (c_N beta) * 1.0 == c_N beta
+        # first-order deviation per unit |shift|, |dW/dc|
         rate = deviation_first_order(N, spec.beta, spec.coupling, 1.0)
 
         def point(value, N=N, w_ref=w_ref, rate=rate):
             w, se = _evaluate(spec, N, value, spec.base_seed, cache_dir, threads)
-            shift = value - _SUSY_VALUE[spec.coupling]
+            shift = value - susy_value
             return SweepRecord(
                 N=N,
                 coupling=spec.coupling,
@@ -144,29 +136,28 @@ class FitReport:
     points: int
 
 
-def compare_first_order(records: list[SweepRecord], beta: float) -> list[FitReport]:
+def compare_first_order(records: list[SweepRecord]) -> list[FitReport]:
     """Origin-constrained fit of deviation vs |shift| per sector.
 
-    Restricted to exact-estimator records with |shift| <= 0.05 (the
-    first-order regime). The predicted slope is c_N beta, thermally
-    suppressed by e^{-beta E_1} for sectors with a zero mode.
+    Restricted to records with |shift| <= 0.05 (the first-order regime).
+    The predicted slope is the same fit of the records' own
+    first_order_prediction column, so nothing is diagonalized here.
     """
     reports = []
     for N in sorted({r.N for r in records}):
         # the 1e-12 guard keeps grid points like 1.0 + 0.05 (which rounds
         # to a shift a few ulp above 0.05) inside the fit
         pts = [
-            (abs(r.value - _SUSY_VALUE[r.coupling]), r.deviation)
+            (abs(r.value - SUSY_VALUE[r.coupling]), r.deviation, r.first_order_prediction)
             for r in records
             if r.N == N
-            and 0.0 < abs(r.value - _SUSY_VALUE[r.coupling]) <= 0.05 + 1e-12
+            and 0.0 < abs(r.value - SUSY_VALUE[r.coupling]) <= 0.05 + 1e-12
         ]
         if len(pts) < 3:
             raise ValueError(f"need at least 3 usable points for N={N}, got {len(pts)}")
-        x = np.array([p[0] for p in pts])
-        y = np.array([p[1] for p in pts])
+        x, y, prediction = (np.array(col) for col in zip(*pts))
         fitted = float((x @ y) / (x @ x))
-        predicted = deviation_first_order(N, beta, records[0].coupling, 1.0)
+        predicted = float((x @ prediction) / (x @ x))
         rel = abs(fitted - predicted) / predicted if predicted > 0 else float("inf")
         resid = y - fitted * x
         span = fitted * x.max()
@@ -203,16 +194,15 @@ def protection_report(beta_low: float, beta_high: float, n_list,
         raise ValueError("beta_low must be < beta_high")
     rows = []
     for N in n_list:
-        devs = {}
-        for beta in (beta_low, beta_high):
-            base = wtilde_gca_exact(assemble(N, ModelParams(), cache_dir), beta)
-            shifted = wtilde_gca_exact(
-                assemble(N, ModelParams(Delta=1.0 + delta_shift), cache_dir), beta
-            )
-            devs[beta] = abs(shifted - base)
-        zero_mode = N % 3 != 0
+        base = assemble(N, SUSY_POINT, cache_dir)
+        shifted = assemble(N, SUSY_POINT.replace(Delta=1.0 + delta_shift), cache_dir)
+        devs = {
+            beta: abs(wtilde_gca_exact(shifted, beta) - wtilde_gca_exact(base, beta))
+            for beta in (beta_low, beta_high)
+        }
+        zero_mode = base.zero_mode_count > 0
         if zero_mode:
-            e1 = first_excited_susy(N)
+            e1 = base.first_excited
             expected = (beta_low * np.exp(-beta_low * e1)) / (
                 beta_high * np.exp(-beta_high * e1)
             )

@@ -26,7 +26,7 @@ from .analysis import (
     write_sweep_csv,
 )
 from .dynamics import ProtocolConfig, run_protocol, write_trace_csv
-from .model import ModelParams
+from .model import SUSY_POINT, ModelParams
 from .spectra import cache_header
 from .susy import (
     NumericalConsistencyError,
@@ -277,7 +277,9 @@ def _cmd_dynamics(args) -> int:
 
 def _cmd_sweep(args) -> int:
     started = _timestamp()
-    _params(args)  # the sweep sets its own couplings, but rejects non-finite ones
+    # ModelParams rejects non-finite values; finite ones would be ignored
+    if _params(args) != SUSY_POINT:
+        raise ValueError("sweep sets its own couplings; drop --J, --Delta and --h")
     n_list = tuple(int(s) for s in str(args.N).split(","))
     if args.values is not None:
         values = tuple(float(s) for s in args.values.split(","))
@@ -299,7 +301,7 @@ def _cmd_sweep(args) -> int:
     write_sweep_csv(records, csv_path, meta)
     outputs = [csv_path]
     try:
-        reports = compare_first_order(records, spec.beta)
+        reports = compare_first_order(records)
     except ValueError as exc:
         print(f"fit skipped: {exc}", file=sys.stderr)
     else:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SectorKey, decompose_n_sector
-from .model import ModelParams, build_dh_ddelta, build_dh_dj
+from .model import SUSY_POINT, ModelParams, build_dh_ddelta, build_dh_dj
 from .spectra import cached_block, full_chain_spectrum
 
 ZERO_TOL = 1e-10
@@ -172,25 +172,31 @@ def _log_gibbs(energies: np.ndarray, beta: float) -> float:
 # ---------------------------------------------------------------------------
 # deviation laws around the supersymmetric point
 
-def _coupling_params(base: ModelParams, coupling: str, value_shift: float) -> ModelParams:
-    if coupling == COUPLING_DELTA:
-        return base.replace(Delta=base.Delta + value_shift)
-    if coupling == COUPLING_J:
-        return base.replace(J=base.J + value_shift)
-    raise ValueError(f"unknown coupling {coupling!r}")
+# coupling name -> (ModelParams field, dH/dcoupling builder)
+_COUPLINGS = {COUPLING_DELTA: ("Delta", build_dh_ddelta), COUPLING_J: ("J", build_dh_dj)}
+SUSY_VALUE = {name: getattr(SUSY_POINT, field) for name, (field, _) in _COUPLINGS.items()}
+FD_STEP = 1e-4
 
 
-def _gca_at(N: int, beta: float, params: ModelParams) -> float:
-    return wtilde_gca_exact(assemble(N, params), beta)
+def _coupling(name: str):
+    if name not in _COUPLINGS:
+        raise ValueError(f"unknown coupling {name!r}")
+    return _COUPLINGS[name]
 
 
-def finite_difference_dw(N: int, beta: float, coupling: str, step: float = 1e-4) -> float:
+def params_at(coupling: str, value: float) -> ModelParams:
+    """The supersymmetric point with one coupling moved to `value`."""
+    field, _ = _coupling(coupling)
+    return SUSY_POINT.replace(**{field: value})
+
+
+def finite_difference_dw(N: int, beta: float, coupling: str) -> float:
     """Central finite difference of the exact pooled-chain index at the
     supersymmetric point."""
-    base = ModelParams()
-    up = _gca_at(N, beta, _coupling_params(base, coupling, +step))
-    dn = _gca_at(N, beta, _coupling_params(base, coupling, -step))
-    return (up - dn) / (2.0 * step)
+    c0 = SUSY_VALUE.get(coupling, 0.0)  # params_at rejects an unknown name
+    up, dn = (wtilde_gca_exact(assemble(N, params_at(coupling, c0 + step)), beta)
+              for step in (FD_STEP, -FD_STEP))
+    return (up - dn) / (2.0 * FD_STEP)
 
 
 def hellmann_feynman_dw(N: int, beta: float, coupling: str) -> float:
@@ -204,12 +210,11 @@ def hellmann_feynman_dw(N: int, beta: float, coupling: str) -> float:
     with <.> the sector Gibbs average. Smooth through degeneracies because
     only block traces of analytic functions enter.
     """
-    base = ModelParams()
+    _, build_dh = _coupling(coupling)
     num = den = num_d = den_d = 0.0
     for key in decompose_n_sector(N).members:
-        spec = cached_block(key, base)
-        op = build_dh_ddelta(key) if coupling == COUPLING_DELTA else build_dh_dj(key)
-        slopes = np.einsum("ij,ij->j", spec.states, op.entries @ spec.states)
+        spec = cached_block(key, SUSY_POINT)
+        slopes = np.einsum("ij,ij->j", spec.states, build_dh(key).entries @ spec.states)
         w = np.exp(-beta * spec.energies)
         num += key.parity * w.sum()
         den += w.sum()
@@ -219,20 +224,8 @@ def hellmann_feynman_dw(N: int, beta: float, coupling: str) -> float:
     return -beta * (num_d - W * den_d) / den
 
 
-def first_excited_susy(N: int) -> float:
-    """E_1 of the sector at the supersymmetric point."""
-    return assemble(N, ModelParams()).first_excited
-
-
-def slope_cn(N: int, beta: float, coupling: str = COUPLING_DELTA) -> float:
-    """Degeneracy-splitting rate c_N extracted from the index response.
-
-    The raw response (1/beta)|dW/dc| of sectors with a zero mode carries
-    the thermal suppression factor e^{-beta E_1}; it is divided out so
-    c_N is a property of the splitting alone and the extraction is stable
-    in beta. Sectors without a zero mode have no such factor. The finite
-    difference is cross-checked against the Hellmann-Feynman estimate.
-    """
+def _checked_slope(N: int, beta: float, coupling: str) -> float:
+    """dW/dc by central difference, cross-checked against Hellmann-Feynman."""
     if not 0.0 < beta < math.inf:
         raise ValueError(f"beta must be finite and > 0, got {beta}")
     fd = finite_difference_dw(N, beta, coupling)
@@ -243,9 +236,21 @@ def slope_cn(N: int, beta: float, coupling: str = COUPLING_DELTA) -> float:
             f"slope estimators disagree for N={N}, {coupling}: "
             f"finite-difference {fd:.6e} vs Hellmann-Feynman {hf:.6e}"
         )
-    c = abs(fd) / beta
-    if N % 3 != 0:
-        c *= math.exp(beta * first_excited_susy(N))
+    return fd
+
+
+def slope_cn(N: int, beta: float, coupling: str = COUPLING_DELTA) -> float:
+    """Degeneracy-splitting rate c_N extracted from the index response.
+
+    The raw response (1/beta)|dW/dc| of sectors with a zero mode carries
+    the thermal suppression factor e^{-beta E_1}; it is divided out so
+    c_N is a property of the splitting alone and the extraction is stable
+    in beta. Sectors without a zero mode have no such factor.
+    """
+    c = abs(_checked_slope(N, beta, coupling)) / beta
+    spec = assemble(N, SUSY_POINT)
+    if spec.zero_mode_count:
+        c *= math.exp(beta * spec.first_excited)
     return c
 
 
@@ -256,8 +261,7 @@ def deviation_first_order(
 
     |W(c0 + dc) - W(c0)| = c_N beta |dc|                 (no zero mode)
                          = c_N beta e^{-beta E_1} |dc|   (zero mode present)
+
+    Both reduce to |dW/dc| |dc|, which is what is computed.
     """
-    c = slope_cn(N, beta, coupling)
-    if N % 3 == 0:
-        return c * beta * abs(delta_coupling)
-    return c * beta * math.exp(-beta * first_excited_susy(N)) * abs(delta_coupling)
+    return abs(_checked_slope(N, beta, coupling)) * abs(delta_coupling)

@@ -34,6 +34,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SweepSpec("delta", (), (4,))
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, float("inf"), float("nan")])
+    def test_beta_must_be_positive_and_finite(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            SweepSpec("delta", (1.0,), (4,), beta=beta)
+
 
 def test_default_grid_spans_the_special_point():
     g = default_grid("delta")
@@ -118,17 +123,32 @@ SMALL_SHIFTS = tuple(1.0 + s for s in (-0.05, -0.03, -0.01, 0.01, 0.03, 0.05))
 class TestFirstOrderFit:
     def test_fit_matches_prediction(self):
         spec = SweepSpec("delta", SMALL_SHIFTS, (3, 4, 6))
-        reports = compare_first_order(sweep(spec), beta=5.0)
+        reports = compare_first_order(sweep(spec))
         assert [r.N for r in reports] == [3, 4, 6]
         for r in reports:
             assert r.points == 6
             assert r.relative_discrepancy <= 0.02
             assert not r.nonlinear
 
+    def test_fit_diagonalizes_nothing(self, monkeypatch):
+        import susychain.spectra as spectra_mod
+
+        records = sweep(SweepSpec("delta", SMALL_SHIFTS, (4, 6)))
+        calls = []
+        real = spectra_mod.diagonalize
+        monkeypatch.setattr(spectra_mod, "diagonalize",
+                            lambda m: calls.append(m.key) or real(m))
+        reports = compare_first_order(records)
+        assert calls == []
+        for rep in reports:
+            rate = next(r.first_order_prediction for r in records
+                        if r.N == rep.N and r.value == SMALL_SHIFTS[-1]) / 0.05
+            assert rep.predicted_slope == pytest.approx(rate, rel=1e-12)
+
     def test_fit_needs_three_points(self):
         spec = SweepSpec("delta", (0.99, 1.0, 1.01), (4,))
         with pytest.raises(ValueError):
-            compare_first_order(sweep(spec), beta=5.0)
+            compare_first_order(sweep(spec))
 
     def test_large_shifts_are_flagged_nonlinear(self):
         # deviations saturate near |W| ~ 1, so a wide 'fit' must not pass
@@ -142,7 +162,7 @@ class TestFirstOrderFit:
                         first_order_prediction=0.0)
             for s, dev in [(0.01, 0.00625), (0.03, 0.01875), (0.05, 0.09)]
         ]
-        rep = compare_first_order(recs, beta=5.0)[0]
+        rep = compare_first_order(recs)[0]
         assert rep.nonlinear
 
     @pytest.mark.parametrize("N", [3, 4, 6])

@@ -187,6 +187,33 @@ class TestSweep:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert len(manifest["outputs"]) == 1
 
+    @pytest.mark.parametrize("bad", [["--h", "0.3"], ["--J", "-0.5"], ["--Delta=1.2"]])
+    def test_couplings_off_the_special_point_are_usage_errors(self, capsys, tmp_path,
+                                                              bad):
+        # the sweep sets its own couplings, so a value it would ignore is refused
+        code, out, err = run_cli(capsys, "sweep", "--N", "4", "--points", "3", *bad,
+                                 "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert out == ""
+        assert "sets its own couplings" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_beta_is_refused_before_any_diagonalization(self, capsys, tmp_path,
+                                                             monkeypatch):
+        import susychain.spectra as spectra_mod
+
+        calls = []
+        real = spectra_mod.diagonalize
+        monkeypatch.setattr(spectra_mod, "diagonalize",
+                            lambda m: calls.append(m.key) or real(m))
+        code, out, err = run_cli(capsys, "sweep", "--N", "4", "--points", "3",
+                                 "--beta", "0", "--out", str(tmp_path / "o"))
+        assert calls == []
+        assert code == 2
+        assert out == ""
+        assert "beta" in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestCache:
     def test_inspect_and_clear(self, capsys, tmp_path):

@@ -14,11 +14,12 @@ from susychain.spectra import (
     cache_get,
     cache_header,
     cache_put,
-    charpoly_eigenvalues,
     diagonalize,
     full_chain_spectrum,
     partition_function,
 )
+
+from charpoly_oracle import charpoly_eigenvalues
 
 SUSY = ModelParams()
 

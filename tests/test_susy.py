@@ -10,8 +10,8 @@ from susychain.susy import (
     assemble,
     deviation_first_order,
     finite_difference_dw,
-    first_excited_susy,
     hellmann_feynman_dw,
+    params_at,
     slope_cn,
     witten_regularized,
     wtilde_gca_exact,
@@ -201,7 +201,7 @@ def test_assemble_uses_cache_transparently(tmp_path):
 
 @pytest.mark.parametrize("N", range(3, 12))
 def test_first_excited_reference(N):
-    assert first_excited_susy(N) == pytest.approx(E1[N], abs=1e-9)
+    assert assemble(N, ModelParams()).first_excited == pytest.approx(E1[N], abs=1e-9)
 
 
 @pytest.mark.parametrize("N,expected", [(3, -0.625), (6, 0.1829034514), (9, 1.670438878e-2)])
@@ -241,12 +241,25 @@ def test_splitting_rate_rejects_bad_beta():
         slope_cn(4, 0.0, COUPLING_DELTA)
 
 
+@pytest.mark.parametrize("estimate", [finite_difference_dw, hellmann_feynman_dw])
+def test_slope_estimators_reject_unknown_coupling(estimate):
+    with pytest.raises(ValueError, match="unknown coupling"):
+        estimate(4, 5.0, "h")
+
+
+def test_params_at_moves_one_coupling():
+    assert params_at(COUPLING_DELTA, 1.25) == ModelParams(Delta=1.25)
+    assert params_at(COUPLING_J, -0.75) == ModelParams(J=-0.75)
+    with pytest.raises(ValueError, match="unknown coupling"):
+        params_at("h", 0.5)
+
+
 def test_first_order_deviation_matches_raw_slope():
     # both branches of the formula reduce to |dW/dc| * |dc|
-    for N in (3, 4, 6):
-        dev = deviation_first_order(N, 5.0, COUPLING_DELTA, 0.01)
-        raw = abs(finite_difference_dw(N, 5.0, COUPLING_DELTA)) * 0.01
-        assert dev == pytest.approx(raw, rel=1e-5)
+    for N in range(3, 12):
+        dev = deviation_first_order(N, 5.0, COUPLING_DELTA, -0.01)
+        raw = abs(finite_difference_dw(N, 5.0, COUPLING_DELTA)) * abs(-0.01)
+        assert dev == raw
 
 
 def test_first_order_deviation_values():
