@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -103,11 +102,9 @@ def sweep(spec: SweepSpec, cache_dir=None, threads: int = 1) -> list[SweepRecord
         w_ref, _ = _evaluate(spec, N, susy_value, ref_seed, cache_dir, threads)
         # first-order deviation per unit |shift|, |dW/dc|
         rate = deviation_first_order(N, spec.beta, spec.coupling, 1.0)
-
-        def point(value, N=N, w_ref=w_ref, rate=rate):
+        for value in spec.values:
             w, se = _evaluate(spec, N, value, spec.base_seed, cache_dir, threads)
-            shift = value - susy_value
-            return SweepRecord(
+            records.append(SweepRecord(
                 N=N,
                 coupling=spec.coupling,
                 value=float(value),
@@ -115,14 +112,8 @@ def sweep(spec: SweepSpec, cache_dir=None, threads: int = 1) -> list[SweepRecord
                 wtilde_susy=w_ref,
                 deviation=abs(w - w_ref),
                 stderr=se,
-                first_order_prediction=rate * abs(shift),
-            )
-
-        if threads > 1 and spec.estimator.startswith("exact"):
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                records.extend(ex.map(point, spec.values))
-        else:
-            records.extend(point(v) for v in spec.values)
+                first_order_prediction=rate * abs(value - susy_value),
+            ))
     return records
 
 

@@ -315,6 +315,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_cache(args) -> int:
+    if _params(args) != SUSY_POINT:
+        raise ValueError("cache takes no couplings; drop --J, --Delta and --h")
     if args.cache_dir is None:
         raise ValueError("cache command requires --cache-dir")
     root = Path(args.cache_dir)

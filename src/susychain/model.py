@@ -14,6 +14,7 @@ what the rest of the package measures.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,32 +63,36 @@ class SectorMatrix:
             raise ValueError("matrix shape does not match block dimension")
 
 
-def _block_operators(key: SectorKey) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, D, B) of one block, so that H = J A + Delta diag(D) - h diag(B) + const.
+@functools.cache
+def _block_operators(key: SectorKey) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """((rows, cols), D, B) of one block: H = J A + Delta diag(D) - h diag(B) + const.
 
-    A is the 0/1 adjacency of adjacent-exchange moves: S+ S- + S- S+ on a
-    bond swaps an adjacent up/down pair and never leaves the block
-    (magnetization is conserved). D is sum_i Sz_i Sz_{i+1} and B is
-    Sz_1 + Sz_L per config; on a single site B reads site 1 twice, the only
-    convention that keeps the N=3 pair degenerate.
+    A, the 0/1 adjacency of adjacent-exchange moves, is kept as the indices
+    of its ones: S+ S- + S- S+ on a bond swaps an adjacent up/down pair and
+    never leaves the block (magnetization is conserved). D is
+    sum_i Sz_i Sz_{i+1} and B is Sz_1 + Sz_L per config; on a single site B
+    reads site 1 twice, the only convention that keeps the N=3 pair
+    degenerate. Built once per block and shared, so the arrays are read-only.
     """
     bits = np.array([c.bits for c in enumerate_sector(key)])
-    sz = 0.5 - ((bits[:, None] >> np.arange(key.L)) & 1)
-    A = np.zeros((len(bits), len(bits)))
-    for bond in range(key.L - 1):
-        col = np.flatnonzero(((bits >> bond) ^ (bits >> (bond + 1))) & 1)
-        # configs are sorted by bits, so searchsorted finds the swapped one
-        A[np.searchsorted(bits, bits[col] ^ (3 << bond)), col] = 1.0
+    down = (bits[:, None] >> np.arange(key.L)) & 1
+    # an exchange acts on every bond whose two sites differ
+    col, bond = np.nonzero(down[:, :-1] ^ down[:, 1:])
+    # configs are sorted by bits, so searchsorted finds the swapped one
+    row = np.searchsorted(bits, bits[col] ^ (3 << bond))
+    sz = 0.5 - down
     D = (sz[:, :-1] * sz[:, 1:]).sum(axis=1)
     B = sz[:, 0] + sz[:, -1]
-    return A, D, B
+    for a in (row, col, D, B):
+        a.flags.writeable = False
+    return (row, col), D, B
 
 
 def build_hamiltonian(key: SectorKey, params: ModelParams) -> SectorMatrix:
     """Hamiltonian restricted to the (L, n_d) block."""
-    A, D, B = _block_operators(key)
-    # select rather than multiply: a negative J times the zeros of A is -0.0
-    H = np.where(A, params.J, 0.0)
+    pairs, D, B = _block_operators(key)
+    H = np.zeros((key.dimension, key.dimension))
+    H[pairs] = params.J
     np.fill_diagonal(H, (params.Delta * D - params.h * B) + (3.0 * key.L - 1.0) / 4.0)
     return SectorMatrix(key, params, H)
 
@@ -99,4 +104,6 @@ def build_dh_ddelta(key: SectorKey) -> SectorMatrix:
 
 def build_dh_dj(key: SectorKey) -> SectorMatrix:
     """d H / d J: the bare adjacency matrix of adjacent-exchange moves."""
-    return SectorMatrix(key, None, _block_operators(key)[0])
+    A = np.zeros((key.dimension, key.dimension))
+    A[_block_operators(key)[0]] = 1.0
+    return SectorMatrix(key, None, A)

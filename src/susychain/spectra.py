@@ -63,18 +63,19 @@ class FullChainSpectrum:
 def diagonalize(matrix: SectorMatrix) -> ChainSectorSpectrum:
     """Dense symmetric eigendecomposition with a fixed sign convention.
 
-    Each eigenvector is normalized so its largest-magnitude component is
-    positive, making the output reproducible across runs and cacheable
-    byte-for-byte.
+    Each eigenvector is normalized so the first of its largest-magnitude
+    components is positive, making the output reproducible across runs and
+    cacheable byte-for-byte.
     """
     try:
         energies, states = np.linalg.eigh(matrix.entries)
     except np.linalg.LinAlgError as exc:
         raise SolverError(matrix.key, str(exc)) from exc
-    for k in range(states.shape[1]):
-        lead = np.argmax(np.abs(states[:, k]))
-        if states[lead, k] < 0:
-            states[:, k] = -states[:, k]
+    cols = np.arange(states.shape[1])
+    hi, lo = states.argmax(axis=0), states.argmin(axis=0)
+    top, bottom = states[hi, cols], -states[lo, cols]
+    # flip where the first largest-magnitude entry is the min; x * -1.0 is exact
+    states *= np.where((bottom > top) | ((bottom == top) & (lo < hi)), -1.0, 1.0)
     return ChainSectorSpectrum(matrix.key, matrix.params, energies, states)
 
 

@@ -48,7 +48,6 @@ class SusySpectrum:
     levels: tuple[SusyLevel, ...]
     zero_mode_count: int
     zero_mode_length: int | None
-    m: int
 
     def energies(self) -> np.ndarray:
         return np.array([lv.energy for lv in self.levels])
@@ -105,7 +104,6 @@ def assemble(N: int, params: ModelParams, cache_dir=None) -> SusySpectrum:
         levels=levels,
         zero_mode_count=len(zeros),
         zero_mode_length=zeros[0].key.L if len(zeros) == 1 else None,
-        m=1 if len(zeros) == 1 else 0,
     )
 
 

@@ -117,6 +117,35 @@ def test_sweep_diagonalizes_the_same_blocks_at_any_thread_count(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_exact_sweep_starts_no_thread(monkeypatch):
+    import threading
+
+    spec = SweepSpec("delta", (0.9, 1.0, 1.1), (4, 6))
+    serial = sweep(spec, threads=1)
+
+    def refuse(thread):
+        raise AssertionError(f"exact sweep started thread {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert sweep(spec, threads=4) == serial
+
+
+def test_exact_sweep_enumerates_each_block_once(monkeypatch):
+    import susychain.model as model_mod
+    import susychain.spectra as spectra_mod
+
+    enumerated, diagonalized = [], set()
+    enumerate_sector, diagonalize = model_mod.enumerate_sector, spectra_mod.diagonalize
+    monkeypatch.setattr(model_mod, "enumerate_sector",
+                        lambda key: enumerated.append(key) or enumerate_sector(key))
+    monkeypatch.setattr(spectra_mod, "diagonalize",
+                        lambda m: diagonalized.add(m.key) or diagonalize(m))
+    model_mod._block_operators.cache_clear()
+    sweep(SweepSpec("delta", (0.9, 1.0, 1.1), tuple(range(3, 9)), estimator="exact-qgca"))
+    assert len(enumerated) == len(set(enumerated))
+    assert set(enumerated) == diagonalized
+
+
 SMALL_SHIFTS = tuple(1.0 + s for s in (-0.05, -0.03, -0.01, 0.01, 0.03, 0.05))
 
 

@@ -228,6 +228,17 @@ class TestCache:
         assert code == 0
         assert not cache.exists()
 
+    @pytest.mark.parametrize("action", ["inspect", "clear"])
+    @pytest.mark.parametrize("bad", [["--J", "nan"], ["--h", "7"], ["--Delta=1.2"]])
+    def test_couplings_are_usage_errors(self, capsys, tmp_path, action, bad):
+        # cache acts on every coupling set at once, so a coupling it would ignore is refused
+        cache = tmp_path / "cache"
+        run_cli(capsys, "witten", "--N", "4", "--cache-dir", str(cache))
+        code, out, _ = run_cli(capsys, "cache", action, "--cache-dir", str(cache), *bad)
+        assert code == 2
+        assert out == ""
+        assert len(list(cache.glob("v*/*.spec"))) == 2
+
     def test_cache_requires_directory_flag(self, capsys):
         code, _, err = run_cli(capsys, "cache", "inspect")
         assert code == 2

@@ -6,6 +6,7 @@ import pytest
 from susychain.basis import SectorKey, enumerate_sector
 from susychain.model import (
     ModelParams,
+    _block_operators,
     build_dh_ddelta,
     build_dh_dj,
     build_hamiltonian,
@@ -79,6 +80,14 @@ def test_finite_difference_consistency(L, nd):
     dJ = (build_hamiltonian(key, ModelParams(J=-1 + eps)).entries
           - build_hamiltonian(key, ModelParams(J=-1 - eps)).entries) / (2 * eps)
     assert np.allclose(dJ, build_dh_dj(key).entries, atol=1e-10)
+
+
+def test_block_operators_are_read_only():
+    # every caller shares one memoized copy of each block's operators
+    (rows, cols), D, B = _block_operators(SectorKey(4, 2))
+    for a in (rows, cols, D, B):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
 
 
 @pytest.mark.parametrize("L", range(1, 9))

@@ -71,6 +71,44 @@ def test_sign_convention_deterministic():
         assert a.states[lead, k] > 0
 
 
+def reference_flip(states):
+    """Negate, one column at a time, each column whose first entry of
+    largest magnitude is negative."""
+    states = states.copy()
+    for k in range(states.shape[1]):
+        lead = np.argmax(np.abs(states[:, k]))
+        if states[lead, k] < 0:
+            states[:, k] = -states[:, k]
+    return states
+
+
+def assert_flip_matches_reference(m):
+    spec = diagonalize(m)
+    energies, states = np.linalg.eigh(m.entries)
+    assert spec.energies.tobytes() == energies.tobytes()
+    assert spec.states.tobytes() == reference_flip(states).tobytes()
+    lead = np.argmax(np.abs(spec.states), axis=0)
+    assert np.all(spec.states[lead, np.arange(len(lead))] > 0)
+
+
+@pytest.mark.parametrize("params", [SUSY, ModelParams(J=-0.73, Delta=1.37, h=0.29)])
+def test_sign_flip_matches_the_per_column_loop(params):
+    for L in range(1, 11):
+        for nd in range(L + 1):
+            assert_flip_matches_reference(build_hamiltonian(SectorKey(L, nd), params))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=n, max_size=n),
+    min_size=n, max_size=n,
+)))
+def test_sign_flip_matches_the_per_column_loop_on_ties(rows):
+    # small integer matrices give eigenvectors with entries of equal magnitude
+    a = np.array(rows)
+    assert_flip_matches_reference(SectorMatrix(SectorKey(len(rows), 1), None, a + a.T))
+
+
 @pytest.mark.parametrize("L,nd", [(2, 1), (3, 1), (4, 2), (4, 1), (8, 1)])
 def test_charpoly_oracle_agrees(L, nd):
     m = build_hamiltonian(SectorKey(L, nd), SUSY)

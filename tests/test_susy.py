@@ -88,7 +88,6 @@ E1 = {
 def test_assemble_sector_three():
     spec = assemble(3, SUSY)
     assert spec.zero_mode_count == 0
-    assert spec.m == 0
     assert sorted(spec.energies()) == pytest.approx([1.0, 1.0], abs=1e-12)
     assert sorted(spec.parities()) == [-1.0, 1.0]
     assert spec.levels[0].pair_id is not None
@@ -110,7 +109,6 @@ def test_zero_mode_census(N):
     spec = assemble(N, SUSY)
     expected = 0 if N % 3 == 0 else 1
     assert spec.zero_mode_count == expected
-    assert spec.m == expected
     if expected:
         zero = min(spec.levels, key=lambda lv: lv.energy)
         assert zero.parity == (-1) ** (N // 3)
