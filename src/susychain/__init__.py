@@ -7,7 +7,7 @@ the thermal protection of the index.
 
 __version__ = "0.1.0"
 
-from .basis import NSector, SectorKey, SpinConfig, decompose_n_sector, enumerate_sector
+from .basis import NSector, SectorKey, decompose_n_sector, enumerate_sector
 from .model import (
     SUSY_POINT,
     ModelParams,
@@ -42,8 +42,7 @@ from .dynamics import (
     WittenTrace,
     gca_occupancy,
     metropolis_accept,
-    run_gca,
-    run_qgca,
+    run_protocol,
     seed_stream,
 )
 from .analysis import (
@@ -58,7 +57,7 @@ from .analysis import (
 
 __all__ = [
     "__version__",
-    "NSector", "SectorKey", "SpinConfig", "decompose_n_sector", "enumerate_sector",
+    "NSector", "SectorKey", "decompose_n_sector", "enumerate_sector",
     "SUSY_POINT", "ModelParams", "SectorMatrix",
     "build_dh_ddelta", "build_dh_dj", "build_hamiltonian",
     "ChainSectorSpectrum", "FullChainSpectrum", "SolverError",
@@ -68,7 +67,7 @@ __all__ = [
     "deviation_first_order", "slope_cn", "witten_regularized",
     "wtilde_gca_exact", "wtilde_qgca_exact",
     "ProtocolConfig", "WittenTrace", "gca_occupancy", "metropolis_accept",
-    "run_gca", "run_qgca", "seed_stream",
+    "run_protocol", "seed_stream",
     "FitReport", "ProtectionRow", "SweepRecord", "SweepSpec",
     "compare_first_order", "protection_report", "sweep",
 ]

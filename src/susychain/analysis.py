@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -186,7 +186,7 @@ def protection_report(beta_low: float, beta_high: float, n_list,
     rows = []
     for N in n_list:
         base = assemble(N, SUSY_POINT, cache_dir)
-        shifted = assemble(N, SUSY_POINT.replace(Delta=1.0 + delta_shift), cache_dir)
+        shifted = assemble(N, replace(SUSY_POINT, Delta=1.0 + delta_shift), cache_dir)
         devs = {
             beta: abs(wtilde_gca_exact(shifted, beta) - wtilde_gca_exact(base, beta))
             for beta in (beta_low, beta_high)

@@ -12,27 +12,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-
-@dataclass(frozen=True)
-class SpinConfig:
-    """One basis state: ``bits`` over ``length`` sites, bit i = down spin."""
-
-    bits: int
-    length: int
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise ValueError(f"length must be >= 1, got {self.length}")
-        if not 0 <= self.bits < (1 << self.length):
-            raise ValueError(f"bits {self.bits:#x} out of range for L={self.length}")
-
-    @property
-    def n_down(self) -> int:
-        return self.bits.bit_count()
-
-    def sz(self, site: int) -> float:
-        """Spin-z eigenvalue (+1/2 up, -1/2 down) at 1-indexed ``site``."""
-        return 0.5 - ((self.bits >> (site - 1)) & 1)
+import numpy as np
 
 
 @dataclass(frozen=True, order=True)
@@ -70,14 +50,11 @@ class NSector:
         return sum(k.dimension for k in self.members)
 
 
-def enumerate_sector(key: SectorKey) -> list[SpinConfig]:
-    """All C(L, n_d) configs of the block, in strictly increasing bits order."""
-    configs = [
-        SpinConfig(sum(1 << i for i in sites), key.L)
-        for sites in itertools.combinations(range(key.L), key.n_d)
-    ]
-    configs.sort(key=lambda c: c.bits)
-    return configs
+def enumerate_sector(key: SectorKey) -> np.ndarray:
+    """The C(L, n_d) bit patterns of the block, ascending, as int64."""
+    bits = [sum(1 << i for i in sites)
+            for sites in itertools.combinations(range(key.L), key.n_d)]
+    return np.array(sorted(bits), dtype=np.int64)
 
 
 def decompose_n_sector(N: int) -> NSector:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (
+    ESTIMATORS,
     SweepSpec,
     compare_first_order,
     default_grid,
@@ -25,10 +26,12 @@ from .analysis import (
     sweep,
     write_sweep_csv,
 )
-from .dynamics import ProtocolConfig, run_protocol, write_trace_csv
+from .dynamics import PROTOCOL_GCA, PROTOCOL_QGCA, ProtocolConfig, run_protocol, write_trace_csv
 from .model import SUSY_POINT, ModelParams
 from .spectra import cache_header
 from .susy import (
+    COUPLING_DELTA,
+    SUSY_VALUE,
     NumericalConsistencyError,
     assemble,
     witten_regularized,
@@ -46,9 +49,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--config", default=None, help="key = value defaults file")
-    p.add_argument("--J", type=float, default=-1.0)
-    p.add_argument("--Delta", type=float, default=1.0)
-    p.add_argument("--h", type=float, default=0.5)
+
+
+def _add_couplings(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--J", type=float, default=SUSY_POINT.J)
+    p.add_argument("--Delta", type=float, default=SUSY_POINT.Delta)
+    p.add_argument("--h", type=float, default=SUSY_POINT.h)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,36 +66,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.subcommands = {}
 
-    p = parser.subcommands["spectrum"] = sub.add_parser(
-        "spectrum", help="sector level listing with zero modes")
+    def add(name: str, summary: str) -> argparse.ArgumentParser:
+        # no abbreviations: a prefix such as --h must not reach --help
+        parser.subcommands[name] = sub.add_parser(name, help=summary, allow_abbrev=False)
+        return parser.subcommands[name]
+
+    p = add("spectrum", "sector level listing with zero modes")
     p.add_argument("--N", type=int, required=True)
     _add_common(p)
+    _add_couplings(p)
 
-    p = parser.subcommands["witten"] = sub.add_parser(
-        "witten", help="exact index estimators")
+    p = add("witten", "exact index estimators")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--which", choices=("regularized", "gca", "qgca"), default="gca")
     p.add_argument("--beta", type=float, default=5.0)
     p.add_argument("--beta0", type=float, default=None,
                    help="regularization beta for --which regularized")
     _add_common(p)
+    _add_couplings(p)
 
-    p = parser.subcommands["dynamics"] = sub.add_parser(
-        "dynamics", help="Metropolis collision traces")
-    p.add_argument("--protocol", choices=("gca", "qgca"), default="gca")
+    p = add("dynamics", "Metropolis collision traces")
+    p.add_argument("--protocol", choices=(PROTOCOL_GCA, PROTOCOL_QGCA), default=PROTOCOL_GCA)
     p.add_argument("--N", type=int, default=None,
                    help="single sector; default runs all of 3..11")
     p.add_argument("--beta", type=float, default=5.0)
     p.add_argument("--runs", type=int, default=50000)
     p.add_argument("--iterations", type=int, default=500)
     _add_common(p)
+    _add_couplings(p)
 
-    p = parser.subcommands["sweep"] = sub.add_parser(
-        "sweep", help="coupling sweeps and first-order fits")
-    p.add_argument("--coupling", choices=("delta", "j"), default="delta")
-    p.add_argument("--estimator",
-                   choices=("exact-gca", "exact-qgca", "sampled-gca", "sampled-qgca"),
-                   default="exact-gca")
+    p = add("sweep", "coupling sweeps and first-order fits")
+    p.add_argument("--coupling", choices=tuple(SUSY_VALUE), default=COUPLING_DELTA)
+    p.add_argument("--estimator", choices=ESTIMATORS, default="exact-gca")
     p.add_argument("--N", default="3,4,5,6,7,8,9,10,11",
                    help="comma-separated sector list")
     p.add_argument("--beta", type=float, default=5.0)
@@ -100,8 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=500)
     _add_common(p)
 
-    p = parser.subcommands["cache"] = sub.add_parser(
-        "cache", help="inspect or clear the spectrum cache")
+    p = add("cache", "inspect or clear the spectrum cache")
     p.add_argument("action", choices=("inspect", "clear"))
     _add_common(p)
 
@@ -277,9 +284,6 @@ def _cmd_dynamics(args) -> int:
 
 def _cmd_sweep(args) -> int:
     started = _timestamp()
-    # ModelParams rejects non-finite values; finite ones would be ignored
-    if _params(args) != SUSY_POINT:
-        raise ValueError("sweep sets its own couplings; drop --J, --Delta and --h")
     n_list = tuple(int(s) for s in str(args.N).split(","))
     if args.values is not None:
         values = tuple(float(s) for s in args.values.split(","))
@@ -315,8 +319,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    if _params(args) != SUSY_POINT:
-        raise ValueError("cache takes no couplings; drop --J, --Delta and --h")
     if args.cache_dir is None:
         raise ValueError("cache command requires --cache-dir")
     root = Path(args.cache_dir)

@@ -117,24 +117,31 @@ class _Pool:
 
 def _chain_pool(chain: FullChainSpectrum, target_nd: int) -> _Pool:
     e, p = [], []
-    for nd, block in enumerate(chain.blocks):
-        parity = (-1.0 if nd % 2 else 1.0) if nd == target_nd else 0.0
+    for block in chain.blocks:
+        parity = float(block.key.parity) if block.key.n_d == target_nd else 0.0
         e.append(block.energies)
         p.append(np.full(len(block.energies), parity))
     return _Pool(np.concatenate(e), np.concatenate(p))
 
 
-def _merge(pools: list[_Pool]) -> _Pool:
-    return _Pool(np.concatenate([p.energies for p in pools]),
-                 np.concatenate([p.signed for p in pools]))
+def _pools(config: ProtocolConfig, cache_dir) -> list[tuple[str, _Pool]]:
+    """Tagged pools of one run: one per member chain, or their union for GCA."""
+    pools = []
+    for key in decompose_n_sector(config.N).members:
+        chain = full_chain_spectrum(key.L, config.params, cache_dir)
+        pools.append((f"qgca:L{key.L}", _chain_pool(chain, key.n_d)))
+    if config.protocol == PROTOCOL_QGCA:
+        return pools
+    return [("gca", _Pool(np.concatenate([p.energies for _, p in pools]),
+                          np.concatenate([p.signed for _, p in pools])))]
 
 
 def _walk_block(key: tuple, pool: _Pool, beta: float, iterations: int,
-                window_start: int, size: int, occupancy: str | None = None):
+                window_start: int, size: int):
     """One block of walkers, full trajectory, deterministic draw order.
 
-    `key` is the block's seed_stream key. occupancy 'final' also counts
-    walkers per pool state at the end, 'visits' at every iteration.
+    `key` is the block's seed_stream key. The last result counts the
+    walkers per pool state after the last iteration.
     """
     rng = seed_stream(*key)
     dim = len(pool.energies)
@@ -143,10 +150,7 @@ def _walk_block(key: tuple, pool: _Pool, beta: float, iterations: int,
     sums = np.zeros(iterations)
     wsum = np.zeros(size)
     wcnt = np.zeros(size, dtype=np.int64)
-    visits = np.zeros(dim, dtype=np.int64)
     for t in range(iterations):
-        if occupancy == "visits":
-            visits += np.bincount(cur, minlength=dim)
         prop = rng.integers(0, dim, size)
         u = rng.random(size)
         accept = metropolis_accept(pool.energies[prop] - pool.energies[cur], beta, u)
@@ -159,9 +163,7 @@ def _walk_block(key: tuple, pool: _Pool, beta: float, iterations: int,
             if t >= window_start:
                 wsum += signed
                 wcnt += signed != 0.0
-    if occupancy is not None:
-        visits += np.bincount(cur, minlength=dim)
-    return counts, sums, wsum, wcnt, visits
+    return counts, sums, wsum, wcnt, np.bincount(cur, minlength=dim)
 
 
 def _worker_count(threads: int, tasks: int, cpus: int) -> int:
@@ -192,23 +194,28 @@ def _parallel_map(fn, tasks: list[tuple], workers: int) -> list:
 
 
 def _walk(config: ProtocolConfig, pools: list[tuple[str, _Pool]], threads: int,
-          window_start: int, occupancy: str | None = None) -> list:
+          window_start: int) -> list:
     """One map task per (pool, block); results in task order."""
     tasks = [
         ((config.base_seed, tag, config.N, start), pool, config.beta, config.iterations,
-         window_start, min(BLOCK_SIZE, config.runs - start), occupancy)
+         window_start, min(BLOCK_SIZE, config.runs - start))
         for tag, pool in pools
         for start in range(0, config.runs, BLOCK_SIZE)
     ]
     return _parallel_map(_walk_block, tasks, threads)
 
 
-def _run_pools(config: ProtocolConfig, pools: list[tuple[str, _Pool]],
-               threads: int) -> WittenTrace:
-    """Drive `config.runs` walkers over each named pool and fold the results."""
+def run_protocol(config: ProtocolConfig, cache_dir=None, threads: int = 1) -> WittenTrace:
+    """Drive `config.runs` walkers over each pool of the protocol and fold the results.
+
+    GCA walkers share the union pool of all chain lengths in the sector
+    window; QGCA walkers stay on one member chain each. The QGCA estimate
+    pools in-sector walkers across all chains, so it tracks the parity
+    histogram a per-chain measurement protocol accumulates.
+    """
     iters = config.iterations
     window_start = iters - max(1, iters // 5)
-    results = _walk(config, pools, threads, window_start)
+    results = _walk(config, _pools(config, cache_dir), threads, window_start)
     cnts, sums, wsums, wcnts, _ = zip(*results)  # task order: deterministic fold
     counts, sums = sum(cnts), sum(sums)
     wsum, wcnt = np.concatenate(wsums), np.concatenate(wcnts)
@@ -244,63 +251,21 @@ def _run_pools(config: ProtocolConfig, pools: list[tuple[str, _Pool]],
     )
 
 
-def run_gca(config: ProtocolConfig, cache_dir=None, threads: int = 1) -> WittenTrace:
-    """Walkers over the union pool of all chain lengths in the sector window."""
-    if config.protocol != PROTOCOL_GCA:
-        raise ValueError("config.protocol must be 'gca'")
-    return _run_pools(config, [("gca", _gca_pool(config, cache_dir))], threads)
+def gca_occupancy(config: ProtocolConfig, cache_dir=None,
+                  threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Final occupancy counts per pooled eigenstate -> (counts, pool energies).
 
-
-def _gca_pool(config: ProtocolConfig, cache_dir) -> _Pool:
-    pools = []
-    for key in decompose_n_sector(config.N).members:
-        chain = full_chain_spectrum(key.L, config.params, cache_dir)
-        pools.append(_chain_pool(chain, key.n_d))
-    if not pools:
-        raise ValueError(f"empty pool for N={config.N}")
-    return _merge(pools)
-
-
-def gca_occupancy(config: ProtocolConfig, cache_dir=None, threads: int = 1,
-                  mode: str = "final") -> tuple[np.ndarray, np.ndarray]:
-    """Occupancy counts per pooled eigenstate -> (counts, pool energies).
-
-    Replays the exact trajectories of run_gca (same streams, same draw
-    order). mode 'final' counts each walker's state at the last iteration
-    only: walkers are independent, so those counts are an i.i.d. sample of
-    the long-run occupation, fit for distribution tests. mode 'visits'
-    accumulates every visit including the initial state, for reachability
-    checks; visit counts are autocorrelated along a trajectory.
+    Replays the exact GCA trajectories of run_protocol (same streams, same
+    draw order) and counts each walker's state at the last iteration.
+    Walkers are independent, so those counts are an i.i.d. sample of the
+    long-run occupation, fit for distribution tests.
     """
     if config.protocol != PROTOCOL_GCA:
         raise ValueError("config.protocol must be 'gca'")
-    if mode not in ("final", "visits"):
-        raise ValueError(f"unknown mode {mode!r}")
-    pool = _gca_pool(config, cache_dir)
+    pools = _pools(config, cache_dir)
     # window_start past the last iteration: no window sums are kept
-    results = _walk(config, [("gca", pool)], threads, config.iterations, mode)
-    return sum(r[-1] for r in results), pool.energies.copy()
-
-
-def run_qgca(config: ProtocolConfig, cache_dir=None, threads: int = 1) -> WittenTrace:
-    """Independent fixed-length walkers, one pool per member chain.
-
-    The estimate pools in-sector walkers across all chains, so it tracks
-    the parity histogram a per-chain measurement protocol accumulates.
-    """
-    if config.protocol != PROTOCOL_QGCA:
-        raise ValueError("config.protocol must be 'qgca'")
-    pools = []
-    for key in decompose_n_sector(config.N).members:
-        chain = full_chain_spectrum(key.L, config.params, cache_dir)
-        pools.append((f"qgca:L{key.L}", _chain_pool(chain, key.n_d)))
-    return _run_pools(config, pools, threads)
-
-
-def run_protocol(config: ProtocolConfig, cache_dir=None, threads: int = 1) -> WittenTrace:
-    if config.protocol == PROTOCOL_GCA:
-        return run_gca(config, cache_dir, threads)
-    return run_qgca(config, cache_dir, threads)
+    results = _walk(config, pools, threads, config.iterations)
+    return sum(r[-1] for r in results), pools[0][1].energies.copy()
 
 
 def write_trace_csv(trace: WittenTrace, path: str | Path, extra_meta: dict | None = None) -> None:

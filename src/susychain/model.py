@@ -36,14 +36,6 @@ class ModelParams:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
-    def is_susy_point(self) -> bool:
-        return self.J == -1.0 and self.Delta == 1.0 and self.h == 0.5
-
-    def replace(self, **kw) -> "ModelParams":
-        d = {"J": self.J, "Delta": self.Delta, "h": self.h}
-        d.update(kw)
-        return ModelParams(**d)
-
 
 # Couplings with exact binary representations; the degeneracy structure
 # holds only exactly at this point.
@@ -74,7 +66,7 @@ def _block_operators(key: SectorKey) -> tuple[tuple, np.ndarray, np.ndarray]:
     reads site 1 twice, the only convention that keeps the N=3 pair
     degenerate. Built once per block and shared, so the arrays are read-only.
     """
-    bits = np.array([c.bits for c in enumerate_sector(key)])
+    bits = enumerate_sector(key)
     down = (bits[:, None] >> np.arange(key.L)) & 1
     # an exchange acts on every bond whose two sites differ
     col, bond = np.nonzero(down[:, :-1] ^ down[:, 1:])

@@ -52,10 +52,6 @@ class FullChainSpectrum:
     params: ModelParams
     blocks: tuple[ChainSectorSpectrum, ...]
 
-    @property
-    def level_count(self) -> int:
-        return sum(len(b.energies) for b in self.blocks)
-
     def all_energies(self) -> np.ndarray:
         return np.concatenate([b.energies for b in self.blocks])
 

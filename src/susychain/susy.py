@@ -12,7 +12,7 @@ and the estimators respond, which is what the deviation laws quantify.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -185,7 +185,7 @@ def _coupling(name: str):
 def params_at(coupling: str, value: float) -> ModelParams:
     """The supersymmetric point with one coupling moved to `value`."""
     field, _ = _coupling(coupling)
-    return SUSY_POINT.replace(**{field: value})
+    return replace(SUSY_POINT, **{field: value})
 
 
 def finite_difference_dw(N: int, beta: float, coupling: str) -> float:
@@ -209,11 +209,14 @@ def hellmann_feynman_dw(N: int, beta: float, coupling: str) -> float:
     only block traces of analytic functions enter.
     """
     _, build_dh = _coupling(coupling)
+    specs = [(key, cached_block(key, SUSY_POINT)) for key in decompose_n_sector(N).members]
+    # W and dW/dc are ratios of sums over the same weights, so shifting them
+    # by the ground energy is exact and keeps e^{-beta E} from underflowing
+    e0 = min(spec.energies.min() for _, spec in specs)
     num = den = num_d = den_d = 0.0
-    for key in decompose_n_sector(N).members:
-        spec = cached_block(key, SUSY_POINT)
+    for key, spec in specs:
         slopes = np.einsum("ij,ij->j", spec.states, build_dh(key).entries @ spec.states)
-        w = np.exp(-beta * spec.energies)
+        w = np.exp(-beta * (spec.energies - e0))
         num += key.parity * w.sum()
         den += w.sum()
         num_d += key.parity * float((w * slopes).sum())
@@ -228,6 +231,11 @@ def _checked_slope(N: int, beta: float, coupling: str) -> float:
         raise ValueError(f"beta must be finite and > 0, got {beta}")
     fd = finite_difference_dw(N, beta, coupling)
     hf = hellmann_feynman_dw(N, beta, coupling)
+    if not (math.isfinite(fd) and math.isfinite(hf)):
+        raise NumericalConsistencyError(
+            f"non-finite slope for N={N}, {coupling}: "
+            f"finite-difference {fd!r}, Hellmann-Feynman {hf!r}"
+        )
     scale = max(abs(fd), abs(hf))
     if scale > 1e-12 and abs(fd - hf) > 0.05 * scale:
         raise NumericalConsistencyError(

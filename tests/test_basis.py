@@ -1,16 +1,17 @@
+import itertools
+
+import numpy as np
 import pytest
 
-from susychain.basis import SectorKey, SpinConfig, decompose_n_sector, enumerate_sector
+from susychain.basis import SectorKey, decompose_n_sector, enumerate_sector
 
 
 def test_enumerate_single_down_spin():
-    configs = enumerate_sector(SectorKey(2, 1))
-    assert [c.bits for c in configs] == [0b01, 0b10]
+    assert enumerate_sector(SectorKey(2, 1)).tolist() == [0b01, 0b10]
 
 
 def test_enumerate_all_up():
-    configs = enumerate_sector(SectorKey(3, 0))
-    assert [c.bits for c in configs] == [0]
+    assert enumerate_sector(SectorKey(3, 0)).tolist() == [0]
 
 
 def test_enumerate_size_matches_binomial():
@@ -19,11 +20,20 @@ def test_enumerate_size_matches_binomial():
 
 @pytest.mark.parametrize("L,nd", [(4, 2), (5, 3), (6, 1), (7, 7)])
 def test_enumerate_sorted_unique_homogeneous(L, nd):
-    configs = enumerate_sector(SectorKey(L, nd))
-    bits = [c.bits for c in configs]
+    bits = enumerate_sector(SectorKey(L, nd)).tolist()
     assert bits == sorted(set(bits))
-    assert all(c.n_down == nd for c in configs)
-    assert all(c.bits < (1 << L) for c in configs)
+    assert all(b.bit_count() == nd for b in bits)
+    assert all(b < (1 << L) for b in bits)
+
+
+def test_enumerate_matches_combinations_reference():
+    for L in range(1, 13):
+        for nd in range(L + 1):
+            states = enumerate_sector(SectorKey(L, nd))
+            reference = sorted(sum(1 << i for i in sites)
+                               for sites in itertools.combinations(range(L), nd))
+            assert states.dtype == np.int64
+            assert states.tolist() == reference
 
 
 def test_decompose_small_sectors():
@@ -51,13 +61,6 @@ def test_sector_key_validation():
         SectorKey(3, 4)
     with pytest.raises(ValueError):
         SectorKey(0, 0)
-
-
-def test_spin_config_sz():
-    c = SpinConfig(0b01, 2)  # site 1 down, site 2 up
-    assert c.sz(1) == -0.5
-    assert c.sz(2) == 0.5
-    assert c.n_down == 1
 
 
 def test_parity_follows_down_spin_count():

@@ -18,6 +18,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_parser_refuses(capsys, *argv):
+    """argparse rejects the command line: exit 2 before anything runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 class TestSpectrum:
     def test_json_listing(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--N", "4", "--format", "json")
@@ -120,6 +128,34 @@ class TestConfigFile:
         assert code == 4
         assert "cannot read" in err
 
+    @pytest.fixture
+    def coupling_config(self, tmp_path):
+        cfg = tmp_path / "shared.conf"
+        cfg.write_text("J = -0.5\n")
+        return cfg
+
+    def test_coupling_in_config_leaves_sweep_alone(self, capsys, tmp_path,
+                                                   coupling_config):
+        # sweep takes no couplings, so a shared file's J is not its concern
+        argv = ["sweep", "--N", "4", "--values", "0.99,1.0,1.01"]
+        code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "plain"))
+        assert code == 0
+        code, _, _ = run_cli(capsys, *argv, "--config", str(coupling_config),
+                             "--out", str(tmp_path / "shared"))
+        assert code == 0
+        name = "sweep_delta_exact-gca.csv"
+        assert ((tmp_path / "shared" / name).read_bytes()
+                == (tmp_path / "plain" / name).read_bytes())
+
+    def test_coupling_in_config_leaves_cache_alone(self, capsys, tmp_path,
+                                                   coupling_config):
+        cache = tmp_path / "cache"
+        run_cli(capsys, "witten", "--N", "4", "--cache-dir", str(cache))
+        code, out, _ = run_cli(capsys, "cache", "inspect", "--cache-dir", str(cache),
+                               "--config", str(coupling_config))
+        assert code == 0
+        assert "2 entries" in out
+
 
 class TestDynamics:
     def test_single_sector_trace_and_manifest(self, capsys, tmp_path):
@@ -190,13 +226,19 @@ class TestSweep:
     @pytest.mark.parametrize("bad", [["--h", "0.3"], ["--J", "-0.5"], ["--Delta=1.2"]])
     def test_couplings_off_the_special_point_are_usage_errors(self, capsys, tmp_path,
                                                               bad):
-        # the sweep sets its own couplings, so a value it would ignore is refused
-        code, out, err = run_cli(capsys, "sweep", "--N", "4", "--points", "3", *bad,
-                                 "--out", str(tmp_path / "o"))
-        assert code == 2
-        assert out == ""
-        assert "sets its own couplings" in err
+        # the sweep sets its own couplings and has no flags for them
+        assert_parser_refuses(capsys, "sweep", "--N", "4", "--points", "3", *bad,
+                              "--out", str(tmp_path / "o"))
         assert not (tmp_path / "o").exists()
+
+    def test_large_beta_slope_check_runs_silently(self, capsys, tmp_path):
+        # every unshifted Gibbs weight underflows at this beta
+        code, _, err = run_cli(capsys, "sweep", "--N", "3", "--beta", "800",
+                               "--values", "0.99,1.0,1.01", "--out", str(tmp_path))
+        assert code == 0
+        assert "Warning" not in err
+        rows = (tmp_path / "sweep_delta_exact-gca.csv").read_text().splitlines()
+        assert len(rows) == 2 + 3
 
     def test_zero_beta_is_refused_before_any_diagonalization(self, capsys, tmp_path,
                                                              monkeypatch):
@@ -231,12 +273,10 @@ class TestCache:
     @pytest.mark.parametrize("action", ["inspect", "clear"])
     @pytest.mark.parametrize("bad", [["--J", "nan"], ["--h", "7"], ["--Delta=1.2"]])
     def test_couplings_are_usage_errors(self, capsys, tmp_path, action, bad):
-        # cache acts on every coupling set at once, so a coupling it would ignore is refused
+        # cache acts on every coupling set at once and has no flags for one
         cache = tmp_path / "cache"
         run_cli(capsys, "witten", "--N", "4", "--cache-dir", str(cache))
-        code, out, _ = run_cli(capsys, "cache", action, "--cache-dir", str(cache), *bad)
-        assert code == 2
-        assert out == ""
+        assert_parser_refuses(capsys, "cache", action, "--cache-dir", str(cache), *bad)
         assert len(list(cache.glob("v*/*.spec"))) == 2
 
     def test_cache_requires_directory_flag(self, capsys):
@@ -250,6 +290,14 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["witten", "--N", "4", "--frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["witten", "--N", "4", "--whi", "gca"],
+        ["sweep", "--N", "4", "--h", "0.3"],  # not a prefix of --help
+        ["dynamics", "--N", "4", "--run", "10"],
+    ])
+    def test_flags_cannot_be_abbreviated(self, capsys, argv):
+        assert_parser_refuses(capsys, *argv)
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     @pytest.mark.parametrize("argv", [
@@ -281,10 +329,15 @@ class TestExitCodes:
     ])
     def test_non_finite_or_negative_input_is_usage_error(self, capsys, tmp_path,
                                                          argv, bad):
-        code, out, err = run_cli(capsys, *argv, *bad, "--out", str(tmp_path / "o"))
-        assert code == 2
-        assert out == ""
-        assert "must be finite" in err
+        full = [*argv, *bad, "--out", str(tmp_path / "o")]
+        if argv[0] == "sweep" and not bad[0].startswith("--beta"):
+            # sweep has no coupling flags: the parser refuses the flag itself
+            assert_parser_refuses(capsys, *full)
+        else:
+            code, out, err = run_cli(capsys, *full)
+            assert code == 2
+            assert out == ""
+            assert "must be finite" in err
         assert not (tmp_path / "o").exists()
 
     def test_numerical_consistency_maps_to_3(self, capsys, monkeypatch):

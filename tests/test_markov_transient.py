@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from susychain.dynamics import ProtocolConfig, run_gca
+from susychain.dynamics import ProtocolConfig, run_protocol
 from susychain.model import ModelParams
 from susychain.susy import assemble, wtilde_gca_exact
 
@@ -61,7 +61,7 @@ def test_sampled_trace_follows_expected_trace():
     # N=7 stays well inside (-1, 1) over its first 30 collisions, so every
     # iteration has a usable stderr; reading estimate[t] against p_t instead
     # of p_{t+1} puts |z| above 4 here
-    trace = run_gca(ProtocolConfig("gca", 7, 5.0, iterations=30, runs=50000))
+    trace = run_protocol(ProtocolConfig("gca", 7, 5.0, iterations=30, runs=50000))
     est = expected_estimates(7, 5.0, 30, SUSY)
     z = (trace.estimate - est) / trace.stderr
     assert np.abs(z).max() <= 4.0, z

@@ -5,6 +5,7 @@ import pytest
 
 from susychain.basis import SectorKey, enumerate_sector
 from susychain.model import (
+    SUSY_POINT,
     ModelParams,
     _block_operators,
     build_dh_ddelta,
@@ -16,8 +17,8 @@ SUSY = ModelParams()
 
 
 def test_susy_point_predicate():
-    assert SUSY.is_susy_point()
-    assert not ModelParams(Delta=1.0 + 1e-12).is_susy_point()
+    assert SUSY == SUSY_POINT
+    assert ModelParams(Delta=1.0 + 1e-12) != SUSY_POINT
 
 
 def test_hand_golden_two_site_block():
@@ -46,13 +47,13 @@ def test_exact_symmetry(L, nd):
 
 def test_off_diagonal_connections_are_adjacent_exchanges():
     key = SectorKey(4, 2)
-    configs = enumerate_sector(key)
+    states = enumerate_sector(key).tolist()
     H = build_hamiltonian(key, SUSY).entries
-    for i, a in enumerate(configs):
-        for j, b in enumerate(configs):
+    for i, a in enumerate(states):
+        for j, b in enumerate(states):
             if i == j:
                 continue
-            diff = a.bits ^ b.bits
+            diff = a ^ b
             adjacent_pair = diff.bit_count() == 2 and (diff & (diff >> 1)) != 0
             if H[i, j] != 0.0:
                 assert adjacent_pair

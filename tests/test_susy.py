@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import susychain.susy as susy_mod
 from susychain.model import ModelParams
 from susychain.susy import (
     COUPLING_DELTA,
     COUPLING_J,
+    NumericalConsistencyError,
     assemble,
     deviation_first_order,
     finite_difference_dw,
@@ -214,6 +216,23 @@ def test_hellmann_feynman_matches_finite_difference(N, coupling):
     fd = finite_difference_dw(N, 5.0, coupling)
     hf = hellmann_feynman_dw(N, 5.0, coupling)
     assert abs(fd - hf) <= 1e-6 * max(1e-6, abs(fd), abs(hf))
+
+
+@pytest.mark.parametrize("N,beta", [(3, 800.0), (6, 2000.0)])
+def test_hellmann_feynman_survives_underflowing_weights(N, beta):
+    # every e^{-beta E} underflows here; the ground-energy shift keeps the
+    # ratio finite (pytest turns the underflow's RuntimeWarning into an error)
+    fd = finite_difference_dw(N, beta, COUPLING_DELTA)
+    hf = hellmann_feynman_dw(N, beta, COUPLING_DELTA)
+    assert math.isfinite(hf)
+    assert hf == pytest.approx(fd, rel=1e-3)
+
+
+@pytest.mark.parametrize("broken", ["finite_difference_dw", "hellmann_feynman_dw"])
+def test_non_finite_slope_is_a_consistency_error(monkeypatch, broken):
+    monkeypatch.setattr(susy_mod, broken, lambda *a: math.nan)
+    with pytest.raises(NumericalConsistencyError, match="non-finite"):
+        deviation_first_order(4, 5.0, COUPLING_DELTA, 0.01)
 
 
 def test_splitting_rate_values():
