@@ -24,7 +24,6 @@ from .spectra import (
     cache_put,
     diagonalize,
     full_chain_spectrum,
-    partition_function,
 )
 from .susy import (
     NumericalConsistencyError,
@@ -62,7 +61,7 @@ __all__ = [
     "build_dh_ddelta", "build_dh_dj", "build_hamiltonian",
     "ChainSectorSpectrum", "FullChainSpectrum", "SolverError",
     "cache_get", "cache_put", "diagonalize",
-    "full_chain_spectrum", "partition_function",
+    "full_chain_spectrum",
     "NumericalConsistencyError", "SusyLevel", "SusySpectrum", "assemble",
     "deviation_first_order", "slope_cn", "witten_regularized",
     "wtilde_gca_exact", "wtilde_qgca_exact",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -216,28 +216,15 @@ def write_sweep_csv(records: list[SweepRecord], path: str | Path,
     lines = []
     if meta is not None:
         lines.append("# " + json.dumps(meta, sort_keys=True))
-    lines.append("N,coupling,value,wtilde,wtilde_susy,deviation,stderr,first_order_prediction")
+    columns = fields(SweepRecord)
+    lines.append(",".join(f.name for f in columns))
     for r in records:
-        lines.append(
-            f"{r.N},{r.coupling},{float(r.value)!r},{float(r.wtilde)!r},"
-            f"{float(r.wtilde_susy)!r},{float(r.deviation)!r},{float(r.stderr)!r},"
-            f"{float(r.first_order_prediction)!r}"
-        )
+        lines.append(",".join(
+            repr(float(v)) if f.type == "float" else str(v)
+            for f, v in zip(columns, astuple(r))
+        ))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def fit_report_json(reports: list[FitReport]) -> str:
-    return json.dumps(
-        [
-            {
-                "N": r.N,
-                "fitted_slope": r.fitted_slope,
-                "predicted_slope": r.predicted_slope,
-                "relative_discrepancy": r.relative_discrepancy,
-                "nonlinear": r.nonlinear,
-                "points": r.points,
-            }
-            for r in reports
-        ],
-        indent=1,
-    )
+    return json.dumps([asdict(r) for r in reports], indent=1)

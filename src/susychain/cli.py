@@ -42,19 +42,19 @@ from .susy import (
 DEFAULT_N_LIST = tuple(range(3, 12))
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cache-dir", default=None, help="spectrum cache directory")
-    p.add_argument("--seed", type=int, default=1, help="base random seed")
-    p.add_argument("--out", default=None, help="output file or directory")
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--config", default=None, help="key = value defaults file")
-
-
-def _add_couplings(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--J", type=float, default=SUSY_POINT.J)
-    p.add_argument("--Delta", type=float, default=SUSY_POINT.Delta)
-    p.add_argument("--h", type=float, default=SUSY_POINT.h)
+# every shared flag is defined once; each subcommand names the ones it reads
+_SHARED = {
+    "cache-dir": dict(default=None, help="spectrum cache directory"),
+    "seed": dict(type=int, default=1, help="base random seed"),
+    "out": dict(default=None, help="output file or directory"),
+    "format": dict(choices=("table", "json", "csv"), default="table"),
+    "threads": dict(type=int, default=os.cpu_count() or 1),
+    "config": dict(default=None, help="key = value defaults file"),
+    "J": dict(type=float, default=SUSY_POINT.J),
+    "Delta": dict(type=float, default=SUSY_POINT.Delta),
+    "h": dict(type=float, default=SUSY_POINT.h),
+}
+_COUPLINGS = ("J", "Delta", "h")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,36 +66,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.subcommands = {}
 
-    def add(name: str, summary: str) -> argparse.ArgumentParser:
+    def add(name: str, summary: str, *shared: str) -> argparse.ArgumentParser:
         # no abbreviations: a prefix such as --h must not reach --help
-        parser.subcommands[name] = sub.add_parser(name, help=summary, allow_abbrev=False)
-        return parser.subcommands[name]
+        p = parser.subcommands[name] = sub.add_parser(name, help=summary, allow_abbrev=False)
+        for flag in (*shared, "cache-dir", "config"):
+            p.add_argument(f"--{flag}", **_SHARED[flag])
+        return p
 
-    p = add("spectrum", "sector level listing with zero modes")
+    p = add("spectrum", "sector level listing with zero modes", "out", "format", *_COUPLINGS)
     p.add_argument("--N", type=int, required=True)
-    _add_common(p)
-    _add_couplings(p)
 
-    p = add("witten", "exact index estimators")
+    p = add("witten", "exact index estimators", "out", "format", *_COUPLINGS)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--which", choices=("regularized", "gca", "qgca"), default="gca")
     p.add_argument("--beta", type=float, default=5.0)
     p.add_argument("--beta0", type=float, default=None,
                    help="regularization beta for --which regularized")
-    _add_common(p)
-    _add_couplings(p)
 
-    p = add("dynamics", "Metropolis collision traces")
+    p = add("dynamics", "Metropolis collision traces", "seed", "out", "threads", *_COUPLINGS)
     p.add_argument("--protocol", choices=(PROTOCOL_GCA, PROTOCOL_QGCA), default=PROTOCOL_GCA)
     p.add_argument("--N", type=int, default=None,
                    help="single sector; default runs all of 3..11")
     p.add_argument("--beta", type=float, default=5.0)
     p.add_argument("--runs", type=int, default=50000)
     p.add_argument("--iterations", type=int, default=500)
-    _add_common(p)
-    _add_couplings(p)
 
-    p = add("sweep", "coupling sweeps and first-order fits")
+    p = add("sweep", "coupling sweeps and first-order fits", "seed", "out", "threads")
     p.add_argument("--coupling", choices=tuple(SUSY_VALUE), default=COUPLING_DELTA)
     p.add_argument("--estimator", choices=ESTIMATORS, default="exact-gca")
     p.add_argument("--N", default="3,4,5,6,7,8,9,10,11",
@@ -106,21 +102,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated coupling values (overrides --points grid)")
     p.add_argument("--runs", type=int, default=50000)
     p.add_argument("--iterations", type=int, default=500)
-    _add_common(p)
 
     p = add("cache", "inspect or clear the spectrum cache")
     p.add_argument("action", choices=("inspect", "clear"))
-    _add_common(p)
 
     return parser
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Load `key = value` defaults; command-line flags still win."""
-    if "--config" not in argv:
+    """Insert `key = value` lines as flags right after the subcommand, so
+    argparse checks them like any flag and later command-line flags win."""
+    pre = argparse.ArgumentParser(prog="susychain", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None or argv[0] not in parser.subcommands:
         return argv
-    path = argv[argv.index("--config") + 1]
-    defaults = {}
+    flags = {  # subcommand -> dest -> flag, for every flag but --help
+        name: {a.dest: a.option_strings[0] for a in p._actions  # noqa: SLF001
+               if a.option_strings and a.dest != "help"}
+        for name, p in parser.subcommands.items()
+    }
+    defined = set().union(*flags.values())
+    tokens = []
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -128,20 +131,12 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         if "=" not in line:
             raise ValueError(f"bad config line: {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        defaults[key.replace("-", "_")] = value
-    for sub in parser.subcommands.values():
-        known = {a.dest for a in sub._actions}  # noqa: SLF001
-        sub.set_defaults(**{
-            k: _coerce(sub, k, v) for k, v in defaults.items() if k in known
-        })
-    return argv
-
-
-def _coerce(parser: argparse.ArgumentParser, dest: str, value: str):
-    for action in parser._actions:  # noqa: SLF001
-        if action.dest == dest and action.type is not None:
-            return action.type(value)
-    return value
+        dest = key.replace("-", "_")
+        if dest not in defined:
+            raise ValueError(f"unknown key {key!r}")
+        if dest in flags[argv[0]]:  # keys of other subcommands are skipped
+            tokens.append(f"{flags[argv[0]][dest]}={value}")
+    return [argv[0], *tokens, *argv[1:]]
 
 
 def _timestamp() -> str:
@@ -357,11 +352,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read config file: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         print(f"bad config file: {exc}", file=sys.stderr)
         return 2
     args = parser.parse_args(argv)
-    if args.threads < 1:
+    if getattr(args, "threads", 1) < 1:
         print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
         return 2
     try:

@@ -8,7 +8,6 @@ block and the exact coupling values.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import struct
 import tempfile
@@ -73,13 +72,6 @@ def diagonalize(matrix: SectorMatrix) -> ChainSectorSpectrum:
     # flip where the first largest-magnitude entry is the min; x * -1.0 is exact
     states *= np.where((bottom > top) | ((bottom == top) & (lo < hi)), -1.0, 1.0)
     return ChainSectorSpectrum(matrix.key, matrix.params, energies, states)
-
-
-def partition_function(spec: FullChainSpectrum, beta: float) -> float:
-    """Canonical Z = sum over all 2**L levels of exp(-beta E)."""
-    if not 0.0 <= beta < math.inf:
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    return float(np.exp(-beta * spec.all_energies()).sum())
 
 
 # ---------------------------------------------------------------------------

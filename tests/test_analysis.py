@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -260,6 +261,19 @@ def test_sweep_csv_roundtrip(tmp_path):
     assert first[1] == "delta"
     assert float(first[2]) == recs[0].value
     assert float(first[3]) == recs[0].wtilde
+
+
+def test_sweep_writers_frozen_digests(tmp_path):
+    # digests recorded before the writers took their columns from the dataclasses
+    spec = SweepSpec("delta", (0.95, 0.97, 0.99, 1.0, 1.01, 1.03, 1.05), (4, 6))
+    recs = sweep(spec)
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(recs, path, meta={"beta": 5.0})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "d6bfba21656bc6751884cbab54c690a6ffbc2dd95ccdc095c3a3e9f310a547f6")
+    fit = fit_report_json(compare_first_order(recs))
+    assert hashlib.sha256(fit.encode()).hexdigest() == (
+        "dc2f6d315b9eea7091ea1033581b82ef599b8816a96e1477f5b007dfd3592569")
 
 
 def test_fit_report_json_is_parseable():

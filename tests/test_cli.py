@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import susychain
-from susychain.cli import main
+from susychain.cli import build_parser, main
 from susychain.susy import NumericalConsistencyError
 
 
@@ -92,7 +92,7 @@ class TestWitten:
         assert json.loads(out_file.read_text())["N"] == 4
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["command"] == "witten"
-        assert manifest["base_seed"] == 1
+        assert manifest["base_seed"] is None  # witten has no --seed
         assert manifest["outputs"] == [str(out_file)]
         assert "config" not in manifest["arguments"]
         assert manifest["arguments"]["N"] == 4
@@ -121,6 +121,35 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "witten", "--N", "4", "--config", str(cfg))
         assert code == 2
         assert "bad config" in err
+
+    def test_equals_form_is_read(self, capsys, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("beta = 2.0\n")
+        code, out, _ = run_cli(capsys, "witten", "--N", "4", "--format", "json",
+                               f"--config={cfg}")
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(-0.964663155972, abs=1e-9)
+
+    def test_required_flag_from_config(self, capsys, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("N = 4\nruns = 10\n")  # runs belongs to other subcommands
+        code, out, _ = run_cli(capsys, "witten", "--config", str(cfg))
+        assert code == 0
+        assert float(out) == pytest.approx(-0.999909208384, abs=1e-9)
+
+    def test_unknown_key_is_a_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("bta = 2.0\n")
+        code, out, err = run_cli(capsys, "witten", "--N", "4", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "bad config file: unknown key 'bta'" in err
+
+    @pytest.mark.parametrize("line", ["which = regularizd", "format = xml", "N = four"])
+    def test_values_are_checked_like_flags(self, capsys, tmp_path, line):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(line + "\n")
+        assert_parser_refuses(capsys, "witten", "--N", "4", "--config", str(cfg))
 
     def test_missing_config_is_an_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "witten", "--N", "4", "--config",
@@ -308,6 +337,10 @@ class TestExitCodes:
         ["cache", "inspect"],
     ])
     def test_threads_below_one_is_usage_error(self, capsys, argv, threads):
+        if argv[0] not in ("dynamics", "sweep"):
+            # only the Monte Carlo commands have --threads
+            assert_parser_refuses(capsys, *argv, "--threads", threads)
+            return
         code, out, err = run_cli(capsys, *argv, "--threads", threads)
         assert code == 2
         assert out == ""
@@ -339,6 +372,21 @@ class TestExitCodes:
             assert out == ""
             assert "must be finite" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["spectrum", "--N", "4"], ["--seed", "1"]),
+        (["spectrum", "--N", "4"], ["--threads", "1"]),
+        (["witten", "--N", "4"], ["--seed", "1"]),
+        (["witten", "--N", "4"], ["--threads", "1"]),
+        (["dynamics", "--N", "4", "--runs", "10", "--iterations", "2"], ["--format", "json"]),
+        (["sweep", "--N", "4", "--points", "3"], ["--format", "json"]),
+        (["cache", "inspect", "--cache-dir", "c"], ["--seed", "1"]),
+        (["cache", "inspect", "--cache-dir", "c"], ["--out", "o"]),
+        (["cache", "inspect", "--cache-dir", "c"], ["--format", "json"]),
+        (["cache", "inspect", "--cache-dir", "c"], ["--threads", "1"]),
+    ])
+    def test_flags_a_subcommand_does_not_read_are_refused(self, capsys, argv, flag):
+        assert_parser_refuses(capsys, *argv, *flag)
 
     def test_numerical_consistency_maps_to_3(self, capsys, monkeypatch):
         import susychain.cli as cli_mod
@@ -372,3 +420,26 @@ def test_console_script_help_runs():
     assert proc.returncode == 0
     for name in ("spectrum", "witten", "dynamics", "sweep", "cache"):
         assert name in proc.stdout
+
+
+def test_option_census():
+    # every settable value of every subcommand; each one is read by its command
+    shared = {"--cache-dir", "--config"}
+    couplings = {"--J", "--Delta", "--h"}
+    census = {
+        "spectrum": {"--N", "--out", "--format", *couplings, *shared},
+        "witten": {"--N", "--which", "--beta", "--beta0", "--out", "--format",
+                   *couplings, *shared},
+        "dynamics": {"--protocol", "--N", "--beta", "--runs", "--iterations",
+                     "--seed", "--out", "--threads", *couplings, *shared},
+        "sweep": {"--coupling", "--estimator", "--N", "--beta", "--points", "--values",
+                  "--runs", "--iterations", "--seed", "--out", "--threads", *shared},
+        "cache": {"action", *shared},
+    }
+    found = {
+        name: {a.option_strings[0] if a.option_strings else a.dest
+               for a in sub._actions if a.dest != "help"}
+        for name, sub in build_parser().subcommands.items()
+    }
+    assert found == census
+    assert sum(map(len, found.values())) == 48

@@ -16,7 +16,6 @@ from susychain.spectra import (
     cache_put,
     diagonalize,
     full_chain_spectrum,
-    partition_function,
 )
 
 from charpoly_oracle import charpoly_eigenvalues
@@ -132,18 +131,6 @@ def test_full_chain_small_spectra():
     assert np.allclose(np.sort(chain1.all_energies()), [0.0, 1.0], atol=1e-12)
     chain2 = full_chain_spectrum(2, SUSY)
     assert np.allclose(np.sort(chain2.all_energies()), [0.0, 1.0, 2.0, 2.0], atol=1e-12)
-
-
-def test_partition_function_values():
-    chain2 = full_chain_spectrum(2, SUSY)
-    assert np.isclose(
-        partition_function(chain2, 5.0),
-        1.0 + np.exp(-5.0) + 2.0 * np.exp(-10.0),
-        atol=1e-12,
-    )
-    assert partition_function(chain2, 0.0) == pytest.approx(4.0)
-    # beta -> infinity leaves only the zero mode
-    assert partition_function(chain2, 400.0) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestCache:
