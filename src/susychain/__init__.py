@@ -35,6 +35,7 @@ from .susy import (
     witten_regularized,
     wtilde_gca_exact,
     wtilde_qgca_exact,
+    wtilde_qgca_sectors,
 )
 from .dynamics import (
     ProtocolConfig,
@@ -64,7 +65,7 @@ __all__ = [
     "full_chain_spectrum",
     "NumericalConsistencyError", "SusyLevel", "SusySpectrum", "assemble",
     "deviation_first_order", "slope_cn", "witten_regularized",
-    "wtilde_gca_exact", "wtilde_qgca_exact",
+    "wtilde_gca_exact", "wtilde_qgca_exact", "wtilde_qgca_sectors",
     "ProtocolConfig", "WittenTrace", "gca_occupancy", "metropolis_accept",
     "run_protocol", "seed_stream",
     "FitReport", "ProtectionRow", "SweepRecord", "SweepSpec",

@@ -22,7 +22,7 @@ from .susy import (
     deviation_first_order,
     params_at,
     wtilde_gca_exact,
-    wtilde_qgca_exact,
+    wtilde_qgca_sectors,
 )
 
 ESTIMATORS = ("exact-gca", "exact-qgca", "sampled-gca", "sampled-qgca")
@@ -75,8 +75,6 @@ def _evaluate(spec: SweepSpec, N: int, value: float, seed: int,
     params = params_at(spec.coupling, value)
     if spec.estimator == "exact-gca":
         return wtilde_gca_exact(assemble(N, params, cache_dir), spec.beta), 0.0
-    if spec.estimator == "exact-qgca":
-        return wtilde_qgca_exact(N, params, spec.beta, cache_dir), 0.0
     protocol = "gca" if spec.estimator == "sampled-gca" else "qgca"
     config = ProtocolConfig(
         protocol=protocol, N=N, beta=spec.beta, iterations=spec.iterations,
@@ -86,24 +84,44 @@ def _evaluate(spec: SweepSpec, N: int, value: float, seed: int,
     return trace.window_estimate, trace.window_stderr
 
 
-def sweep(spec: SweepSpec, cache_dir=None, threads: int = 1) -> list[SweepRecord]:
-    """One record per (N, value), ordered; reference value computed once per N.
+def _evaluate_all(spec: SweepSpec, value: float, seed: int,
+                  cache_dir, threads: int) -> dict[int, tuple[float, float]]:
+    """One coupling value across every sector -> {N: (wtilde, stderr)}.
 
-    The reference at the special point uses its own seed so sampled
-    deviations do not cancel correlated noise.
+    exact-QGCA shares each chain's spectrum among the sectors it belongs
+    to; every other estimator evaluates the sectors one by one.
+    """
+    if spec.estimator == "exact-qgca":
+        params = params_at(spec.coupling, value)
+        return {N: (w, 0.0) for N, w in
+                wtilde_qgca_sectors(spec.n_list, params, spec.beta, cache_dir).items()}
+    return {N: _evaluate(spec, N, value, seed, cache_dir, threads) for N in spec.n_list}
+
+
+def sweep(spec: SweepSpec, cache_dir=None, threads: int = 1) -> list[SweepRecord]:
+    """One record per (N, value), ordered N-major.
+
+    Each coupling value, the special one included, is evaluated once for
+    all sectors, and the first-order rate once per sector. The reference
+    at the special point uses its own seed so sampled deviations do not
+    cancel correlated noise; sampled streams are keyed by (seed, N, block),
+    so the evaluation order does not change them.
     """
     ref_seed = int(np.random.SeedSequence(
         entropy=spec.base_seed, spawn_key=(0x5EED,)
     ).generate_state(1)[0])
 
     susy_value = SUSY_VALUE[spec.coupling]
+    ref = _evaluate_all(spec, susy_value, ref_seed, cache_dir, threads)
+    # first-order deviation per unit |shift|, |dW/dc|
+    rate = {N: deviation_first_order(N, spec.beta, spec.coupling, 1.0) for N in spec.n_list}
+    points = [_evaluate_all(spec, value, spec.base_seed, cache_dir, threads)
+              for value in spec.values]
     records = []
     for N in spec.n_list:
-        w_ref, _ = _evaluate(spec, N, susy_value, ref_seed, cache_dir, threads)
-        # first-order deviation per unit |shift|, |dW/dc|
-        rate = deviation_first_order(N, spec.beta, spec.coupling, 1.0)
-        for value in spec.values:
-            w, se = _evaluate(spec, N, value, spec.base_seed, cache_dir, threads)
+        w_ref = ref[N][0]
+        for value, point in zip(spec.values, points):
+            w, se = point[N]
             records.append(SweepRecord(
                 N=N,
                 coupling=spec.coupling,
@@ -112,7 +130,7 @@ def sweep(spec: SweepSpec, cache_dir=None, threads: int = 1) -> list[SweepRecord
                 wtilde_susy=w_ref,
                 deviation=abs(w - w_ref),
                 stderr=se,
-                first_order_prediction=rate * abs(value - susy_value),
+                first_order_prediction=rate[N] * abs(value - susy_value),
             ))
     return records
 

@@ -143,11 +143,24 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+def _unread(args: argparse.Namespace) -> set[str]:
+    """Settings the chosen mode accepts (shared config files set them) but never reads."""
+    if args.command == "witten":
+        return {"beta"} if args.which == "regularized" else {"beta0"}
+    if args.command != "sweep":
+        return set()
+    unread = {"points"} if args.values is not None else set()
+    if args.estimator.startswith("exact-"):
+        unread |= {"runs", "iterations", "threads"}
+    return unread
+
+
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
                     outputs: list[Path], started: str) -> Path:
+    skip = {"config", *_unread(args)}
     manifest = {
         "command": command,
-        "arguments": {k: v for k, v in sorted(vars(args).items()) if k != "config"},
+        "arguments": {k: v for k, v in sorted(vars(args).items()) if k not in skip},
         "base_seed": getattr(args, "seed", None),
         "version": __version__,
         "started": started,

@@ -11,6 +11,7 @@ and the estimators respond, which is what the deviation laws quantify.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -149,16 +150,33 @@ def wtilde_qgca_exact(N: int, params: ModelParams, beta: float, cache_dir=None) 
     estimate, and it is the quantity that converges to the pooled-chain
     value at low temperature.
     """
+    return wtilde_qgca_sectors((N,), params, beta, cache_dir)[N]
+
+
+def wtilde_qgca_sectors(n_list, params: ModelParams, beta: float,
+                        cache_dir=None) -> dict[int, float]:
+    """wtilde_qgca_exact for every sector of n_list, keyed by N.
+
+    A chain of length L is a member of every sector from N = L+1 to 2L+1,
+    so each distinct length is diagonalized once and reduced to the
+    log Gibbs weights of its blocks relative to log Z_L before the next.
+    """
     if not 0.0 <= beta < math.inf:
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    log_w, parity = [], []
-    for key in decompose_n_sector(N).members:
-        chain = full_chain_spectrum(key.L, params, cache_dir)
-        log_w.append(_log_gibbs(chain.blocks[key.n_d].energies, beta)
-                     - _log_gibbs(chain.all_energies(), beta))
-        parity.append(key.parity)
-    w = np.exp(np.array(log_w) - max(log_w))
-    return float((np.array(parity) * w).sum() / w.sum())
+    members = {N: decompose_n_sector(N).members for N in n_list}
+    log_w = {}  # SectorKey -> log(sum_{i in block} e^{-beta E_i} / Z_L)
+    blocks = sorted({key for keys in members.values() for key in keys})
+    for L, keys in itertools.groupby(blocks, key=lambda key: key.L):
+        chain = full_chain_spectrum(L, params, cache_dir)
+        log_z = _log_gibbs(chain.all_energies(), beta)
+        for key in keys:
+            log_w[key] = _log_gibbs(chain.blocks[key.n_d].energies, beta) - log_z
+    out = {}
+    for N, keys in members.items():
+        lw = [log_w[key] for key in keys]
+        w = np.exp(np.array(lw) - max(lw))
+        out[N] = float((np.array([key.parity for key in keys]) * w).sum() / w.sum())
+    return out
 
 
 def _log_gibbs(energies: np.ndarray, beta: float) -> float:
@@ -197,7 +215,12 @@ def finite_difference_dw(N: int, beta: float, coupling: str) -> float:
     return (up - dn) / (2.0 * FD_STEP)
 
 
-def hellmann_feynman_dw(N: int, beta: float, coupling: str) -> float:
+def _susy_blocks(N: int) -> list:
+    """(key, spectrum) of every member block of sector N at the supersymmetric point."""
+    return [(key, cached_block(key, SUSY_POINT)) for key in decompose_n_sector(N).members]
+
+
+def hellmann_feynman_dw(N: int, beta: float, coupling: str, blocks=None) -> float:
     """dW/dcoupling at the supersymmetric point without re-diagonalizing.
 
     Per-level energy slopes <psi|dH/dc|psi> propagated through the
@@ -206,10 +229,11 @@ def hellmann_feynman_dw(N: int, beta: float, coupling: str) -> float:
         dW/dc = -beta ( <p E'> - W <E'> )
 
     with <.> the sector Gibbs average. Smooth through degeneracies because
-    only block traces of analytic functions enter.
+    only block traces of analytic functions enter. `blocks` are the
+    sector's _susy_blocks when the caller already holds them.
     """
     _, build_dh = _coupling(coupling)
-    specs = [(key, cached_block(key, SUSY_POINT)) for key in decompose_n_sector(N).members]
+    specs = blocks or _susy_blocks(N)
     # W and dW/dc are ratios of sums over the same weights, so shifting them
     # by the ground energy is exact and keeps e^{-beta E} from underflowing
     e0 = min(spec.energies.min() for _, spec in specs)
@@ -225,12 +249,12 @@ def hellmann_feynman_dw(N: int, beta: float, coupling: str) -> float:
     return -beta * (num_d - W * den_d) / den
 
 
-def _checked_slope(N: int, beta: float, coupling: str) -> float:
+def _checked_slope(N: int, beta: float, coupling: str, blocks=None) -> float:
     """dW/dc by central difference, cross-checked against Hellmann-Feynman."""
     if not 0.0 < beta < math.inf:
         raise ValueError(f"beta must be finite and > 0, got {beta}")
     fd = finite_difference_dw(N, beta, coupling)
-    hf = hellmann_feynman_dw(N, beta, coupling)
+    hf = hellmann_feynman_dw(N, beta, coupling, blocks)
     if not (math.isfinite(fd) and math.isfinite(hf)):
         raise NumericalConsistencyError(
             f"non-finite slope for N={N}, {coupling}: "
@@ -253,10 +277,12 @@ def slope_cn(N: int, beta: float, coupling: str = COUPLING_DELTA) -> float:
     c_N is a property of the splitting alone and the extraction is stable
     in beta. Sectors without a zero mode have no such factor.
     """
-    c = abs(_checked_slope(N, beta, coupling)) / beta
-    spec = assemble(N, SUSY_POINT)
-    if spec.zero_mode_count:
-        c *= math.exp(beta * spec.first_excited)
+    blocks = _susy_blocks(N)
+    c = abs(_checked_slope(N, beta, coupling, blocks)) / beta
+    # zero modes and E_1 as assemble(N, SUSY_POINT) classifies the same levels
+    e = np.concatenate([spec.energies for _, spec in blocks])
+    if (np.abs(e) < ZERO_TOL).any():
+        c *= math.exp(beta * e[e > PAIR_TOL].min())
     return c
 
 

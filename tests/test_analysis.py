@@ -147,6 +147,37 @@ def test_exact_sweep_enumerates_each_block_once(monkeypatch):
     assert set(enumerated) == diagonalized
 
 
+def test_exact_qgca_sweep_diagonalizes_each_block_once_off_the_special_point(monkeypatch):
+    import susychain.spectra as spectra_mod
+
+    seen = []
+    diagonalize = spectra_mod.diagonalize
+    monkeypatch.setattr(spectra_mod, "diagonalize",
+                        lambda m: seen.append((m.key, m.params)) or diagonalize(m))
+    sweep(SweepSpec("delta", (0.9, 0.97, 1.0, 1.02, 1.1), tuple(range(3, 10)),
+                    estimator="exact-qgca"))
+    off = [(key, params) for key, params in seen if params != ModelParams()]
+    assert len(off) == len(set(off))
+    # each grid value off the point diagonalizes all L+1 blocks of lengths 1..8
+    grid = [key for key, params in off if params.Delta in (0.9, 0.97, 1.02, 1.1)]
+    assert len(grid) == 4 * sum(L + 1 for L in range(1, 9))
+
+
+# sha256 of sweep CSVs written before sweep evaluated one value across all sectors
+@pytest.mark.parametrize("estimator,budget,digest", [
+    ("exact-qgca", {},
+     "c9500ea524888368f8b32f6f6345c9a9598f19df771eaba8f044baf447d0b058"),
+    ("sampled-qgca", {"runs": 300, "iterations": 5},
+     "7e65c401cac40424caebc5d530db357543533eb7211a72bf8ab2267a78b82016"),
+])
+def test_sweep_csv_frozen_digests(tmp_path, estimator, budget, digest):
+    spec = SweepSpec("delta", (0.9, 0.97, 1.0, 1.02, 1.1), tuple(range(3, 9)),
+                     estimator=estimator, **budget)
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(sweep(spec), path, meta={"estimator": estimator})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 SMALL_SHIFTS = tuple(1.0 + s for s in (-0.05, -0.03, -0.01, 0.01, 0.03, 0.05))
 
 

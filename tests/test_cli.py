@@ -186,6 +186,51 @@ class TestConfigFile:
         assert "2 entries" in out
 
 
+_WITTEN_KEYS = {"command", "cache_dir", "out", "format", "J", "Delta", "h", "N", "which"}
+_SWEEP_KEYS = {"command", "cache_dir", "seed", "out", "coupling", "estimator", "N", "beta"}
+
+
+class TestManifestArguments:
+    """A manifest lists only the settings its run read."""
+
+    @pytest.mark.parametrize("which,read", [
+        ("regularized", {"beta0"}), ("gca", {"beta"}), ("qgca", {"beta"}),
+    ])
+    def test_witten(self, capsys, tmp_path, which, read):
+        code, _, _ = run_cli(capsys, "witten", "--N", "4", "--which", which,
+                             "--beta", "9", "--beta0", "2", "--out", str(tmp_path / "w.txt"))
+        assert code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(manifest["arguments"]) == _WITTEN_KEYS | read
+
+    @pytest.mark.parametrize("estimator,grid,read", [
+        ("exact-gca", ["--values", "0.9,1.0,1.1"], {"values"}),
+        ("exact-qgca", ["--points", "3"], {"points", "values"}),
+        ("sampled-gca", ["--values", "0.9,1.0,1.1"],
+         {"values", "runs", "iterations", "threads"}),
+        ("sampled-qgca", ["--values", "0.9,1.0,1.1"],
+         {"values", "runs", "iterations", "threads"}),
+    ])
+    def test_sweep(self, capsys, tmp_path, estimator, grid, read):
+        code, _, _ = run_cli(capsys, "sweep", "--N", "4", "--estimator", estimator,
+                             *grid, "--runs", "200", "--iterations", "5",
+                             "--threads", "1", "--out", str(tmp_path))
+        assert code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(manifest["arguments"]) == _SWEEP_KEYS | read
+
+    def test_shared_config_still_sets_unread_values(self, capsys, tmp_path):
+        conf = tmp_path / "shared.conf"
+        conf.write_text("beta0 = 2.0\nbeta = 2.0\nruns = 200\n")
+        code, out, _ = run_cli(capsys, "witten", "--N", "4", "--config", str(conf),
+                               "--out", str(tmp_path / "w.txt"))
+        assert code == 0
+        assert float((tmp_path / "w.txt").read_text()) == pytest.approx(-0.964663155972)
+        arguments = json.loads((tmp_path / "manifest.json").read_text())["arguments"]
+        assert arguments["beta"] == 2.0
+        assert "beta0" not in arguments
+
+
 class TestDynamics:
     def test_single_sector_trace_and_manifest(self, capsys, tmp_path):
         out_dir = tmp_path / "run"

@@ -18,6 +18,7 @@ from susychain.susy import (
     witten_regularized,
     wtilde_gca_exact,
     wtilde_qgca_exact,
+    wtilde_qgca_sectors,
 )
 
 SUSY = ModelParams()
@@ -184,6 +185,22 @@ def test_qgca_low_temperature_limit(N):
     assert wtilde_qgca_exact(N, SUSY, 60.0) == pytest.approx(W_REG[N], abs=1e-8)
 
 
+@pytest.mark.parametrize("beta", [0.0, 5.0, 800.0])
+@pytest.mark.parametrize("params", [SUSY, ModelParams(J=-0.8, Delta=1.3, h=0.2)])
+def test_qgca_sectors_match_one_sector_at_a_time(beta, params):
+    together = wtilde_qgca_sectors(range(3, 12), params, beta)
+    assert list(together) == list(range(3, 12))
+    for N in range(3, 12):
+        assert wtilde_qgca_exact(N, params, beta) == together[N]
+
+
+def test_qgca_sectors_validate_like_one_sector():
+    with pytest.raises(ValueError, match="beta"):
+        wtilde_qgca_sectors((4,), SUSY, -1.0)
+    with pytest.raises(ValueError, match="sector label"):
+        wtilde_qgca_sectors((4, 2), SUSY, 5.0)
+
+
 @pytest.mark.parametrize("N", range(3, 12))
 def test_estimators_agree_at_low_temperature(N):
     spec = assemble(N, SUSY)
@@ -239,6 +256,18 @@ def test_splitting_rate_values():
     assert slope_cn(3, 5.0, COUPLING_DELTA) == pytest.approx(0.125, rel=1e-6)
     assert slope_cn(6, 5.0, COUPLING_DELTA) == pytest.approx(3.658069e-2, rel=1e-5)
     assert slope_cn(9, 5.0, COUPLING_DELTA) == pytest.approx(3.340878e-3, rel=1e-5)
+
+
+def test_splitting_rate_diagonalizes_each_block_once(monkeypatch):
+    import susychain.spectra as spectra_mod
+
+    seen = []
+    diagonalize = spectra_mod.diagonalize
+    monkeypatch.setattr(spectra_mod, "diagonalize",
+                        lambda m: seen.append((m.key, m.params)) or diagonalize(m))
+    slope_cn(6, 5.0, COUPLING_DELTA)
+    # three member blocks at the special point and at either side of it
+    assert len(seen) == len(set(seen)) == 9
 
 
 def test_splitting_rate_vanishes_for_hopping():
