@@ -17,6 +17,7 @@ from .model import (
     build_hamiltonian,
 )
 from .spectra import (
+    BlockEigenpairs,
     ChainSectorSpectrum,
     FullChainSpectrum,
     SolverError,
@@ -60,7 +61,7 @@ __all__ = [
     "NSector", "SectorKey", "decompose_n_sector", "enumerate_sector",
     "SUSY_POINT", "ModelParams", "SectorMatrix",
     "build_dh_ddelta", "build_dh_dj", "build_hamiltonian",
-    "ChainSectorSpectrum", "FullChainSpectrum", "SolverError",
+    "BlockEigenpairs", "ChainSectorSpectrum", "FullChainSpectrum", "SolverError",
     "cache_get", "cache_put", "diagonalize",
     "full_chain_spectrum",
     "NumericalConsistencyError", "SusyLevel", "SusySpectrum", "assemble",

@@ -105,7 +105,8 @@ def sweep(spec: SweepSpec, cache_dir=None, threads: int = 1) -> list[SweepRecord
     all sectors, and the first-order rate once per sector. The reference
     at the special point uses its own seed so sampled deviations do not
     cancel correlated noise; sampled streams are keyed by (seed, N, block),
-    so the evaluation order does not change them.
+    so the evaluation order does not change them. Exact estimators read no
+    seed, so a grid value equal to the special one reuses the reference.
     """
     ref_seed = int(np.random.SeedSequence(
         entropy=spec.base_seed, spawn_key=(0x5EED,)
@@ -115,8 +116,11 @@ def sweep(spec: SweepSpec, cache_dir=None, threads: int = 1) -> list[SweepRecord
     ref = _evaluate_all(spec, susy_value, ref_seed, cache_dir, threads)
     # first-order deviation per unit |shift|, |dW/dc|
     rate = {N: deviation_first_order(N, spec.beta, spec.coupling, 1.0) for N in spec.n_list}
-    points = [_evaluate_all(spec, value, spec.base_seed, cache_dir, threads)
-              for value in spec.values]
+    done = {susy_value: ref} if spec.estimator.startswith("exact-") else {}
+    for value in spec.values:
+        if value not in done:
+            done[value] = _evaluate_all(spec, value, spec.base_seed, cache_dir, threads)
+    points = [done[value] for value in spec.values]
     records = []
     for N in spec.n_list:
         w_ref = ref[N][0]

@@ -12,9 +12,12 @@ import argparse
 import datetime
 import json
 import os
+import platform
 import shutil
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .analysis import (
@@ -27,8 +30,9 @@ from .analysis import (
     write_sweep_csv,
 )
 from .dynamics import PROTOCOL_GCA, PROTOCOL_QGCA, ProtocolConfig, run_protocol, write_trace_csv
+from .dynamics import _usable_cpus
 from .model import SUSY_POINT, ModelParams
-from .spectra import cache_header
+from .spectra import _blas_threads, _one_blas_thread, cache_header
 from .susy import (
     COUPLING_DELTA,
     SUSY_VALUE,
@@ -155,6 +159,19 @@ def _unread(args: argparse.Namespace) -> set[str]:
     return unread
 
 
+def _environment() -> dict:
+    """The numeric environment of this run; blas_threads is None when unknown."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_threads": _blas_threads(),
+        "cpus": _usable_cpus(),
+    }
+
+
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
                     outputs: list[Path], started: str) -> Path:
     skip = {"config", *_unread(args)}
@@ -167,6 +184,7 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
         "finished": _timestamp(),
         "outputs": [str(p) for p in outputs],
         "cache_dir": args.cache_dir,
+        "environment": _environment(),
     }
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
@@ -373,7 +391,9 @@ def main(argv=None) -> int:
         print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](args)
+        # every block is small enough that one LAPACK thread is as fast as two
+        with _one_blas_thread():
+            return _COMMANDS[args.command](args)
     except NumericalConsistencyError as exc:
         print(f"numerical consistency failure: {exc}", file=sys.stderr)
         return 3

@@ -173,6 +173,12 @@ def _worker_count(threads: int, tasks: int, cpus: int) -> int:
     return max(1, min(threads, tasks, cpus))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
 def _parallel_map(fn, tasks: list[tuple], workers: int) -> list:
     """[fn(*task) for task in tasks] over worker processes, in task order.
 
@@ -180,9 +186,7 @@ def _parallel_map(fn, tasks: list[tuple], workers: int) -> list:
     parent and workers never call LAPACK. `fn` is module-level and the
     tasks pickle, so the default start method works elsewhere.
     """
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = _worker_count(workers, len(tasks), cpus)
+    workers = _worker_count(workers, len(tasks), _usable_cpus())
     if workers == 1:
         return [fn(*task) for task in tasks]
     import multiprocessing as mp

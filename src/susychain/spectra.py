@@ -1,12 +1,15 @@
 """Eigendecomposition of block matrices, full-chain spectra, and a disk cache.
 
 Spectra are the only expensive objects in the package (everything else is
-arithmetic over them), so they get a checksummed binary cache keyed by the
-block and the exact coupling values.
+arithmetic over them), so their energies get a checksummed binary cache
+keyed by the block and the exact coupling values. Eigenvectors are read
+only by the Hellmann-Feynman slope, which takes them from `diagonalize`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import hashlib
 import os
 import struct
@@ -19,10 +22,13 @@ import numpy as np
 from .basis import SectorKey
 from .model import ModelParams, SectorMatrix, build_hamiltonian
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2  # 1 also stored the eigenvectors
 _MAGIC = b"SCSP"
 # magic, version, L, n_d, J, Delta, h, dimension, sha256 of the payload
 _HEADER = struct.Struct("<4sIII3dI32s")
+
+# thread-count symbols of numpy's bundled OpenBLAS, by symbol prefix and suffix
+_OPENBLAS_NAMES = (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", ""))
 
 
 class SolverError(RuntimeError):
@@ -35,6 +41,15 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class ChainSectorSpectrum:
+    """Ascending energies of one (L, n_d) block."""
+
+    key: SectorKey
+    params: ModelParams
+    energies: np.ndarray
+
+
+@dataclass(frozen=True)
+class BlockEigenpairs:
     """Eigenpairs of one (L, n_d) block: ascending energies, column states."""
 
     key: SectorKey
@@ -55,12 +70,11 @@ class FullChainSpectrum:
         return np.concatenate([b.energies for b in self.blocks])
 
 
-def diagonalize(matrix: SectorMatrix) -> ChainSectorSpectrum:
+def diagonalize(matrix: SectorMatrix) -> BlockEigenpairs:
     """Dense symmetric eigendecomposition with a fixed sign convention.
 
     Each eigenvector is normalized so the first of its largest-magnitude
-    components is positive, making the output reproducible across runs and
-    cacheable byte-for-byte.
+    components is positive, making the output reproducible across runs.
     """
     try:
         energies, states = np.linalg.eigh(matrix.entries)
@@ -71,7 +85,47 @@ def diagonalize(matrix: SectorMatrix) -> ChainSectorSpectrum:
     top, bottom = states[hi, cols], -states[lo, cols]
     # flip where the first largest-magnitude entry is the min; x * -1.0 is exact
     states *= np.where((bottom > top) | ((bottom == top) & (lo < hi)), -1.0, 1.0)
-    return ChainSectorSpectrum(matrix.key, matrix.params, energies, states)
+    return BlockEigenpairs(matrix.key, matrix.params, energies, states)
+
+
+def _openblas():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix, suffix in _OPENBLAS_NAMES:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _blas_threads() -> int | None:
+    """Thread count the bundled OpenBLAS uses now, or None if there is none."""
+    calls = _openblas()
+    return None if calls is None else calls[0]()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with the bundled OpenBLAS on one thread, then restore its count.
+
+    The blocks the command line diagonalizes are small (dimension 252 at
+    L=10), where a second BLAS thread spins without saving wall time.
+    Without a bundled OpenBLAS this does nothing.
+    """
+    get, put = _openblas() or (lambda: None, lambda n: None)
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +145,11 @@ def _entry_path(cache_dir: Path, key: SectorKey, params: ModelParams) -> Path:
 
 
 def cache_put(cache_dir: str | Path, spectrum: ChainSectorSpectrum) -> Path:
-    """Store a block spectrum; atomic via rename, checksummed payload."""
+    """Store a block's energies; atomic via rename, checksummed payload."""
     path = _entry_path(Path(cache_dir), spectrum.key, spectrum.params)
     path.parent.mkdir(parents=True, exist_ok=True)
     dim = len(spectrum.energies)
-    payload = (
-        np.ascontiguousarray(spectrum.energies, dtype=np.float64).tobytes()
-        + np.ascontiguousarray(spectrum.states, dtype=np.float64).tobytes()
-    )
+    payload = np.ascontiguousarray(spectrum.energies, dtype=np.float64).tobytes()
     header = _HEADER.pack(
         _MAGIC,
         CACHE_VERSION,
@@ -141,7 +192,7 @@ def _read_entry(path: Path) -> tuple[tuple, bytes] | None:
         magic != _MAGIC
         or version != CACHE_VERSION
         or path.name != _entry_name(*key)
-        or len(payload) != dim * 8 + dim * dim * 8
+        or len(payload) != dim * 8
         or hashlib.sha256(payload).digest() != digest
     ):
         return None
@@ -157,27 +208,22 @@ def cache_header(path: str | Path) -> tuple[int, int, float, float, float, int] 
 def cache_get(
     cache_dir: str | Path, key: SectorKey, params: ModelParams
 ) -> ChainSectorSpectrum | None:
-    """Load a block spectrum; any corruption or mismatch is a miss."""
+    """Load a block's energies; any corruption or mismatch is a miss."""
     entry = _read_entry(_entry_path(Path(cache_dir), key, params))
     if entry is None:
         return None
-    (*_, dim), payload = entry
-    energies = np.frombuffer(payload[: dim * 8], dtype=np.float64).copy()
-    states = (
-        np.frombuffer(payload[dim * 8 :], dtype=np.float64).reshape(dim, dim).copy()
-    )
-    return ChainSectorSpectrum(key, params, energies, states)
+    return ChainSectorSpectrum(key, params, np.frombuffer(entry[1], dtype=np.float64).copy())
 
 
 def cached_block(
     key: SectorKey, params: ModelParams, cache_dir: str | Path | None = None
 ) -> ChainSectorSpectrum:
-    """Diagonalize one block, going through the cache when one is configured."""
+    """Energies of one block, going through the cache when one is configured."""
     if cache_dir is not None:
         hit = cache_get(cache_dir, key, params)
         if hit is not None:
             return hit
-    spec = diagonalize(build_hamiltonian(key, params))
+    spec = ChainSectorSpectrum(key, params, diagonalize(build_hamiltonian(key, params)).energies)
     if cache_dir is not None:
         cache_put(cache_dir, spec)
     return spec

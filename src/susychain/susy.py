@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import SectorKey, decompose_n_sector
-from .model import SUSY_POINT, ModelParams, build_dh_ddelta, build_dh_dj
-from .spectra import cached_block, full_chain_spectrum
+from .model import SUSY_POINT, ModelParams, build_dh_ddelta, build_dh_dj, build_hamiltonian
+from .spectra import cached_block, diagonalize, full_chain_spectrum
 
 ZERO_TOL = 1e-10
 PAIR_TOL = 1e-8
@@ -216,8 +216,9 @@ def finite_difference_dw(N: int, beta: float, coupling: str) -> float:
 
 
 def _susy_blocks(N: int) -> list:
-    """(key, spectrum) of every member block of sector N at the supersymmetric point."""
-    return [(key, cached_block(key, SUSY_POINT)) for key in decompose_n_sector(N).members]
+    """(key, eigenpairs) of every member block of sector N at the supersymmetric point."""
+    return [(key, diagonalize(build_hamiltonian(key, SUSY_POINT)))
+            for key in decompose_n_sector(N).members]
 
 
 def hellmann_feynman_dw(N: int, beta: float, coupling: str, blocks=None) -> float:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -163,19 +164,50 @@ def test_exact_qgca_sweep_diagonalizes_each_block_once_off_the_special_point(mon
     assert len(grid) == 4 * sum(L + 1 for L in range(1, 9))
 
 
+def test_exact_sweep_diagonalizes_the_special_point_at_most_twice(monkeypatch):
+    import susychain.spectra as spectra_mod
+    import susychain.susy as susy_mod
+
+    seen = []
+    diagonalize = spectra_mod.diagonalize
+
+    def counting(m):
+        seen.append((m.key, m.params))
+        return diagonalize(m)
+
+    monkeypatch.setattr(spectra_mod, "diagonalize", counting)
+    monkeypatch.setattr(susy_mod, "diagonalize", counting, raising=False)
+    sweep(SweepSpec("delta", (0.9, 1.0, 1.1), tuple(range(3, 10)), estimator="exact-qgca"))
+    # once for the chain spectra, once for the Hellmann-Feynman slope
+    at_point = Counter(key for key, params in seen if params == ModelParams())
+    assert len(at_point) == sum(L + 1 for L in range(1, 9))
+    assert max(at_point.values()) <= 2
+
+
 # sha256 of sweep CSVs written before sweep evaluated one value across all sectors
-@pytest.mark.parametrize("estimator,budget,digest", [
+FROZEN_SWEEPS = [
     ("exact-qgca", {},
      "c9500ea524888368f8b32f6f6345c9a9598f19df771eaba8f044baf447d0b058"),
     ("sampled-qgca", {"runs": 300, "iterations": 5},
      "7e65c401cac40424caebc5d530db357543533eb7211a72bf8ab2267a78b82016"),
-])
+]
+
+
+@pytest.mark.parametrize("estimator,budget,digest", FROZEN_SWEEPS)
 def test_sweep_csv_frozen_digests(tmp_path, estimator, budget, digest):
     spec = SweepSpec("delta", (0.9, 0.97, 1.0, 1.02, 1.1), tuple(range(3, 9)),
                      estimator=estimator, **budget)
     path = tmp_path / "sweep.csv"
     write_sweep_csv(sweep(spec), path, meta={"estimator": estimator})
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("estimator,budget,digest", FROZEN_SWEEPS)
+def test_sweep_csv_frozen_digests_on_one_blas_thread(tmp_path, estimator, budget, digest):
+    from susychain.spectra import _one_blas_thread
+
+    with _one_blas_thread():
+        test_sweep_csv_frozen_digests(tmp_path, estimator, budget, digest)
 
 
 SMALL_SHIFTS = tuple(1.0 + s for s in (-0.05, -0.03, -0.01, 0.01, 0.03, 0.05))

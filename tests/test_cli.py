@@ -5,9 +5,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import susychain
+import susychain.spectra as spectra
 from susychain.cli import build_parser, main
 from susychain.susy import NumericalConsistencyError
 
@@ -329,6 +331,41 @@ class TestSweep:
         assert out == ""
         assert "beta" in err
         assert not (tmp_path / "o").exists()
+
+
+class TestOneBlasThread:
+    """main runs its command on one OpenBLAS thread and restores the count."""
+
+    def test_count_is_restored_after_main(self, capsys):
+        before = spectra._blas_threads()
+        assert run_cli(capsys, "witten", "--N", "4")[0] == 0
+        assert spectra._blas_threads() == before
+
+    def test_no_openblas_is_not_an_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(spectra, "_openblas", lambda: None)
+        with spectra._one_blas_thread():
+            pass
+        assert spectra._blas_threads() is None
+        assert run_cli(capsys, "witten", "--N", "4")[:2] == (0, "-0.9999092083843409\n")
+
+    @pytest.mark.parametrize("found", [True, False])
+    def test_manifest_records_the_numeric_environment(self, capsys, tmp_path,
+                                                      monkeypatch, found):
+        if not found:
+            monkeypatch.setattr(spectra, "_openblas", lambda: None)
+        code, _, _ = run_cli(capsys, "sweep", "--N", "4", "--values", "0.99,1.0,1.01",
+                             "--out", str(tmp_path))
+        assert code == 0
+        env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+        assert set(env) == {"python", "numpy", "blas", "blas_version", "blas_threads", "cpus"}
+        assert env["numpy"] == np.__version__ and env["cpus"] >= 1
+        if found and spectra._openblas() is not None:
+            assert env["blas_threads"] == 1
+        if not found:
+            assert env["blas_threads"] is None
+        # telemetry stays out of the data artifacts
+        header = (tmp_path / "sweep_delta_exact-gca.csv").read_text().splitlines()[0]
+        assert "blas" not in header and "numpy" not in header
 
 
 class TestCache:

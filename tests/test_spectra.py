@@ -1,3 +1,4 @@
+import hashlib
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -143,7 +144,6 @@ class TestCache:
         loaded = cache_get(tmp_path, spec.key, spec.params)
         assert loaded is not None
         assert np.array_equal(loaded.energies, spec.energies)
-        assert np.array_equal(loaded.states, spec.states)
 
     def test_key_exactness(self, tmp_path):
         spec = self._spec()
@@ -179,8 +179,46 @@ class TestCache:
     def test_version_bump_is_a_miss(self, tmp_path, monkeypatch):
         spec = self._spec()
         cache_put(tmp_path, spec)
-        monkeypatch.setattr(spectra, "CACHE_VERSION", 2)
+        monkeypatch.setattr(spectra, "CACHE_VERSION", spectra.CACHE_VERSION + 1)
         assert cache_get(tmp_path, spec.key, spec.params) is None
+
+    def test_payload_is_the_energies_alone(self, tmp_path):
+        spec = diagonalize(build_hamiltonian(SectorKey(6, 3), SUSY))
+        path = cache_put(tmp_path, spec)
+        assert path.stat().st_size == spectra._HEADER.size + 8 * 20
+        assert path.read_bytes()[spectra._HEADER.size:] == spec.energies.tobytes()
+
+    def test_hit_and_miss_return_the_same_energies_and_type(self, tmp_path):
+        plain = full_chain_spectrum(6, SUSY)
+        cold = full_chain_spectrum(6, SUSY, tmp_path)
+        warm = full_chain_spectrum(6, SUSY, tmp_path)
+        for chain in (cold, warm):
+            assert chain.all_energies().tobytes() == plain.all_energies().tobytes()
+            for block, want in zip(chain.blocks, plain.blocks):
+                assert type(block) is type(want) is spectra.ChainSectorSpectrum
+                assert not hasattr(block, "states")
+
+    def test_version_1_entry_is_a_miss_and_not_counted(self, tmp_path):
+        # a block as version 1 stored it: energies, then the eigenvector matrix
+        spec = self._spec()
+        key, p = spec.key, spec.params
+        payload = spec.energies.tobytes() + spec.states.tobytes()
+        old = spectra._HEADER.pack(spectra._MAGIC, 1, key.L, key.n_d, p.J, p.Delta, p.h,
+                                   len(spec.energies), hashlib.sha256(payload).digest())
+        name = spectra._entry_name(key.L, key.n_d, p.J, p.Delta, p.h)
+        (tmp_path / "v1").mkdir()
+        (tmp_path / "v1" / name).write_bytes(old + payload)
+        assert cache_get(tmp_path, key, p) is None
+        code, out, err = run_inspect(tmp_path)
+        assert (code, out) == (0, "0 entries\n")
+        assert f"{name}: damaged or foreign entry, skipped" in err
+        # the same bytes under the current version's directory are still a miss
+        path = cache_put(tmp_path, spec)
+        path.write_bytes(old + payload)
+        assert cache_get(tmp_path, key, p) is None
+        cache_put(tmp_path, spec)
+        code, out, err = run_inspect(tmp_path)
+        assert out.splitlines()[-1] == "1 entries" and err.count("skipped") == 1
 
 
 COUPLINGS = st.floats(-4.0, 4.0, allow_nan=False)
@@ -208,7 +246,6 @@ def test_cache_roundtrip_of_random_blocks_is_bit_exact(tmp_path_factory, spec):
     path = cache_put(root, spec)
     loaded = cache_get(root, spec.key, spec.params)
     assert loaded.energies.tobytes() == spec.energies.tobytes()
-    assert loaded.states.tobytes() == spec.states.tobytes()
     p = spec.params
     assert cache_header(path) == (spec.key.L, spec.key.n_d, p.J, p.Delta, p.h,
                                   len(spec.energies))
