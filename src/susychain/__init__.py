@@ -18,8 +18,6 @@ from .model import (
 )
 from .spectra import (
     BlockEigenpairs,
-    ChainSectorSpectrum,
-    FullChainSpectrum,
     SolverError,
     cache_get,
     cache_put,
@@ -61,7 +59,7 @@ __all__ = [
     "NSector", "SectorKey", "decompose_n_sector", "enumerate_sector",
     "SUSY_POINT", "ModelParams", "SectorMatrix",
     "build_dh_ddelta", "build_dh_dj", "build_hamiltonian",
-    "BlockEigenpairs", "ChainSectorSpectrum", "FullChainSpectrum", "SolverError",
+    "BlockEigenpairs", "SolverError",
     "cache_get", "cache_put", "diagonalize",
     "full_chain_spectrum",
     "NumericalConsistencyError", "SusyLevel", "SusySpectrum", "assemble",

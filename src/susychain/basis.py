@@ -45,10 +45,6 @@ class NSector:
     N: int
     members: tuple[SectorKey, ...]
 
-    @property
-    def dimension(self) -> int:
-        return sum(k.dimension for k in self.members)
-
 
 def enumerate_sector(key: SectorKey) -> np.ndarray:
     """The C(L, n_d) bit patterns of the block, ascending, as int64."""

@@ -2,8 +2,8 @@
 
 Subcommands: spectrum, witten, dynamics, sweep, cache. Every run that
 writes files also writes a JSON manifest sufficient to reproduce them.
-Exit codes: 0 success, 2 usage error, 3 numerical-consistency error,
-4 I/O error.
+Exit codes: 0 success, 2 usage error, 3 numerical-consistency or
+eigensolver failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .analysis import (
 from .dynamics import PROTOCOL_GCA, PROTOCOL_QGCA, ProtocolConfig, run_protocol, write_trace_csv
 from .dynamics import _usable_cpus
 from .model import SUSY_POINT, ModelParams
-from .spectra import _blas_threads, _one_blas_thread, cache_header
+from .spectra import CACHE_VERSION, SolverError, _blas_threads, _one_blas_thread, cache_header
 from .susy import (
     COUPLING_DELTA,
     SUSY_VALUE,
@@ -353,8 +353,13 @@ def _cmd_cache(args) -> int:
             shutil.rmtree(root)
         print(f"cleared {root}")
         return 0
+    current = f"v{CACHE_VERSION}"
+    old = sum(1 for path in root.glob("v*/*.spec") if path.parent.name != current)
+    if old:
+        print(f"{old} entries of other cache versions not listed; "
+              "`cache clear` removes them", file=sys.stderr)
     entries = 0
-    for path in sorted(root.glob("v*/*.spec")):
+    for path in sorted(root.glob(f"{current}/*.spec")):
         header = cache_header(path)
         if header is None:
             print(f"{path.name}: damaged or foreign entry, skipped", file=sys.stderr)
@@ -396,6 +401,9 @@ def main(argv=None) -> int:
             return _COMMANDS[args.command](args)
     except NumericalConsistencyError as exc:
         print(f"numerical consistency failure: {exc}", file=sys.stderr)
+        return 3
+    except SolverError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

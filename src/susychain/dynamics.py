@@ -35,7 +35,7 @@ import numpy as np
 
 from .basis import decompose_n_sector
 from .model import ModelParams
-from .spectra import FullChainSpectrum, full_chain_spectrum
+from .spectra import full_chain_spectrum
 
 PROTOCOL_GCA = "gca"
 PROTOCOL_QGCA = "qgca"
@@ -115,21 +115,14 @@ class _Pool:
     signed: np.ndarray
 
 
-def _chain_pool(chain: FullChainSpectrum, target_nd: int) -> _Pool:
-    e, p = [], []
-    for block in chain.blocks:
-        parity = float(block.key.parity) if block.key.n_d == target_nd else 0.0
-        e.append(block.energies)
-        p.append(np.full(len(block.energies), parity))
-    return _Pool(np.concatenate(e), np.concatenate(p))
-
-
 def _pools(config: ProtocolConfig, cache_dir) -> list[tuple[str, _Pool]]:
     """Tagged pools of one run: one per member chain, or their union for GCA."""
     pools = []
     for key in decompose_n_sector(config.N).members:
         chain = full_chain_spectrum(key.L, config.params, cache_dir)
-        pools.append((f"qgca:L{key.L}", _chain_pool(chain, key.n_d)))
+        signed = [np.full(len(e), float(key.parity) if nd == key.n_d else 0.0)
+                  for nd, e in enumerate(chain)]
+        pools.append((f"qgca:L{key.L}", _Pool(np.concatenate(chain), np.concatenate(signed))))
     if config.protocol == PROTOCOL_QGCA:
         return pools
     return [("gca", _Pool(np.concatenate([p.energies for _, p in pools]),
@@ -222,7 +215,6 @@ def run_protocol(config: ProtocolConfig, cache_dir=None, threads: int = 1) -> Wi
     results = _walk(config, _pools(config, cache_dir), threads, window_start)
     cnts, sums, wsums, wcnts, _ = zip(*results)  # task order: deterministic fold
     counts, sums = sum(cnts), sum(sums)
-    wsum, wcnt = np.concatenate(wsums), np.concatenate(wcnts)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         estimate = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
@@ -236,11 +228,13 @@ def run_protocol(config: ProtocolConfig, cache_dir=None, threads: int = 1) -> Wi
     window = estimate[window_start:]
     valid = ~np.isnan(window)
     window_estimate = float(window[valid].mean()) if valid.any() else float("nan")
-    total = int(wcnt.sum())
+    total = sum(int(c.sum()) for c in wcnts)
     if total > 0:
-        ratio = wsum.sum() / total
-        resid = wsum - ratio * wcnt
-        window_stderr = float(np.sqrt((resid**2).sum()) / total)
+        # window sums are integer-valued floats, so adding them per task is exact
+        ratio = sum(float(w.sum()) for w in wsums) / total
+        # one residual array, squared in place, keeps the peak at one copy
+        resid = np.concatenate([w - ratio * c for w, c in zip(wsums, wcnts)])
+        window_stderr = float(np.sqrt(np.square(resid, out=resid).sum()) / total)
     else:
         window_stderr = float("nan")
 

@@ -40,15 +40,6 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ChainSectorSpectrum:
-    """Ascending energies of one (L, n_d) block."""
-
-    key: SectorKey
-    params: ModelParams
-    energies: np.ndarray
-
-
-@dataclass(frozen=True)
 class BlockEigenpairs:
     """Eigenpairs of one (L, n_d) block: ascending energies, column states."""
 
@@ -58,33 +49,16 @@ class BlockEigenpairs:
     states: np.ndarray
 
 
-@dataclass(frozen=True)
-class FullChainSpectrum:
-    """All magnetization blocks of one chain; 2**L levels in total."""
-
-    L: int
-    params: ModelParams
-    blocks: tuple[ChainSectorSpectrum, ...]
-
-    def all_energies(self) -> np.ndarray:
-        return np.concatenate([b.energies for b in self.blocks])
-
-
 def diagonalize(matrix: SectorMatrix) -> BlockEigenpairs:
-    """Dense symmetric eigendecomposition with a fixed sign convention.
+    """Dense symmetric eigendecomposition: eigh's energies and column vectors.
 
-    Each eigenvector is normalized so the first of its largest-magnitude
-    components is positive, making the output reproducible across runs.
+    A column's sign is whatever LAPACK returns; the only reader of vectors,
+    the Hellmann-Feynman slope, forms psi^T (dH/dc) psi, where it cancels.
     """
     try:
         energies, states = np.linalg.eigh(matrix.entries)
     except np.linalg.LinAlgError as exc:
         raise SolverError(matrix.key, str(exc)) from exc
-    cols = np.arange(states.shape[1])
-    hi, lo = states.argmax(axis=0), states.argmin(axis=0)
-    top, bottom = states[hi, cols], -states[lo, cols]
-    # flip where the first largest-magnitude entry is the min; x * -1.0 is exact
-    states *= np.where((bottom > top) | ((bottom == top) & (lo < hi)), -1.0, 1.0)
     return BlockEigenpairs(matrix.key, matrix.params, energies, states)
 
 
@@ -144,20 +118,21 @@ def _entry_path(cache_dir: Path, key: SectorKey, params: ModelParams) -> Path:
     return cache_dir / f"v{CACHE_VERSION}" / name
 
 
-def cache_put(cache_dir: str | Path, spectrum: ChainSectorSpectrum) -> Path:
+def cache_put(cache_dir: str | Path, key: SectorKey, params: ModelParams,
+              energies: np.ndarray) -> Path:
     """Store a block's energies; atomic via rename, checksummed payload."""
-    path = _entry_path(Path(cache_dir), spectrum.key, spectrum.params)
+    path = _entry_path(Path(cache_dir), key, params)
     path.parent.mkdir(parents=True, exist_ok=True)
-    dim = len(spectrum.energies)
-    payload = np.ascontiguousarray(spectrum.energies, dtype=np.float64).tobytes()
+    dim = len(energies)
+    payload = np.ascontiguousarray(energies, dtype=np.float64).tobytes()
     header = _HEADER.pack(
         _MAGIC,
         CACHE_VERSION,
-        spectrum.key.L,
-        spectrum.key.n_d,
-        spectrum.params.J,
-        spectrum.params.Delta,
-        spectrum.params.h,
+        key.L,
+        key.n_d,
+        params.J,
+        params.Delta,
+        params.h,
         dim,
         hashlib.sha256(payload).digest(),
     )
@@ -207,31 +182,30 @@ def cache_header(path: str | Path) -> tuple[int, int, float, float, float, int] 
 
 def cache_get(
     cache_dir: str | Path, key: SectorKey, params: ModelParams
-) -> ChainSectorSpectrum | None:
-    """Load a block's energies; any corruption or mismatch is a miss."""
+) -> np.ndarray | None:
+    """Load a block's ascending energies; any corruption or mismatch is a miss."""
     entry = _read_entry(_entry_path(Path(cache_dir), key, params))
     if entry is None:
         return None
-    return ChainSectorSpectrum(key, params, np.frombuffer(entry[1], dtype=np.float64).copy())
+    return np.frombuffer(entry[1], dtype=np.float64).copy()
 
 
 def cached_block(
     key: SectorKey, params: ModelParams, cache_dir: str | Path | None = None
-) -> ChainSectorSpectrum:
-    """Energies of one block, going through the cache when one is configured."""
+) -> np.ndarray:
+    """Ascending energies of one block, going through the cache when one is configured."""
     if cache_dir is not None:
         hit = cache_get(cache_dir, key, params)
         if hit is not None:
             return hit
-    spec = ChainSectorSpectrum(key, params, diagonalize(build_hamiltonian(key, params)).energies)
+    energies = diagonalize(build_hamiltonian(key, params)).energies
     if cache_dir is not None:
-        cache_put(cache_dir, spec)
-    return spec
+        cache_put(cache_dir, key, params, energies)
+    return energies
 
 
 def full_chain_spectrum(
     L: int, params: ModelParams, cache_dir: str | Path | None = None
-) -> FullChainSpectrum:
-    """Every n_d block of an L-site chain, through the cache when one is configured."""
-    blocks = tuple(cached_block(SectorKey(L, nd), params, cache_dir) for nd in range(L + 1))
-    return FullChainSpectrum(L, params, blocks)
+) -> tuple[np.ndarray, ...]:
+    """Energies of every block of an L-site chain, indexed by n_d; 2**L levels in all."""
+    return tuple(cached_block(SectorKey(L, nd), params, cache_dir) for nd in range(L + 1))

@@ -76,8 +76,7 @@ def assemble(N: int, params: ModelParams, cache_dir=None) -> SusySpectrum:
     sector = decompose_n_sector(N)
     raw: list[tuple[float, SectorKey, int]] = []
     for key in sector.members:
-        spec = cached_block(key, params, cache_dir)
-        for e in spec.energies:
+        for e in cached_block(key, params, cache_dir):
             raw.append((float(e), key, key.parity))
     raw.sort(key=lambda t: (t[0], t[1].L))
 
@@ -168,9 +167,9 @@ def wtilde_qgca_sectors(n_list, params: ModelParams, beta: float,
     blocks = sorted({key for keys in members.values() for key in keys})
     for L, keys in itertools.groupby(blocks, key=lambda key: key.L):
         chain = full_chain_spectrum(L, params, cache_dir)
-        log_z = _log_gibbs(chain.all_energies(), beta)
+        log_z = _log_gibbs(np.concatenate(chain), beta)
         for key in keys:
-            log_w[key] = _log_gibbs(chain.blocks[key.n_d].energies, beta) - log_z
+            log_w[key] = _log_gibbs(chain[key.n_d], beta) - log_z
     out = {}
     for N, keys in members.items():
         lw = [log_w[key] for key in keys]
@@ -216,8 +215,8 @@ def finite_difference_dw(N: int, beta: float, coupling: str) -> float:
 
 
 def _susy_blocks(N: int) -> list:
-    """(key, eigenpairs) of every member block of sector N at the supersymmetric point."""
-    return [(key, diagonalize(build_hamiltonian(key, SUSY_POINT)))
+    """Eigenpairs of every member block of sector N at the supersymmetric point."""
+    return [diagonalize(build_hamiltonian(key, SUSY_POINT))
             for key in decompose_n_sector(N).members]
 
 
@@ -237,14 +236,15 @@ def hellmann_feynman_dw(N: int, beta: float, coupling: str, blocks=None) -> floa
     specs = blocks or _susy_blocks(N)
     # W and dW/dc are ratios of sums over the same weights, so shifting them
     # by the ground energy is exact and keeps e^{-beta E} from underflowing
-    e0 = min(spec.energies.min() for _, spec in specs)
+    e0 = min(spec.energies.min() for spec in specs)
     num = den = num_d = den_d = 0.0
-    for key, spec in specs:
-        slopes = np.einsum("ij,ij->j", spec.states, build_dh(key).entries @ spec.states)
+    for spec in specs:
+        # a column's sign cancels in psi^T (dH/dc) psi, so eigh's signs serve
+        slopes = np.einsum("ij,ij->j", spec.states, build_dh(spec.key).entries @ spec.states)
         w = np.exp(-beta * (spec.energies - e0))
-        num += key.parity * w.sum()
+        num += spec.key.parity * w.sum()
         den += w.sum()
-        num_d += key.parity * float((w * slopes).sum())
+        num_d += spec.key.parity * float((w * slopes).sum())
         den_d += float((w * slopes).sum())
     W = num / den
     return -beta * (num_d - W * den_d) / den
@@ -281,7 +281,7 @@ def slope_cn(N: int, beta: float, coupling: str = COUPLING_DELTA) -> float:
     blocks = _susy_blocks(N)
     c = abs(_checked_slope(N, beta, coupling, blocks)) / beta
     # zero modes and E_1 as assemble(N, SUSY_POINT) classifies the same levels
-    e = np.concatenate([spec.energies for _, spec in blocks])
+    e = np.concatenate([spec.energies for spec in blocks])
     if (np.abs(e) < ZERO_TOL).any():
         c *= math.exp(beta * e[e > PAIR_TOL].min())
     return c

@@ -37,9 +37,9 @@ def gca_pool(N: int, params: ModelParams):
     """
     energies, parities, in_sector = [], [], []
     for key in decompose_n_sector(N).members:
-        for nd, block in enumerate(full_chain_spectrum(key.L, params).blocks):
-            k = len(block.energies)
-            energies.append(block.energies)
+        for nd, block in enumerate(full_chain_spectrum(key.L, params)):
+            k = len(block)
+            energies.append(block)
             parities.append(np.full(k, -1.0 if nd % 2 else 1.0))
             in_sector.append(np.full(k, nd == key.n_d))
     return np.concatenate(energies), np.concatenate(parities), np.concatenate(in_sector)

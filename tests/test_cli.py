@@ -481,6 +481,16 @@ class TestExitCodes:
         assert code == 3
         assert "consistency" in err
 
+    def test_eigensolver_failure_maps_to_3(self, capsys, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        code, out, err = run_cli(capsys, "witten", "--N", "4")
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure: eigensolver failed on block (L=")
+        assert "Traceback" not in err
+
     def test_unwritable_out_is_io_error(self, capsys, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -525,3 +535,21 @@ def test_option_census():
     }
     assert found == census
     assert sum(map(len, found.values())) == 48
+
+
+def test_public_api_census():
+    # every public name of the package; growing the API is a deliberate edit here
+    assert sorted(susychain.__all__) == [
+        "BlockEigenpairs", "FitReport", "ModelParams", "NSector",
+        "NumericalConsistencyError", "ProtectionRow", "ProtocolConfig", "SUSY_POINT",
+        "SectorKey", "SectorMatrix", "SolverError", "SusyLevel", "SusySpectrum",
+        "SweepRecord", "SweepSpec", "WittenTrace", "__version__", "assemble",
+        "build_dh_ddelta", "build_dh_dj", "build_hamiltonian", "cache_get", "cache_put",
+        "compare_first_order", "decompose_n_sector", "deviation_first_order",
+        "diagonalize", "enumerate_sector", "full_chain_spectrum", "gca_occupancy",
+        "metropolis_accept", "protection_report", "run_protocol", "seed_stream",
+        "slope_cn", "sweep", "witten_regularized", "wtilde_gca_exact",
+        "wtilde_qgca_exact", "wtilde_qgca_sectors",
+    ]
+    for name in susychain.__all__:
+        assert getattr(susychain, name) is not None

@@ -66,47 +66,15 @@ def test_sign_convention_deterministic():
     a = diagonalize(m)
     b = diagonalize(m)
     assert np.array_equal(a.states, b.states)
-    for k in range(a.states.shape[1]):
-        lead = np.argmax(np.abs(a.states[:, k]))
-        assert a.states[lead, k] > 0
-
-
-def reference_flip(states):
-    """Negate, one column at a time, each column whose first entry of
-    largest magnitude is negative."""
-    states = states.copy()
-    for k in range(states.shape[1]):
-        lead = np.argmax(np.abs(states[:, k]))
-        if states[lead, k] < 0:
-            states[:, k] = -states[:, k]
-    return states
-
-
-def assert_flip_matches_reference(m):
-    spec = diagonalize(m)
-    energies, states = np.linalg.eigh(m.entries)
-    assert spec.energies.tobytes() == energies.tobytes()
-    assert spec.states.tobytes() == reference_flip(states).tobytes()
-    lead = np.argmax(np.abs(spec.states), axis=0)
-    assert np.all(spec.states[lead, np.arange(len(lead))] > 0)
 
 
 @pytest.mark.parametrize("params", [SUSY, ModelParams(J=-0.73, Delta=1.37, h=0.29)])
-def test_sign_flip_matches_the_per_column_loop(params):
-    for L in range(1, 11):
-        for nd in range(L + 1):
-            assert_flip_matches_reference(build_hamiltonian(SectorKey(L, nd), params))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(2, 6).flatmap(lambda n: st.lists(
-    st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=n, max_size=n),
-    min_size=n, max_size=n,
-)))
-def test_sign_flip_matches_the_per_column_loop_on_ties(rows):
-    # small integer matrices give eigenvectors with entries of equal magnitude
-    a = np.array(rows)
-    assert_flip_matches_reference(SectorMatrix(SectorKey(len(rows), 1), None, a + a.T))
+def test_energies_are_the_bytes_eigh_returns(params):
+    blocks = [SectorKey(L, nd) for L in range(1, 11) for nd in range(L + 1)]
+    assert len(blocks) == 65
+    for key in blocks:
+        m = build_hamiltonian(key, params)
+        assert diagonalize(m).energies.tobytes() == np.linalg.eigh(m.entries)[0].tobytes()
 
 
 @pytest.mark.parametrize("L,nd", [(2, 1), (3, 1), (4, 2), (4, 1), (8, 1)])
@@ -121,17 +89,17 @@ def test_charpoly_oracle_agrees(L, nd):
 
 def test_full_chain_level_counts_and_zero_modes():
     for L in range(1, 9):
-        chain = full_chain_spectrum(L, SUSY)
-        assert len(chain.all_energies()) == 2**L
-        zeros = (np.abs(chain.all_energies()) < 1e-10).sum()
+        energies = np.concatenate(full_chain_spectrum(L, SUSY))
+        assert len(energies) == 2**L
+        zeros = (np.abs(energies) < 1e-10).sum()
         assert zeros == 1
 
 
 def test_full_chain_small_spectra():
-    chain1 = full_chain_spectrum(1, SUSY)
-    assert np.allclose(np.sort(chain1.all_energies()), [0.0, 1.0], atol=1e-12)
-    chain2 = full_chain_spectrum(2, SUSY)
-    assert np.allclose(np.sort(chain2.all_energies()), [0.0, 1.0, 2.0, 2.0], atol=1e-12)
+    chain1 = np.concatenate(full_chain_spectrum(1, SUSY))
+    assert np.allclose(np.sort(chain1), [0.0, 1.0], atol=1e-12)
+    chain2 = np.concatenate(full_chain_spectrum(2, SUSY))
+    assert np.allclose(np.sort(chain2), [0.0, 1.0, 2.0, 2.0], atol=1e-12)
 
 
 class TestCache:
@@ -140,20 +108,20 @@ class TestCache:
 
     def test_roundtrip_bit_exact(self, tmp_path):
         spec = self._spec()
-        cache_put(tmp_path, spec)
+        cache_put(tmp_path, spec.key, spec.params, spec.energies)
         loaded = cache_get(tmp_path, spec.key, spec.params)
         assert loaded is not None
-        assert np.array_equal(loaded.energies, spec.energies)
+        assert np.array_equal(loaded, spec.energies)
 
     def test_key_exactness(self, tmp_path):
         spec = self._spec()
-        cache_put(tmp_path, spec)
+        cache_put(tmp_path, spec.key, spec.params, spec.energies)
         near = ModelParams(Delta=1.000001)
         assert cache_get(tmp_path, spec.key, near) is None
 
     def test_corruption_is_a_miss(self, tmp_path):
         spec = self._spec()
-        path = cache_put(tmp_path, spec)
+        path = cache_put(tmp_path, spec.key, spec.params, spec.energies)
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 0xFF
         path.write_bytes(bytes(raw))
@@ -161,13 +129,13 @@ class TestCache:
 
     def test_truncation_is_a_miss(self, tmp_path):
         spec = self._spec()
-        path = cache_put(tmp_path, spec)
+        path = cache_put(tmp_path, spec.key, spec.params, spec.energies)
         path.write_bytes(path.read_bytes()[:10])
         assert cache_get(tmp_path, spec.key, spec.params) is None
 
     def test_every_flipped_byte_and_truncation_is_a_miss(self, tmp_path):
         spec = self._spec()
-        path = cache_put(tmp_path, spec)
+        path = cache_put(tmp_path, spec.key, spec.params, spec.energies)
         raw = path.read_bytes()
         damaged = [raw[:n] for n in range(len(raw))]
         damaged += [raw[:i] + bytes([raw[i] ^ 0xFF]) + raw[i + 1:] for i in range(len(raw))]
@@ -178,13 +146,13 @@ class TestCache:
 
     def test_version_bump_is_a_miss(self, tmp_path, monkeypatch):
         spec = self._spec()
-        cache_put(tmp_path, spec)
+        cache_put(tmp_path, spec.key, spec.params, spec.energies)
         monkeypatch.setattr(spectra, "CACHE_VERSION", spectra.CACHE_VERSION + 1)
         assert cache_get(tmp_path, spec.key, spec.params) is None
 
     def test_payload_is_the_energies_alone(self, tmp_path):
         spec = diagonalize(build_hamiltonian(SectorKey(6, 3), SUSY))
-        path = cache_put(tmp_path, spec)
+        path = cache_put(tmp_path, spec.key, spec.params, spec.energies)
         assert path.stat().st_size == spectra._HEADER.size + 8 * 20
         assert path.read_bytes()[spectra._HEADER.size:] == spec.energies.tobytes()
 
@@ -192,11 +160,11 @@ class TestCache:
         plain = full_chain_spectrum(6, SUSY)
         cold = full_chain_spectrum(6, SUSY, tmp_path)
         warm = full_chain_spectrum(6, SUSY, tmp_path)
-        for chain in (cold, warm):
-            assert chain.all_energies().tobytes() == plain.all_energies().tobytes()
-            for block, want in zip(chain.blocks, plain.blocks):
-                assert type(block) is type(want) is spectra.ChainSectorSpectrum
-                assert not hasattr(block, "states")
+        for chain in (plain, cold, warm):
+            assert type(chain) is tuple and len(chain) == 7
+            for nd, block in enumerate(chain):
+                assert type(block) is np.ndarray and block.dtype == np.float64
+                assert block.tobytes() == plain[nd].tobytes()
 
     def test_version_1_entry_is_a_miss_and_not_counted(self, tmp_path):
         # a block as version 1 stored it: energies, then the eigenvector matrix
@@ -211,14 +179,17 @@ class TestCache:
         assert cache_get(tmp_path, key, p) is None
         code, out, err = run_inspect(tmp_path)
         assert (code, out) == (0, "0 entries\n")
-        assert f"{name}: damaged or foreign entry, skipped" in err
+        assert err == "1 entries of other cache versions not listed; `cache clear` removes them\n"
         # the same bytes under the current version's directory are still a miss
-        path = cache_put(tmp_path, spec)
+        path = cache_put(tmp_path, key, p, spec.energies)
         path.write_bytes(old + payload)
         assert cache_get(tmp_path, key, p) is None
-        cache_put(tmp_path, spec)
         code, out, err = run_inspect(tmp_path)
-        assert out.splitlines()[-1] == "1 entries" and err.count("skipped") == 1
+        assert out == "0 entries\n" and f"{name}: damaged or foreign entry, skipped" in err
+        cache_put(tmp_path, key, p, spec.energies)
+        code, out, err = run_inspect(tmp_path)
+        assert out.splitlines()[-1] == "1 entries" and "skipped" not in err
+        assert err.count("other cache versions") == 1
 
 
 COUPLINGS = st.floats(-4.0, 4.0, allow_nan=False)
@@ -243,9 +214,9 @@ def run_inspect(root):
 @given(spec=block_spectra())
 def test_cache_roundtrip_of_random_blocks_is_bit_exact(tmp_path_factory, spec):
     root = tmp_path_factory.mktemp("cache")
-    path = cache_put(root, spec)
+    path = cache_put(root, spec.key, spec.params, spec.energies)
     loaded = cache_get(root, spec.key, spec.params)
-    assert loaded.energies.tobytes() == spec.energies.tobytes()
+    assert loaded.tobytes() == spec.energies.tobytes()
     p = spec.params
     assert cache_header(path) == (spec.key.L, spec.key.n_d, p.J, p.Delta, p.h,
                                   len(spec.energies))
@@ -256,7 +227,7 @@ def test_cache_roundtrip_of_random_blocks_is_bit_exact(tmp_path_factory, spec):
 @given(spec=block_spectra(), flip=st.booleans(), data=st.data())
 def test_damaged_cache_entry_is_a_miss_and_skipped(tmp_path_factory, spec, flip, data):
     root = tmp_path_factory.mktemp("cache")
-    path = cache_put(root, spec)
+    path = cache_put(root, spec.key, spec.params, spec.energies)
     raw = path.read_bytes()
     # half the draws land in the header, whose key fields no checksum covers
     header = st.integers(0, spectra._HEADER.size - 1)

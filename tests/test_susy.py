@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -233,6 +234,23 @@ def test_hellmann_feynman_matches_finite_difference(N, coupling):
     fd = finite_difference_dw(N, 5.0, coupling)
     hf = hellmann_feynman_dw(N, 5.0, coupling)
     assert abs(fd - hf) <= 1e-6 * max(1e-6, abs(fd), abs(hf))
+
+
+def test_hellmann_feynman_ignores_eigenvector_signs(monkeypatch):
+    import susychain.spectra as spectra_mod
+
+    diagonalize = spectra_mod.diagonalize
+
+    def negated(m):
+        pairs = diagonalize(m)
+        return replace(pairs, states=-pairs.states)
+
+    cases = [(N, c) for N in range(3, 12) for c in (COUPLING_DELTA, COUPLING_J)]
+    plain = [hellmann_feynman_dw(N, 5.0, c) for N, c in cases]
+    monkeypatch.setattr(spectra_mod, "diagonalize", negated)
+    monkeypatch.setattr(susy_mod, "diagonalize", negated)
+    flipped = [hellmann_feynman_dw(N, 5.0, c) for N, c in cases]
+    assert np.array(flipped).tobytes() == np.array(plain).tobytes()
 
 
 @pytest.mark.parametrize("N,beta", [(3, 800.0), (6, 2000.0)])
