@@ -3,70 +3,43 @@
 Exact sector spectra, exact and Monte Carlo index estimators under pooled
 (GCA) and fixed-length (QGCA) thermalization, and coupling sweeps probing
 the thermal protection of the index.
+
+Importing the package loads nothing else: a submodule (and numpy) loads
+when one of its names is first read, so the command line can choose the
+BLAS thread count before numpy starts OpenBLAS.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .basis import NSector, SectorKey, decompose_n_sector, enumerate_sector
-from .model import (
-    SUSY_POINT,
-    ModelParams,
-    SectorMatrix,
-    build_dh_ddelta,
-    build_dh_dj,
-    build_hamiltonian,
-)
-from .spectra import (
-    BlockEigenpairs,
-    SolverError,
-    cache_get,
-    cache_put,
-    diagonalize,
-    full_chain_spectrum,
-)
-from .susy import (
-    NumericalConsistencyError,
-    SusyLevel,
-    SusySpectrum,
-    assemble,
-    deviation_first_order,
-    slope_cn,
-    witten_regularized,
-    wtilde_gca_exact,
-    wtilde_qgca_exact,
-    wtilde_qgca_sectors,
-)
-from .dynamics import (
-    ProtocolConfig,
-    WittenTrace,
-    gca_occupancy,
-    metropolis_accept,
-    run_protocol,
-    seed_stream,
-)
-from .analysis import (
-    FitReport,
-    ProtectionRow,
-    SweepRecord,
-    SweepSpec,
-    compare_first_order,
-    protection_report,
-    sweep,
-)
+# submodule -> the public names it provides
+_EXPORTS = {
+    "basis": ("NSector", "SectorKey", "decompose_n_sector", "enumerate_sector"),
+    "model": ("SUSY_POINT", "ModelParams", "SectorMatrix",
+              "build_dh_ddelta", "build_dh_dj", "build_hamiltonian"),
+    "spectra": ("BlockEigenpairs", "SolverError",
+                "cache_get", "cache_put", "diagonalize", "full_chain_spectrum"),
+    "susy": ("NumericalConsistencyError", "SusyLevel", "SusySpectrum", "assemble",
+             "deviation_first_order", "slope_cn", "witten_regularized",
+             "wtilde_gca_exact", "wtilde_qgca_exact", "wtilde_qgca_sectors"),
+    "dynamics": ("ProtocolConfig", "WittenTrace", "gca_occupancy", "metropolis_accept",
+                 "run_protocol", "seed_stream"),
+    "analysis": ("FitReport", "ProtectionRow", "SweepRecord", "SweepSpec",
+                 "compare_first_order", "protection_report", "sweep"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "NSector", "SectorKey", "decompose_n_sector", "enumerate_sector",
-    "SUSY_POINT", "ModelParams", "SectorMatrix",
-    "build_dh_ddelta", "build_dh_dj", "build_hamiltonian",
-    "BlockEigenpairs", "SolverError",
-    "cache_get", "cache_put", "diagonalize",
-    "full_chain_spectrum",
-    "NumericalConsistencyError", "SusyLevel", "SusySpectrum", "assemble",
-    "deviation_first_order", "slope_cn", "witten_regularized",
-    "wtilde_gca_exact", "wtilde_qgca_exact", "wtilde_qgca_sectors",
-    "ProtocolConfig", "WittenTrace", "gca_occupancy", "metropolis_accept",
-    "run_protocol", "seed_stream",
-    "FitReport", "ProtectionRow", "SweepRecord", "SweepSpec",
-    "compare_first_order", "protection_report", "sweep",
-]
+__all__ = ["__version__", *_SOURCE]
+
+
+def __getattr__(name):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -17,6 +17,11 @@ import shutil
 import sys
 from pathlib import Path
 
+# numpy's bundled OpenBLAS reads this once, as numpy loads, and starts that
+# many threads; `main` runs LAPACK on one thread, so a pool would only cost
+# start-up. This works because `import susychain` loads no numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__
@@ -155,7 +160,7 @@ def _unread(args: argparse.Namespace) -> set[str]:
         return set()
     unread = {"points"} if args.values is not None else set()
     if args.estimator.startswith("exact-"):
-        unread |= {"runs", "iterations", "threads"}
+        unread |= {"runs", "iterations", "threads", "seed"}
     return unread
 
 
@@ -175,10 +180,11 @@ def _environment() -> dict:
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
                     outputs: list[Path], started: str) -> Path:
     skip = {"config", *_unread(args)}
+    arguments = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
     manifest = {
         "command": command,
-        "arguments": {k: v for k, v in sorted(vars(args).items()) if k not in skip},
-        "base_seed": getattr(args, "seed", None),
+        "arguments": arguments,
+        "base_seed": arguments.get("seed"),
         "version": __version__,
         "started": started,
         "finished": _timestamp(),
@@ -321,10 +327,10 @@ def _cmd_sweep(args) -> int:
         base_seed=args.seed,
     )
     records = sweep(spec, args.cache_dir, args.threads)
-    meta = {
-        "coupling": spec.coupling, "estimator": spec.estimator, "beta": spec.beta,
-        "base_seed": spec.base_seed, "version": __version__,
-    }
+    meta = {"coupling": spec.coupling, "estimator": spec.estimator, "beta": spec.beta,
+            "version": __version__}
+    if "seed" not in _unread(args):
+        meta["base_seed"] = spec.base_seed
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"sweep_{spec.coupling}_{spec.estimator}.csv"

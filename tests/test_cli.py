@@ -189,7 +189,7 @@ class TestConfigFile:
 
 
 _WITTEN_KEYS = {"command", "cache_dir", "out", "format", "J", "Delta", "h", "N", "which"}
-_SWEEP_KEYS = {"command", "cache_dir", "seed", "out", "coupling", "estimator", "N", "beta"}
+_SWEEP_KEYS = {"command", "cache_dir", "out", "coupling", "estimator", "N", "beta"}
 
 
 class TestManifestArguments:
@@ -209,9 +209,9 @@ class TestManifestArguments:
         ("exact-gca", ["--values", "0.9,1.0,1.1"], {"values"}),
         ("exact-qgca", ["--points", "3"], {"points", "values"}),
         ("sampled-gca", ["--values", "0.9,1.0,1.1"],
-         {"values", "runs", "iterations", "threads"}),
+         {"values", "runs", "iterations", "threads", "seed"}),
         ("sampled-qgca", ["--values", "0.9,1.0,1.1"],
-         {"values", "runs", "iterations", "threads"}),
+         {"values", "runs", "iterations", "threads", "seed"}),
     ])
     def test_sweep(self, capsys, tmp_path, estimator, grid, read):
         code, _, _ = run_cli(capsys, "sweep", "--N", "4", "--estimator", estimator,
@@ -220,6 +220,13 @@ class TestManifestArguments:
         assert code == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert set(manifest["arguments"]) == _SWEEP_KEYS | read
+        # only a sampled sweep reads the seed, so only it records one
+        header = (tmp_path / f"sweep_delta_{estimator}.csv").read_text().splitlines()[0]
+        meta = json.loads(header.removeprefix("# "))
+        if "seed" in read:
+            assert manifest["base_seed"] == meta["base_seed"] == 1
+        else:
+            assert manifest["base_seed"] is None and "base_seed" not in meta
 
     def test_shared_config_still_sets_unread_values(self, capsys, tmp_path):
         conf = tmp_path / "shared.conf"

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import susychain.susy as susy_mod
-from susychain.model import ModelParams
+from susychain.basis import decompose_n_sector
+from susychain.model import ModelParams, build_dh_ddelta, build_hamiltonian
 from susychain.susy import (
     COUPLING_DELTA,
     COUPLING_J,
@@ -305,6 +306,41 @@ def test_splitting_rate_stable_in_beta(N):
 def test_splitting_rate_rejects_bad_beta():
     with pytest.raises(ValueError):
         slope_cn(4, 0.0, COUPLING_DELTA)
+
+
+# c_N of a zero-mode sector as beta grows: 2|E'_opp - E'_0|, from the zero
+# mode's slope and that of the lowest-doublet level of opposite parity
+ZERO_MODE_LIMIT = {4: 1.500000, 7: 1.061242}
+
+
+def zero_mode_limit(N: int) -> float:
+    """2|E'_opp - E'_0| from Hellmann-Feynman slopes d<H>/dDelta at the SUSY point."""
+    levels = []  # (energy, parity, slope)
+    for key in decompose_n_sector(N).members:
+        energies, states = np.linalg.eigh(build_hamiltonian(key, SUSY).entries)
+        slopes = np.einsum("ij,ij->j", states, build_dh_ddelta(key).entries @ states)
+        levels += [(e, key.parity, s) for e, s in zip(energies, slopes)]
+    [(_, parity, zero_slope)] = [lv for lv in levels if abs(lv[0]) < 1e-10]
+    e1 = min(e for e, _, _ in levels if e > 1e-8)
+    [opp_slope] = [s for e, p, s in levels if abs(e - e1) < 1e-8 and p == -parity]
+    return 2.0 * abs(opp_slope - zero_slope)
+
+
+@pytest.mark.parametrize("N", sorted(ZERO_MODE_LIMIT))
+def test_zero_mode_limit_from_hellmann_feynman(N):
+    assert zero_mode_limit(N) == pytest.approx(ZERO_MODE_LIMIT[N], rel=1e-5)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="dW/dc ~ beta e^{-beta E_1} c_N falls below what the central difference "
+           "of W ~ +-1 resolves, so slope_cn reads 0.0 or drifts at large beta; "
+           "a slope formula that does not cancel fixes it (ROADMAP direction 2)",
+)
+@pytest.mark.parametrize("N", sorted(ZERO_MODE_LIMIT))
+@pytest.mark.parametrize("beta", [20.0, 40.0])
+def test_splitting_rate_reaches_zero_mode_limit_at_large_beta(N, beta):
+    assert slope_cn(N, beta, COUPLING_DELTA) == pytest.approx(ZERO_MODE_LIMIT[N], rel=1e-5)
 
 
 @pytest.mark.parametrize("estimate", [finite_difference_dw, hellmann_feynman_dw])
