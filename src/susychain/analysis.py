@@ -69,7 +69,7 @@ def default_grid(coupling: str, points: int = 21) -> tuple[float, ...]:
     return tuple(float(v) for v in np.linspace(center - 0.5, center + 0.5, points))
 
 
-def _evaluate(spec: SweepSpec, N: int, value: float, seed: int,
+def _evaluate(spec: SweepSpec, N: int, value: float, seed: int | None,
               cache_dir, threads: int) -> tuple[float, float]:
     """One (estimator, N, coupling value) evaluation -> (wtilde, stderr)."""
     params = params_at(spec.coupling, value)
@@ -84,7 +84,7 @@ def _evaluate(spec: SweepSpec, N: int, value: float, seed: int,
     return trace.window_estimate, trace.window_stderr
 
 
-def _evaluate_all(spec: SweepSpec, value: float, seed: int,
+def _evaluate_all(spec: SweepSpec, value: float, seed: int | None,
                   cache_dir, threads: int) -> dict[int, tuple[float, float]]:
     """One coupling value across every sector -> {N: (wtilde, stderr)}.
 
@@ -108,7 +108,9 @@ def sweep(spec: SweepSpec, cache_dir=None, threads: int = 1) -> list[SweepRecord
     so the evaluation order does not change them. Exact estimators read no
     seed, so a grid value equal to the special one reuses the reference.
     """
-    ref_seed = int(np.random.SeedSequence(
+    exact = spec.estimator.startswith("exact-")
+    # SeedSequence loads numpy.random (and OpenSSL), which exact sweeps never use
+    ref_seed = None if exact else int(np.random.SeedSequence(
         entropy=spec.base_seed, spawn_key=(0x5EED,)
     ).generate_state(1)[0])
 
@@ -116,7 +118,7 @@ def sweep(spec: SweepSpec, cache_dir=None, threads: int = 1) -> list[SweepRecord
     ref = _evaluate_all(spec, susy_value, ref_seed, cache_dir, threads)
     # first-order deviation per unit |shift|, |dW/dc|
     rate = {N: deviation_first_order(N, spec.beta, spec.coupling, 1.0) for N in spec.n_list}
-    done = {susy_value: ref} if spec.estimator.startswith("exact-") else {}
+    done = {susy_value: ref} if exact else {}
     for value in spec.values:
         if value not in done:
             done[value] = _evaluate_all(spec, value, spec.base_seed, cache_dir, threads)

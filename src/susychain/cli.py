@@ -34,6 +34,7 @@ from .analysis import (
     sweep,
     write_sweep_csv,
 )
+from .basis import SectorKey, decompose_n_sector
 from .dynamics import PROTOCOL_GCA, PROTOCOL_QGCA, ProtocolConfig, run_protocol, write_trace_csv
 from .dynamics import _usable_cpus
 from .model import SUSY_POINT, ModelParams
@@ -49,6 +50,11 @@ from .susy import (
 )
 
 DEFAULT_N_LIST = tuple(range(3, 12))
+
+# Largest dense float64 block a command may build. Paths over a sector's own
+# blocks pass N <= 22 (C(15,6) = 5005, 191 MiB); paths over whole member
+# chains pass N <= 15 (C(14,7) = 3432, 90 MiB).
+MAX_BLOCK_BYTES = 256 * 2**20
 
 
 # every shared flag is defined once; each subcommand names the ones it reads
@@ -197,11 +203,32 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
     return path
 
 
+def _check_size(n_list, full_chain: bool) -> None:
+    """Refuse a sector whose largest dense block exceeds MAX_BLOCK_BYTES.
+
+    Member-block paths diagonalize the sector's (L, N-L-1) blocks; full-chain
+    paths every block of each member chain, whose largest is n_d = L//2.
+    Dimensions are binomials, so nothing is enumerated or allocated.
+    """
+    for N in n_list:
+        keys = decompose_n_sector(N).members
+        if full_chain:
+            keys = [SectorKey(key.L, key.L // 2) for key in keys]
+        key = max(keys, key=lambda k: k.dimension)
+        size = 8 * key.dimension**2
+        if size > MAX_BLOCK_BYTES:
+            raise ValueError(
+                f"N={N} needs the dense block (L={key.L}, n_d={key.n_d}) of dimension "
+                f"{key.dimension}, {size} bytes; the limit is {MAX_BLOCK_BYTES} bytes "
+                f"({MAX_BLOCK_BYTES // 2**20} MiB) per block")
+
+
 def _params(args) -> ModelParams:
     return ModelParams(J=args.J, Delta=args.Delta, h=args.h)
 
 
 def _cmd_spectrum(args) -> int:
+    _check_size([args.N], full_chain=False)
     spec = assemble(args.N, _params(args), args.cache_dir)
     rows = [
         {"L": lv.key.L, "n_d": lv.key.n_d, "energy": lv.energy,
@@ -242,6 +269,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_witten(args) -> int:
+    _check_size([args.N], full_chain=args.which == "qgca")
     params = _params(args)
     if args.which == "regularized":
         beta0 = args.beta0 if args.beta0 is not None else 1.0
@@ -284,6 +312,7 @@ def _emit(args, command: str, text: str) -> int:
 def _cmd_dynamics(args) -> int:
     started = _timestamp()
     sectors = [args.N] if args.N is not None else list(DEFAULT_N_LIST)
+    _check_size(sectors, full_chain=True)
     # every config is validated before the first run writes anything
     configs = [
         ProtocolConfig(
@@ -326,6 +355,7 @@ def _cmd_sweep(args) -> int:
         estimator=args.estimator, runs=args.runs, iterations=args.iterations,
         base_seed=args.seed,
     )
+    _check_size(n_list, full_chain=spec.estimator != "exact-gca")
     records = sweep(spec, args.cache_dir, args.threads)
     meta = {"coupling": spec.coupling, "estimator": spec.estimator, "beta": spec.beta,
             "version": __version__}

@@ -133,7 +133,9 @@ def _walk_block(key: tuple, pool: _Pool, beta: float, iterations: int,
                 window_start: int, size: int):
     """One block of walkers, full trajectory, deterministic draw order.
 
-    `key` is the block's seed_stream key. The last result counts the
+    `key` is the block's seed_stream key. The window tallies come in the
+    smallest signed integer dtype that holds +-(window length), which keeps
+    the results the coordinator gathers small. The last result counts the
     walkers per pool state after the last iteration.
     """
     rng = seed_stream(*key)
@@ -141,8 +143,10 @@ def _walk_block(key: tuple, pool: _Pool, beta: float, iterations: int,
     cur = rng.integers(0, dim, size)
     counts = np.zeros(iterations, dtype=np.int64)
     sums = np.zeros(iterations)
-    wsum = np.zeros(size)
-    wcnt = np.zeros(size, dtype=np.int64)
+    # a signed dtype holding -(w + 1) holds +w too; min_scalar_type(-w) is int8 at w = 128
+    tally = np.min_scalar_type(window_start - iterations - 1)
+    wsum = np.zeros(size, dtype=tally)
+    wcnt = np.zeros(size, dtype=tally)
     for t in range(iterations):
         prop = rng.integers(0, dim, size)
         u = rng.random(size)
@@ -154,7 +158,7 @@ def _walk_block(key: tuple, pool: _Pool, beta: float, iterations: int,
         if n:
             sums[t] = signed.sum()
             if t >= window_start:
-                wsum += signed
+                wsum += signed.astype(tally)  # parities +-1 and 0 convert exactly
                 wcnt += signed != 0.0
     return counts, sums, wsum, wcnt, np.bincount(cur, minlength=dim)
 
@@ -230,10 +234,13 @@ def run_protocol(config: ProtocolConfig, cache_dir=None, threads: int = 1) -> Wi
     window_estimate = float(window[valid].mean()) if valid.any() else float("nan")
     total = sum(int(c.sum()) for c in wcnts)
     if total > 0:
-        # window sums are integer-valued floats, so adding them per task is exact
+        # window tallies are integers, so adding them per task is exact
         ratio = sum(float(w.sum()) for w in wsums) / total
-        # one residual array, squared in place, keeps the peak at one copy
-        resid = np.concatenate([w - ratio * c for w, c in zip(wsums, wcnts)])
+        # one float64 residual array, filled per task and squared in place
+        ends = np.cumsum([len(w) for w in wsums])
+        resid = np.empty(ends[-1])
+        for part, w, c in zip(np.split(resid, ends[:-1]), wsums, wcnts):
+            np.subtract(w, np.multiply(c, ratio, out=part), out=part)
         window_stderr = float(np.sqrt(np.square(resid, out=resid).sum()) / total)
     else:
         window_stderr = float("nan")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import hashlib
 import os
 import struct
 import tempfile
@@ -118,6 +117,13 @@ def _entry_path(cache_dir: Path, key: SectorKey, params: ModelParams) -> Path:
     return cache_dir / f"v{CACHE_VERSION}" / name
 
 
+def _digest(payload: bytes) -> bytes:
+    """sha256 of a cache payload."""
+    import hashlib  # loads OpenSSL, which only cache reads and writes need
+
+    return hashlib.sha256(payload).digest()
+
+
 def cache_put(cache_dir: str | Path, key: SectorKey, params: ModelParams,
               energies: np.ndarray) -> Path:
     """Store a block's energies; atomic via rename, checksummed payload."""
@@ -134,7 +140,7 @@ def cache_put(cache_dir: str | Path, key: SectorKey, params: ModelParams,
         params.Delta,
         params.h,
         dim,
-        hashlib.sha256(payload).digest(),
+        _digest(payload),
     )
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
@@ -168,7 +174,7 @@ def _read_entry(path: Path) -> tuple[tuple, bytes] | None:
         or version != CACHE_VERSION
         or path.name != _entry_name(*key)
         or len(payload) != dim * 8
-        or hashlib.sha256(payload).digest() != digest
+        or _digest(payload) != digest
     ):
         return None
     return (*key, dim), payload

@@ -507,6 +507,57 @@ class TestExitCodes:
         assert "I/O error" in err
 
 
+class Reached(Exception):
+    """Raised where a command would enumerate a basis or build a block."""
+
+
+class TestSizeGuard:
+    @pytest.fixture
+    def no_blocks(self, monkeypatch):
+        import susychain.basis
+        import susychain.model
+        import susychain.susy
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        # every module that binds the two names
+        for module in (susychain.basis, susychain.model):
+            monkeypatch.setattr(module, "enumerate_sector", reached)
+        for module in (susychain.model, spectra, susychain.susy):
+            monkeypatch.setattr(module, "build_hamiltonian", reached)
+
+    @pytest.mark.parametrize("argv,message", [
+        (("spectrum", "--N", "60"), "N=60 needs the dense block (L=43, n_d=16) of dimension "
+                                    "265182149218, 562572578111020944092192 bytes"),
+        (("spectrum", "--N", "23"), "N=23 needs the dense block (L=16, n_d=6) of dimension "
+                                    "8008, 513024512 bytes"),
+        (("witten", "--N", "16", "--which", "qgca"),
+         "N=16 needs the dense block (L=15, n_d=7) of dimension 6435, 331273800 bytes"),
+        (("sweep", "--N", "3,40"), "N=40 needs the dense block (L=28, n_d=11)"),
+        (("dynamics", "--N", "16"),
+         "N=16 needs the dense block (L=15, n_d=7) of dimension 6435, 331273800 bytes"),
+    ], ids=["spectrum-60", "spectrum-23", "witten-qgca-16", "sweep-3,40", "dynamics-16"])
+    def test_oversized_sector_is_refused_before_any_block(self, capsys, tmp_path, no_blocks,
+                                                          argv, message):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: {message}")
+        assert err.rstrip().endswith("the limit is 268435456 bytes (256 MiB) per block")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--N", "22"),
+        ("witten", "--N", "22", "--which", "gca"),
+        ("witten", "--N", "15", "--which", "qgca"),
+        ("dynamics", "--N", "15"),
+    ])
+    def test_largest_allowed_sectors_pass_the_guard(self, capsys, no_blocks, argv):
+        with pytest.raises(Reached):
+            main(list(argv))
+
+
 def test_console_script_help_runs():
     # the child imports the same package as this process, installed or not
     src = str(Path(susychain.__file__).parents[1])

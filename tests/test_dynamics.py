@@ -18,7 +18,8 @@ from susychain.dynamics import (
     seed_stream,
     write_trace_csv,
 )
-from susychain.dynamics import _parallel_map, _worker_count
+from susychain import dynamics
+from susychain.dynamics import _parallel_map, _pools, _walk_block, _worker_count
 from susychain.model import ModelParams
 from susychain.susy import assemble, wtilde_gca_exact, wtilde_qgca_exact
 
@@ -278,6 +279,75 @@ class TestOccupancy:
         a, _ = gca_occupancy(cfg, threads=1)
         b, _ = gca_occupancy(cfg, threads=4)
         assert np.array_equal(a, b)
+
+
+def _float64_tallies(key, pool, beta, iterations, window_start, size):
+    """Window tallies of _walk_block's walk, replayed and summed in float64 and int64."""
+    rng = seed_stream(*key)
+    dim = len(pool.energies)
+    cur = rng.integers(0, dim, size)
+    wsum, wcnt = np.zeros(size), np.zeros(size, dtype=np.int64)
+    for t in range(iterations):
+        prop = rng.integers(0, dim, size)
+        u = rng.random(size)
+        accept = metropolis_accept(pool.energies[prop] - pool.energies[cur], beta, u)
+        cur = np.where(accept, prop, cur)
+        if t >= window_start:
+            wsum += pool.signed[cur]
+            wcnt += pool.signed[cur] != 0.0
+    return wsum, wcnt
+
+
+class TestWindowTallies:
+    # at beta = 40 the N=4 walkers settle in their chain's ground state, so
+    # in-sector walkers tally the whole window: |wsum| reaches its length
+    @pytest.mark.parametrize("iterations,window_start,dtype", [
+        (500, 400, np.int8),
+        (159, 32, np.int8),
+        (160, 32, np.int16),
+        (160, 160, np.int8),
+    ])
+    def test_smallest_dtype_that_holds_the_window(self, iterations, window_start, dtype):
+        cfg = ProtocolConfig(PROTOCOL_QGCA, 4, 40.0, iterations=iterations, runs=500)
+        reached = 0
+        for tag, pool in _pools(cfg, None):
+            key = (1, tag, 4, 0)
+            _, _, wsum, wcnt, _ = _walk_block(key, pool, 40.0, iterations, window_start, 500)
+            assert wsum.dtype == wcnt.dtype == dtype
+            ref_sum, ref_cnt = _float64_tallies(key, pool, 40.0, iterations, window_start, 500)
+            assert np.array_equal(wsum, ref_sum)
+            assert np.array_equal(wcnt, ref_cnt)
+            reached = max(reached, int(np.abs(wsum.astype(np.int64)).max()))
+        assert reached == iterations - window_start
+
+    @pytest.mark.parametrize("iterations", [500, 640])
+    def test_window_fold_matches_a_float64_reference(self, monkeypatch, iterations):
+        cfg = ProtocolConfig(PROTOCOL_QGCA, 4, 2.0, iterations=iterations,
+                             runs=2 * BLOCK_SIZE + 100)
+        results = []
+        walk = dynamics._walk
+
+        def recording_walk(*args):
+            results.extend(walk(*args))
+            return results
+
+        monkeypatch.setattr(dynamics, "_walk", recording_walk)
+        trace = run_protocol(cfg)
+        assert len(results) == 6  # two chains, three blocks each
+
+        # the fold as it was with float64 window sums, concatenated residuals
+        counts = sum(r[0] for r in results)
+        sums = sum(r[1] for r in results)
+        window_start = iterations - iterations // 5
+        window = sums[window_start:] / counts[window_start:]
+        wsum = np.concatenate([r[2].astype(np.float64) for r in results])
+        wcnt = np.concatenate([r[3].astype(np.int64) for r in results])
+        total = int(wcnt.sum())
+        ratio = float(wsum.sum()) / total
+        stderr = float(np.sqrt(np.square(wsum - ratio * wcnt).sum()) / total)
+        assert trace.window_estimate == float(window.mean())
+        assert trace.window_stderr == stderr
+        assert trace.window_legit == total
 
 
 def _sha256(data: bytes) -> str:

@@ -1,5 +1,6 @@
 """The start-up path: `import susychain` loads nothing, so the command line
-sets OpenBLAS's thread count before numpy starts it."""
+sets OpenBLAS's thread count before numpy starts it; OpenSSL and
+numpy.random load only in the runs that use them."""
 
 import os
 import subprocess
@@ -59,3 +60,50 @@ def test_cli_keeps_a_thread_count_set_in_the_environment():
     threads = run_fresh("import susychain.cli, susychain.spectra as s; print(s._blas_threads())",
                         OPENBLAS_NUM_THREADS="2")
     assert threads == "2"
+
+
+# Runs `main(argv)` in a new interpreter; prints the exit code and which of
+# OpenSSL's binding and numpy.random the run loaded.
+_LOADS = ("import sys; from susychain.cli import main; code = main({argv!r}); "
+          "print(code, sorted(m for m in ('_hashlib', 'numpy.random') if m in sys.modules))")
+
+
+def loads(*argv: str) -> str:
+    return run_fresh(_LOADS.format(argv=list(argv))).splitlines()[-1]
+
+
+def test_cli_import_loads_neither_openssl_nor_numpy_random():
+    loaded = run_fresh("import sys, susychain.cli; "
+                       "print('_hashlib' in sys.modules, 'numpy.random' in sys.modules)")
+    assert loaded == "False False"
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--N", "5"),
+    ("witten", "--N", "5", "--which", "regularized"),
+    ("witten", "--N", "5", "--which", "gca"),
+    ("witten", "--N", "5", "--which", "qgca"),
+    ("sweep", "--estimator", "exact-qgca", "--N", "3,4", "--points", "3"),
+    ("sweep", "--estimator", "exact-gca", "--N", "3,4", "--points", "3"),
+])
+def test_exact_commands_load_neither_openssl_nor_numpy_random(tmp_path, argv):
+    if argv[0] == "sweep":
+        argv = (*argv, "--out", str(tmp_path))
+    assert loads(*argv) == "0 []"
+
+
+def test_sampling_loads_numpy_random():
+    # numpy.random imports secrets, and with it OpenSSL
+    assert loads("dynamics", "--N", "4", "--runs", "50", "--iterations", "5",
+                 "--threads", "1") == "0 ['_hashlib', 'numpy.random']"
+
+
+def test_cache_loads_openssl_and_still_refuses_a_damaged_payload(tmp_path):
+    assert loads("spectrum", "--N", "5", "--cache-dir", str(tmp_path)) == "0 ['_hashlib']"
+    entry = sorted(tmp_path.glob("v*/*.spec"))[-1]
+    raw = bytearray(entry.read_bytes())
+    raw[-1] ^= 0x01
+    entry.write_bytes(bytes(raw))
+    probe = ("import sys, susychain.spectra as s; "
+             f"print(s.cache_header({str(entry)!r}), '_hashlib' in sys.modules)")
+    assert run_fresh(probe) == "None True"
