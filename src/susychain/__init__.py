@@ -16,11 +16,11 @@ __version__ = "0.1.0"
 # submodule -> the public names it provides
 _EXPORTS = {
     "basis": ("NSector", "SectorKey", "decompose_n_sector", "enumerate_sector"),
-    "model": ("SUSY_POINT", "ModelParams", "SectorMatrix",
-              "build_dh_ddelta", "build_dh_dj", "build_hamiltonian"),
+    "model": ("SUSY_POINT", "ModelParams", "SectorMatrix", "build_hamiltonian",
+              "level_slopes"),
     "spectra": ("BlockEigenpairs", "SolverError",
                 "cache_get", "cache_put", "diagonalize", "full_chain_spectrum"),
-    "susy": ("NumericalConsistencyError", "SusyLevel", "SusySpectrum", "assemble",
+    "susy": ("NumericalConsistencyError", "SusySpectrum", "assemble",
              "deviation_first_order", "slope_cn", "witten_regularized",
              "wtilde_gca_exact", "wtilde_qgca_exact", "wtilde_qgca_sectors"),
     "dynamics": ("ProtocolConfig", "WittenTrace", "gca_occupancy", "metropolis_accept",

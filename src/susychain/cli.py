@@ -36,7 +36,7 @@ from .analysis import (
 )
 from .basis import SectorKey, decompose_n_sector
 from .dynamics import PROTOCOL_GCA, PROTOCOL_QGCA, ProtocolConfig, run_protocol, write_trace_csv
-from .dynamics import _usable_cpus
+from .dynamics import BLOCK_SIZE, _usable_cpus
 from .model import SUSY_POINT, ModelParams
 from .spectra import CACHE_VERSION, SolverError, _blas_threads, _one_blas_thread, cache_header
 from .susy import (
@@ -223,17 +223,36 @@ def _check_size(n_list, full_chain: bool) -> None:
                 f"({MAX_BLOCK_BYTES // 2**20} MiB) per block")
 
 
+def _check_tallies(n_list, protocol: str, runs: int, iterations: int) -> None:
+    """Refuse a Monte Carlo run whose walker results exceed MAX_BLOCK_BYTES.
+
+    Every walker task returns int64 counts and float64 sums per iteration,
+    and the coordinator gathers the tasks of one sector, ceil(runs /
+    BLOCK_SIZE) per pool, before it folds them.
+    """
+    for N in n_list:
+        pools = 1 if protocol == PROTOCOL_GCA else len(decompose_n_sector(N).members)
+        tasks = pools * -(-runs // BLOCK_SIZE)
+        size = 16 * iterations * tasks
+        if size > MAX_BLOCK_BYTES:
+            raise ValueError(
+                f"N={N} gathers {size} bytes of walker results, 16 per iteration of "
+                f"each of {tasks} tasks; the limit is {MAX_BLOCK_BYTES} bytes "
+                f"({MAX_BLOCK_BYTES // 2**20} MiB)")
+
+
 def _params(args) -> ModelParams:
     return ModelParams(J=args.J, Delta=args.Delta, h=args.h)
 
 
 def _cmd_spectrum(args) -> int:
+    started = _timestamp()
     _check_size([args.N], full_chain=False)
     spec = assemble(args.N, _params(args), args.cache_dir)
     rows = [
-        {"L": lv.key.L, "n_d": lv.key.n_d, "energy": lv.energy,
-         "parity": lv.parity, "pair_id": lv.pair_id}
-        for lv in spec.levels
+        {"L": L, "n_d": spec.N - L - 1, "energy": e, "parity": p, "pair_id": pair}
+        for L, e, p, pair in zip(spec.lengths.tolist(), spec.energies.tolist(),
+                                 spec.parities.tolist(), spec.pair_ids)
     ]
     summary = {
         "N": spec.N,
@@ -265,10 +284,11 @@ def _cmd_spectrum(args) -> int:
             + (f" (at L={spec.zero_mode_length})" if spec.zero_mode_count else "")
         )
         text = "\n".join(lines) + "\n"
-    return _emit(args, "spectrum", text)
+    return _emit(args, "spectrum", text, started)
 
 
 def _cmd_witten(args) -> int:
+    started = _timestamp()
     _check_size([args.N], full_chain=args.which == "qgca")
     params = _params(args)
     if args.which == "regularized":
@@ -288,14 +308,13 @@ def _cmd_witten(args) -> int:
         ) + "\n"
     else:
         text = f"{value!r}\n"
-    return _emit(args, "witten", text)
+    return _emit(args, "witten", text, started)
 
 
-def _emit(args, command: str, text: str) -> int:
+def _emit(args, command: str, text: str, started: str) -> int:
     if args.out is None:
         sys.stdout.write(text)
         return 0
-    started = _timestamp()
     out = Path(args.out)
     if out.suffix:
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -322,6 +341,7 @@ def _cmd_dynamics(args) -> int:
         )
         for N in sectors
     ]
+    _check_tallies(sectors, args.protocol, args.runs, args.iterations)
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
@@ -356,6 +376,8 @@ def _cmd_sweep(args) -> int:
         base_seed=args.seed,
     )
     _check_size(n_list, full_chain=spec.estimator != "exact-gca")
+    if spec.estimator.startswith("sampled-"):
+        _check_tallies(n_list, spec.estimator[len("sampled-"):], spec.runs, spec.iterations)
     records = sweep(spec, args.cache_dir, args.threads)
     meta = {"coupling": spec.coupling, "estimator": spec.estimator, "beta": spec.beta,
             "version": __version__}

@@ -89,13 +89,21 @@ def build_hamiltonian(key: SectorKey, params: ModelParams) -> SectorMatrix:
     return SectorMatrix(key, params, H)
 
 
-def build_dh_ddelta(key: SectorKey) -> SectorMatrix:
-    """d H / d Delta: diagonal matrix of sum_i Sz_i Sz_{i+1}."""
-    return SectorMatrix(key, None, np.diag(_block_operators(key)[1]))
+def level_slopes(key: SectorKey, field: str, states: np.ndarray) -> np.ndarray:
+    """<psi|dH/dc|psi> for every column psi of `states`, c the ModelParams field.
 
-
-def build_dh_dj(key: SectorKey) -> SectorMatrix:
-    """d H / d J: the bare adjacency matrix of adjacent-exchange moves."""
-    A = np.zeros((key.dimension, key.dimension))
-    A[_block_operators(key)[0]] = 1.0
-    return SectorMatrix(key, None, A)
+    Read from the block's operator pieces, so no dense derivative is built:
+    sum_k D_k psi_k**2 for Delta, and the sum over the exchange pairs of
+    psi_row psi_col for J, taken a block dimension of pairs at a time so the
+    gathered rows never outgrow `states`. Both are exact in a column's sign.
+    """
+    (rows, cols), D, _ = _block_operators(key)
+    if field == "Delta":
+        return D @ np.square(states)
+    if field != "J":
+        raise ValueError(f"no slope for coupling field {field!r}")
+    slopes = np.zeros(states.shape[1])
+    step = len(states)
+    for k in range(0, len(rows), step):
+        slopes += np.einsum("ij,ij->j", states[rows[k:k + step]], states[cols[k:k + step]])
+    return slopes

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import SectorKey, decompose_n_sector
-from .model import SUSY_POINT, ModelParams, build_dh_ddelta, build_dh_dj, build_hamiltonian
+from .basis import decompose_n_sector
+from .model import SUSY_POINT, ModelParams, build_hamiltonian, level_slopes
 from .spectra import cached_block, diagonalize, full_chain_spectrum
 
 ZERO_TOL = 1e-10
@@ -33,36 +33,30 @@ class NumericalConsistencyError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SusyLevel:
-    key: SectorKey
-    energy: float
-    parity: int
-    pair_id: int | None = None
-
-
-@dataclass(frozen=True)
 class SusySpectrum:
-    """All levels of one N-sector with zero modes and degenerate pairs marked."""
+    """All levels of one N-sector with zero modes and degenerate pairs marked.
+
+    Level i sits on the chain of length lengths[i], in block
+    n_d = N - lengths[i] - 1 with parity (-1)**n_d; pair_ids[i] is None
+    for an unpaired level.
+    """
 
     N: int
     params: ModelParams
-    levels: tuple[SusyLevel, ...]
+    energies: np.ndarray
+    lengths: np.ndarray
+    parities: np.ndarray
+    pair_ids: tuple[int | None, ...]
     zero_mode_count: int
     zero_mode_length: int | None
-
-    def energies(self) -> np.ndarray:
-        return np.array([lv.energy for lv in self.levels])
-
-    def parities(self) -> np.ndarray:
-        return np.array([lv.parity for lv in self.levels], dtype=float)
 
     @property
     def first_excited(self) -> float:
         """Smallest energy above the degeneracy tolerance."""
-        positive = [lv.energy for lv in self.levels if lv.energy > PAIR_TOL]
-        if not positive:
+        positive = self.energies[self.energies > PAIR_TOL]
+        if not len(positive):
             raise ValueError(f"sector N={self.N} has no positive levels")
-        return min(positive)
+        return float(positive.min())
 
 
 def assemble(N: int, params: ModelParams, cache_dir=None) -> SusySpectrum:
@@ -71,39 +65,42 @@ def assemble(N: int, params: ModelParams, cache_dir=None) -> SusySpectrum:
     Pairing is greedy over levels sorted by (energy, L): each unpaired
     level takes the next unpaired level of opposite parity within the
     degeneracy tolerance. Away from the supersymmetric point levels may
-    remain unpaired; pair_id stays None there.
+    remain unpaired; their pair_ids entry stays None there.
     """
-    sector = decompose_n_sector(N)
-    raw: list[tuple[float, SectorKey, int]] = []
-    for key in sector.members:
-        for e in cached_block(key, params, cache_dir):
-            raw.append((float(e), key, key.parity))
-    raw.sort(key=lambda t: (t[0], t[1].L))
+    members = decompose_n_sector(N).members
+    blocks = [cached_block(key, params, cache_dir) for key in members]
+    energies = np.concatenate(blocks)
+    sizes = [len(e) for e in blocks]
+    lengths = np.repeat([key.L for key in members], sizes)
+    parities = np.repeat([key.parity for key in members], sizes)
+    # stable, like a sort of (energy, L) tuples: the estimators sum in this order
+    order = np.lexsort((lengths, energies))
+    energies, lengths, parities = energies[order], lengths[order], parities[order]
 
-    pair_of: dict[int, int | None] = {i: None for i in range(len(raw))}
+    e, p = energies.tolist(), parities.tolist()
+    pair_of: list[int | None] = [None] * len(e)
     next_pair = 0
-    for i, (ei, _, pi) in enumerate(raw):
+    for i, (ei, pi) in enumerate(zip(e, p)):
         if pair_of[i] is not None or ei <= PAIR_TOL:
             continue
-        for j in range(i + 1, len(raw)):
-            ej, _, pj = raw[j]
-            if ej - ei > PAIR_TOL:
+        for j in range(i + 1, len(e)):
+            if e[j] - ei > PAIR_TOL:
                 break
-            if pair_of[j] is None and pj == -pi:
+            if pair_of[j] is None and p[j] == -pi:
                 pair_of[i] = pair_of[j] = next_pair
                 next_pair += 1
                 break
 
-    levels = tuple(
-        SusyLevel(key, e, p, pair_of[i]) for i, (e, key, p) in enumerate(raw)
-    )
-    zeros = [lv for lv in levels if abs(lv.energy) < ZERO_TOL]
+    zeros = np.flatnonzero(np.abs(energies) < ZERO_TOL)
     return SusySpectrum(
         N=N,
         params=params,
-        levels=levels,
+        energies=energies,
+        lengths=lengths,
+        parities=parities,
+        pair_ids=tuple(pair_of),
         zero_mode_count=len(zeros),
-        zero_mode_length=zeros[0].key.L if len(zeros) == 1 else None,
+        zero_mode_length=int(lengths[zeros[0]]) if len(zeros) == 1 else None,
     )
 
 
@@ -112,7 +109,7 @@ def witten_regularized(spec: SusySpectrum, beta0: float) -> float:
     every positive level is parity-paired."""
     if not 0.0 <= beta0 < math.inf:
         raise ValueError(f"beta0 must be finite and >= 0, got {beta0}")
-    return float(np.sum(spec.parities() * np.exp(-beta0 * spec.energies())))
+    return float(np.sum(spec.parities * np.exp(-beta0 * spec.energies)))
 
 
 def wtilde_gca_exact(spec: SusySpectrum, beta: float) -> float:
@@ -124,12 +121,12 @@ def wtilde_gca_exact(spec: SusySpectrum, beta: float) -> float:
     """
     if not 0.0 <= beta < math.inf:
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    e = spec.energies()
+    e = spec.energies
     # shift by the ground energy only where e^{-beta E0} leaves the float range:
     # slope_cn's central difference magnifies the weights' last bits 5000-fold
     e0 = e.min() if beta * abs(e.min()) > 600.0 else 0.0
     w = np.exp(-beta * (e - e0))
-    return float((spec.parities() * w).sum() / w.sum())
+    return float((spec.parities * w).sum() / w.sum())
 
 
 def wtilde_qgca_exact(N: int, params: ModelParams, beta: float, cache_dir=None) -> float:
@@ -187,13 +184,13 @@ def _log_gibbs(energies: np.ndarray, beta: float) -> float:
 # ---------------------------------------------------------------------------
 # deviation laws around the supersymmetric point
 
-# coupling name -> (ModelParams field, dH/dcoupling builder)
-_COUPLINGS = {COUPLING_DELTA: ("Delta", build_dh_ddelta), COUPLING_J: ("J", build_dh_dj)}
-SUSY_VALUE = {name: getattr(SUSY_POINT, field) for name, (field, _) in _COUPLINGS.items()}
+# coupling name -> ModelParams field
+_COUPLINGS = {COUPLING_DELTA: "Delta", COUPLING_J: "J"}
+SUSY_VALUE = {name: getattr(SUSY_POINT, field) for name, field in _COUPLINGS.items()}
 FD_STEP = 1e-4
 
 
-def _coupling(name: str):
+def _coupling(name: str) -> str:
     if name not in _COUPLINGS:
         raise ValueError(f"unknown coupling {name!r}")
     return _COUPLINGS[name]
@@ -201,8 +198,7 @@ def _coupling(name: str):
 
 def params_at(coupling: str, value: float) -> ModelParams:
     """The supersymmetric point with one coupling moved to `value`."""
-    field, _ = _coupling(coupling)
-    return replace(SUSY_POINT, **{field: value})
+    return replace(SUSY_POINT, **{_coupling(coupling): value})
 
 
 def finite_difference_dw(N: int, beta: float, coupling: str) -> float:
@@ -232,22 +228,16 @@ def hellmann_feynman_dw(N: int, beta: float, coupling: str, blocks=None) -> floa
     only block traces of analytic functions enter. `blocks` are the
     sector's _susy_blocks when the caller already holds them.
     """
-    _, build_dh = _coupling(coupling)
+    field = _coupling(coupling)
     specs = blocks or _susy_blocks(N)
+    e = np.concatenate([spec.energies for spec in specs])
+    p = np.concatenate([np.full(len(spec.energies), spec.key.parity) for spec in specs])
+    slopes = np.concatenate([level_slopes(spec.key, field, spec.states) for spec in specs])
     # W and dW/dc are ratios of sums over the same weights, so shifting them
     # by the ground energy is exact and keeps e^{-beta E} from underflowing
-    e0 = min(spec.energies.min() for spec in specs)
-    num = den = num_d = den_d = 0.0
-    for spec in specs:
-        # a column's sign cancels in psi^T (dH/dc) psi, so eigh's signs serve
-        slopes = np.einsum("ij,ij->j", spec.states, build_dh(spec.key).entries @ spec.states)
-        w = np.exp(-beta * (spec.energies - e0))
-        num += spec.key.parity * w.sum()
-        den += w.sum()
-        num_d += spec.key.parity * float((w * slopes).sum())
-        den_d += float((w * slopes).sum())
-    W = num / den
-    return -beta * (num_d - W * den_d) / den
+    w = np.exp(-beta * (e - e.min()))
+    W = (p * w).sum() / w.sum()
+    return float(-beta * ((p * w * slopes).sum() - W * (w * slopes).sum()) / w.sum())
 
 
 def _checked_slope(N: int, beta: float, coupling: str, blocks=None) -> float:

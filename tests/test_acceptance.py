@@ -116,26 +116,27 @@ def test_criterion_1_sector_census():
         want_zero = 0 if N % 3 == 0 else 1
         if spec.zero_mode_count != want_zero:
             failures.append(f"N={N}: zero-mode count {spec.zero_mode_count}")
-        for lv in spec.levels:
-            if abs(lv.energy) < 1e-10:
+        energies, parities = spec.energies.tolist(), spec.parities.tolist()
+        for e, pair in zip(energies, spec.pair_ids):
+            if abs(e) < 1e-10:
                 continue
-            if lv.energy <= 1e-8:
-                failures.append(f"N={N}: level {lv.energy!r} in no-man's land")
-            elif lv.pair_id is None:
-                failures.append(f"N={N}: unpaired level at E={lv.energy!r}")
-        for lv in spec.levels:
-            if lv.pair_id is None:
+            if e <= 1e-8:
+                failures.append(f"N={N}: level {e!r} in no-man's land")
+            elif pair is None:
+                failures.append(f"N={N}: unpaired level at E={e!r}")
+        for i, pair in enumerate(spec.pair_ids):
+            if pair is None:
                 continue
             partner = [
-                o for o in spec.levels
-                if o.pair_id == lv.pair_id and o is not lv
+                j for j, other in enumerate(spec.pair_ids)
+                if other == pair and j != i
             ]
             if (
                 len(partner) != 1
-                or partner[0].parity != -lv.parity
-                or abs(partner[0].energy - lv.energy) > 1e-8
+                or parities[partner[0]] != -parities[i]
+                or abs(energies[partner[0]] - energies[i]) > 1e-8
             ):
-                failures.append(f"N={N}: bad pair at E={lv.energy!r}")
+                failures.append(f"N={N}: bad pair at E={energies[i]!r}")
         expected_w = 0 if N % 3 == 0 else (-1) ** (N // 3)
         for beta0 in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
             w = witten_regularized(spec, beta0)
@@ -151,10 +152,10 @@ def test_criterion_2_hand_goldens():
     assert np.array_equal(h30, np.array([[2.0]]))
     h11 = build_hamiltonian(SectorKey(1, 1), SUSY).entries
     assert np.array_equal(h11, np.array([[1.0]]))
-    assert sorted(assemble(3, SUSY).energies()) == pytest.approx(
+    assert sorted(assemble(3, SUSY).energies) == pytest.approx(
         [1.0, 1.0], abs=1e-10
     )
-    assert sorted(assemble(4, SUSY).energies()) == pytest.approx(
+    assert sorted(assemble(4, SUSY).energies) == pytest.approx(
         [0.0, 2.0, 2.0], abs=1e-10
     )
 

@@ -100,6 +100,31 @@ class TestWitten:
         assert manifest["arguments"]["N"] == 4
 
 
+@pytest.mark.parametrize("argv,work", [
+    (("spectrum", "--N", "6"), "assemble"),
+    (("witten", "--N", "6", "--which", "regularized"), "assemble"),
+    (("witten", "--N", "6", "--which", "gca"), "assemble"),
+    (("witten", "--N", "6", "--which", "qgca"), "wtilde_qgca_exact"),
+], ids=["spectrum", "witten-regularized", "witten-gca", "witten-qgca"])
+def test_manifest_started_precedes_the_work(capsys, tmp_path, monkeypatch, argv, work):
+    import susychain.cli as cli
+
+    ticks = iter(range(1000))
+    monkeypatch.setattr(cli, "_timestamp", lambda: f"{next(ticks):03d}")
+    marks = []
+    compute = getattr(cli, work)
+
+    def marked(*args):
+        marks.append(cli._timestamp())
+        return compute(*args)
+
+    monkeypatch.setattr(cli, work, marked)
+    code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "out.txt"))
+    assert code == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["started"] < marks[0] < manifest["finished"]
+
+
 class TestConfigFile:
     def test_config_sets_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.conf"
@@ -558,6 +583,51 @@ class TestSizeGuard:
             main(list(argv))
 
 
+    @pytest.fixture
+    def no_walkers(self, monkeypatch):
+        import susychain.dynamics
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(susychain.dynamics, "_walk_block", reached)
+
+    @pytest.mark.parametrize("argv,message", [
+        (("dynamics", "--N", "3", "--runs", "1", "--iterations", "100000000000"),
+         "N=3 gathers 1600000000000 bytes of walker results, 16 per iteration of each "
+         "of 1 tasks"),
+        (("dynamics", "--protocol", "qgca", "--N", "11", "--runs", "50000000",
+          "--iterations", "500"),
+         "N=11 gathers 292992000 bytes of walker results, 16 per iteration of each "
+         "of 36624 tasks"),
+        (("sweep", "--estimator", "sampled-gca", "--N", "3,4", "--values", "1.0,1.1",
+          "--runs", "1", "--iterations", "20000000"),
+         "N=3 gathers 320000000 bytes"),
+        (("sweep", "--estimator", "sampled-qgca", "--N", "3,4", "--values", "1.0,1.1",
+          "--runs", "1", "--iterations", "10000000"),
+         "N=3 gathers 320000000 bytes"),
+    ], ids=["dynamics-iterations", "dynamics-qgca-runs", "sweep-gca", "sweep-qgca"])
+    def test_oversized_walker_results_are_refused_before_any_walker(
+            self, capsys, tmp_path, no_walkers, argv, message):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, *argv, "--threads", "1", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: {message}")
+        assert err.rstrip().endswith("the limit is 268435456 bytes (256 MiB)")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("iterations,refused", [(2**24, False), (2**24 + 1, True)])
+    def test_walker_results_at_the_limit_pass_the_guard(self, capsys, no_walkers,
+                                                         iterations, refused):
+        argv = ["dynamics", "--N", "3", "--runs", "1", "--iterations", str(iterations),
+                "--threads", "1"]
+        if refused:
+            assert run_cli(capsys, *argv)[0] == 2
+        else:
+            with pytest.raises(Reached):
+                main(argv)
+
+
 def test_console_script_help_runs():
     # the child imports the same package as this process, installed or not
     src = str(Path(susychain.__file__).parents[1])
@@ -600,12 +670,12 @@ def test_public_api_census():
     assert sorted(susychain.__all__) == [
         "BlockEigenpairs", "FitReport", "ModelParams", "NSector",
         "NumericalConsistencyError", "ProtectionRow", "ProtocolConfig", "SUSY_POINT",
-        "SectorKey", "SectorMatrix", "SolverError", "SusyLevel", "SusySpectrum",
+        "SectorKey", "SectorMatrix", "SolverError", "SusySpectrum",
         "SweepRecord", "SweepSpec", "WittenTrace", "__version__", "assemble",
-        "build_dh_ddelta", "build_dh_dj", "build_hamiltonian", "cache_get", "cache_put",
+        "build_hamiltonian", "cache_get", "cache_put",
         "compare_first_order", "decompose_n_sector", "deviation_first_order",
         "diagonalize", "enumerate_sector", "full_chain_spectrum", "gca_occupancy",
-        "metropolis_accept", "protection_report", "run_protocol", "seed_stream",
+        "level_slopes", "metropolis_accept", "protection_report", "run_protocol", "seed_stream",
         "slope_cn", "sweep", "witten_regularized", "wtilde_gca_exact",
         "wtilde_qgca_exact", "wtilde_qgca_sectors",
     ]

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,12 +9,22 @@ from susychain.model import (
     SUSY_POINT,
     ModelParams,
     _block_operators,
-    build_dh_ddelta,
-    build_dh_dj,
     build_hamiltonian,
+    level_slopes,
 )
 
 SUSY = ModelParams()
+
+
+# dH/dc as dense matrices, built from the block's operator pieces
+def build_dh_ddelta(key: SectorKey) -> np.ndarray:
+    return np.diag(_block_operators(key)[1])
+
+
+def build_dh_dj(key: SectorKey) -> np.ndarray:
+    A = np.zeros((key.dimension, key.dimension))
+    A[_block_operators(key)[0]] = 1.0
+    return A
 
 
 def test_susy_point_predicate():
@@ -61,26 +72,44 @@ def test_off_diagonal_connections_are_adjacent_exchanges():
 
 
 def test_derivative_goldens():
-    assert np.array_equal(
-        build_dh_ddelta(SectorKey(2, 1)).entries, np.diag([-0.25, -0.25]))
-    assert np.array_equal(build_dh_ddelta(SectorKey(3, 0)).entries, [[0.5]])
-    assert np.array_equal(build_dh_ddelta(SectorKey(1, 1)).entries, [[0.0]])
-    assert np.array_equal(
-        build_dh_dj(SectorKey(2, 1)).entries, [[0.0, 1.0], [1.0, 0.0]])
-    assert np.array_equal(build_dh_dj(SectorKey(3, 0)).entries, [[0.0]])
-    assert np.array_equal(build_dh_dj(SectorKey(1, 1)).entries, [[0.0]])
+    assert np.array_equal(build_dh_ddelta(SectorKey(2, 1)), np.diag([-0.25, -0.25]))
+    assert np.array_equal(build_dh_ddelta(SectorKey(3, 0)), [[0.5]])
+    assert np.array_equal(build_dh_ddelta(SectorKey(1, 1)), [[0.0]])
+    assert np.array_equal(build_dh_dj(SectorKey(2, 1)), [[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(build_dh_dj(SectorKey(3, 0)), [[0.0]])
+    assert np.array_equal(build_dh_dj(SectorKey(1, 1)), [[0.0]])
+
+
+EPS = 1e-4
+
+
+def central_difference(key: SectorKey, field: str) -> np.ndarray:
+    """(H(c + EPS) - H(c - EPS)) / 2 EPS at the supersymmetric point."""
+    c = getattr(SUSY, field)
+    up, dn = (build_hamiltonian(key, replace(SUSY, **{field: c + s})).entries
+              for s in (EPS, -EPS))
+    return (up - dn) / (2 * EPS)
 
 
 @pytest.mark.parametrize("L,nd", [(3, 1), (4, 2), (5, 3)])
 def test_finite_difference_consistency(L, nd):
     key = SectorKey(L, nd)
-    eps = 1e-4
-    dD = (build_hamiltonian(key, ModelParams(Delta=1 + eps)).entries
-          - build_hamiltonian(key, ModelParams(Delta=1 - eps)).entries) / (2 * eps)
-    assert np.allclose(dD, build_dh_ddelta(key).entries, atol=1e-10)
-    dJ = (build_hamiltonian(key, ModelParams(J=-1 + eps)).entries
-          - build_hamiltonian(key, ModelParams(J=-1 - eps)).entries) / (2 * eps)
-    assert np.allclose(dJ, build_dh_dj(key).entries, atol=1e-10)
+    for field, build in (("Delta", build_dh_ddelta), ("J", build_dh_dj)):
+        assert np.allclose(central_difference(key, field), build(key), atol=1e-10)
+
+
+@pytest.mark.parametrize("L,nd", [(1, 1), (3, 1), (4, 2), (6, 3), (8, 4), (10, 5)])
+@pytest.mark.parametrize("field", ["J", "Delta"])
+def test_level_slopes_match_central_difference(L, nd, field):
+    key = SectorKey(L, nd)
+    _, states = np.linalg.eigh(build_hamiltonian(key, SUSY).entries)
+    expected = np.einsum("ij,ij->j", states, central_difference(key, field) @ states)
+    assert np.allclose(level_slopes(key, field, states), expected, rtol=0, atol=1e-10)
+
+
+def test_level_slopes_reject_other_fields():
+    with pytest.raises(ValueError, match="'h'"):
+        level_slopes(SectorKey(2, 1), "h", np.eye(2))
 
 
 def test_block_operators_are_read_only():
@@ -100,7 +129,8 @@ def test_susy_point_spectrum_nonnegative(L):
 
 # sha256 over the entries of every block with L <= 10, in (L, n_d) order,
 # recorded before the operators were rebuilt from one shared helper; the
-# sweeps' finite differences see any change in the last bit.
+# sweeps' finite differences see any change in the last bit. dH/dc comes
+# from the dense builders above, so the digests pin the operator pieces.
 FROZEN_BLOCKS = [SectorKey(L, nd) for L in range(1, 11) for nd in range(L + 1)]
 GENERIC = ModelParams(J=-0.73, Delta=1.37, h=0.29)
 FROZEN_DIGESTS = {
@@ -112,15 +142,15 @@ FROZEN_DIGESTS = {
 
 
 @pytest.mark.parametrize("name,build", [
-    ("H susy", lambda key: build_hamiltonian(key, SUSY)),
-    ("H generic", lambda key: build_hamiltonian(key, GENERIC)),
+    ("H susy", lambda key: build_hamiltonian(key, SUSY).entries),
+    ("H generic", lambda key: build_hamiltonian(key, GENERIC).entries),
     ("dH/dJ", build_dh_dj),
     ("dH/dDelta", build_dh_ddelta),
 ])
 def test_operator_entries_are_frozen(name, build):
     digest = hashlib.sha256()
     for key in FROZEN_BLOCKS:
-        digest.update(build(key).entries.tobytes())
+        digest.update(build(key).tobytes())
     assert digest.hexdigest() == FROZEN_DIGESTS[name]
 
 

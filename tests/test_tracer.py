@@ -1,0 +1,48 @@
+"""The traced benchmark's span recorder runs against the package as it is.
+
+perfbench/tracer.py wraps the package's public functions and annotates
+`spectra.diagonalize` and `dynamics.run_protocol` spans from what those
+calls take and return, so it breaks silently when either contract moves.
+"""
+
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def trace(tmp_path, *argv):
+    """Spans of one traced command: [id, parent, name, start, end, cpu, attrs]."""
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run([sys.executable, str(TRACER), str(spans), *argv],
+                          capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(spans.read_text())
+
+
+def by_name(spans, name):
+    return [s for s in spans if s[2] == name]
+
+
+def test_exact_sweep_spans_annotate_each_diagonalization(tmp_path):
+    spans = trace(tmp_path, "sweep", "--estimator", "exact-gca", "--N", "3,4",
+                  "--values", "0.99,1.0,1.01", "--out", str(tmp_path / "out"))
+    diagonalized = by_name(spans, "spectra.diagonalize")
+    assert diagonalized
+    for *_, attrs in diagonalized:
+        L, n_d, *couplings = attrs["block"]
+        assert len(couplings) == 3
+        assert attrs["dim"] == math.comb(L, n_d)
+    assert by_name(spans, "analysis.sweep")[0][6] == {"points": 6}
+
+
+def test_dynamics_spans_annotate_the_protocol_run(tmp_path):
+    spans = trace(tmp_path, "dynamics", "--N", "3", "--runs", "10", "--iterations", "5",
+                  "--threads", "1")
+    [(*_, attrs)] = by_name(spans, "dynamics.run_protocol")
+    assert attrs["walker_steps"] == 10 * 5
+    assert attrs["tasks"] == 1
+    assert 0 <= attrs["in_sector"] <= 10 * 5
