@@ -22,7 +22,7 @@ _EXPORTS = {
                 "cache_get", "cache_put", "diagonalize", "full_chain_spectrum"),
     "susy": ("NumericalConsistencyError", "SusySpectrum", "assemble",
              "deviation_first_order", "slope_cn", "witten_regularized",
-             "wtilde_gca_exact", "wtilde_qgca_exact", "wtilde_qgca_sectors"),
+             "wtilde_gca_exact", "wtilde_qgca_exact"),
     "dynamics": ("ProtocolConfig", "WittenTrace", "gca_occupancy", "metropolis_accept",
                  "run_protocol", "seed_stream"),
     "analysis": ("FitReport", "ProtectionRow", "SweepRecord", "SweepSpec",

@@ -9,20 +9,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import ProtocolConfig, run_protocol
-from .model import SUSY_POINT
 from .susy import (
+    COUPLING_DELTA,
     SUSY_VALUE,
     assemble,
     deviation_first_order,
     params_at,
     wtilde_gca_exact,
-    wtilde_qgca_sectors,
+    wtilde_qgca_exact,
 )
 
 ESTIMATORS = ("exact-gca", "exact-qgca", "sampled-gca", "sampled-qgca")
@@ -75,6 +75,8 @@ def _evaluate(spec: SweepSpec, N: int, value: float, seed: int | None,
     params = params_at(spec.coupling, value)
     if spec.estimator == "exact-gca":
         return wtilde_gca_exact(assemble(N, params, cache_dir), spec.beta), 0.0
+    if spec.estimator == "exact-qgca":
+        return wtilde_qgca_exact(N, params, spec.beta, cache_dir), 0.0
     protocol = "gca" if spec.estimator == "sampled-gca" else "qgca"
     config = ProtocolConfig(
         protocol=protocol, N=N, beta=spec.beta, iterations=spec.iterations,
@@ -84,29 +86,17 @@ def _evaluate(spec: SweepSpec, N: int, value: float, seed: int | None,
     return trace.window_estimate, trace.window_stderr
 
 
-def _evaluate_all(spec: SweepSpec, value: float, seed: int | None,
-                  cache_dir, threads: int) -> dict[int, tuple[float, float]]:
-    """One coupling value across every sector -> {N: (wtilde, stderr)}.
-
-    exact-QGCA shares each chain's spectrum among the sectors it belongs
-    to; every other estimator evaluates the sectors one by one.
-    """
-    if spec.estimator == "exact-qgca":
-        params = params_at(spec.coupling, value)
-        return {N: (w, 0.0) for N, w in
-                wtilde_qgca_sectors(spec.n_list, params, spec.beta, cache_dir).items()}
-    return {N: _evaluate(spec, N, value, seed, cache_dir, threads) for N in spec.n_list}
-
-
 def sweep(spec: SweepSpec, cache_dir=None, threads: int = 1) -> list[SweepRecord]:
     """One record per (N, value), ordered N-major.
 
     Each coupling value, the special one included, is evaluated once for
-    all sectors, and the first-order rate once per sector. The reference
-    at the special point uses its own seed so sampled deviations do not
-    cancel correlated noise; sampled streams are keyed by (seed, N, block),
-    so the evaluation order does not change them. Exact estimators read no
-    seed, so a grid value equal to the special one reuses the reference.
+    all sectors, and the first-order rate once per sector. Values are the
+    outer loop so the sectors of one value share its memoized chain
+    spectra. The reference at the special point uses its own seed so
+    sampled deviations do not cancel correlated noise; sampled streams are
+    keyed by (seed, N, block), so the evaluation order does not change
+    them. Exact estimators read no seed, so a grid value equal to the
+    special one reuses the reference.
     """
     exact = spec.estimator.startswith("exact-")
     # SeedSequence loads numpy.random (and OpenSSL), which exact sweeps never use
@@ -115,13 +105,15 @@ def sweep(spec: SweepSpec, cache_dir=None, threads: int = 1) -> list[SweepRecord
     ).generate_state(1)[0])
 
     susy_value = SUSY_VALUE[spec.coupling]
-    ref = _evaluate_all(spec, susy_value, ref_seed, cache_dir, threads)
+    ref = {N: _evaluate(spec, N, susy_value, ref_seed, cache_dir, threads)
+           for N in spec.n_list}
     # first-order deviation per unit |shift|, |dW/dc|
     rate = {N: deviation_first_order(N, spec.beta, spec.coupling, 1.0) for N in spec.n_list}
     done = {susy_value: ref} if exact else {}
     for value in spec.values:
         if value not in done:
-            done[value] = _evaluate_all(spec, value, spec.base_seed, cache_dir, threads)
+            done[value] = {N: _evaluate(spec, N, value, spec.base_seed, cache_dir, threads)
+                           for N in spec.n_list}
     points = [done[value] for value in spec.values]
     records = []
     for N in spec.n_list:
@@ -207,10 +199,11 @@ def protection_report(beta_low: float, beta_high: float, n_list,
     """
     if not beta_low < beta_high:
         raise ValueError("beta_low must be < beta_high")
+    delta0 = SUSY_VALUE[COUPLING_DELTA]
     rows = []
     for N in n_list:
-        base = assemble(N, SUSY_POINT, cache_dir)
-        shifted = assemble(N, replace(SUSY_POINT, Delta=1.0 + delta_shift), cache_dir)
+        base = assemble(N, params_at(COUPLING_DELTA, delta0), cache_dir)
+        shifted = assemble(N, params_at(COUPLING_DELTA, delta0 + delta_shift), cache_dir)
         devs = {
             beta: abs(wtilde_gca_exact(shifted, beta) - wtilde_gca_exact(base, beta))
             for beta in (beta_low, beta_high)

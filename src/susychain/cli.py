@@ -36,7 +36,7 @@ from .analysis import (
 )
 from .basis import SectorKey, decompose_n_sector
 from .dynamics import PROTOCOL_GCA, PROTOCOL_QGCA, ProtocolConfig, run_protocol, write_trace_csv
-from .dynamics import BLOCK_SIZE, _usable_cpus
+from .dynamics import BLOCK_SIZE, _tally_dtype, _usable_cpus, _window_start
 from .model import SUSY_POINT, ModelParams
 from .spectra import CACHE_VERSION, SolverError, _blas_threads, _one_blas_thread, cache_header
 from .susy import (
@@ -228,8 +228,11 @@ def _check_tallies(n_list, protocol: str, runs: int, iterations: int) -> None:
 
     Every walker task returns int64 counts and float64 sums per iteration,
     and the coordinator gathers the tasks of one sector, ceil(runs /
-    BLOCK_SIZE) per pool, before it folds them.
+    BLOCK_SIZE) per pool, before it folds them. Each walker also returns
+    two window tallies, which the fold turns into one float64 residual.
     """
+    per_walker = 2 * _tally_dtype(iterations - _window_start(iterations)).itemsize + 8
+    limit = f"the limit is {MAX_BLOCK_BYTES} bytes ({MAX_BLOCK_BYTES // 2**20} MiB)"
     for N in n_list:
         pools = 1 if protocol == PROTOCOL_GCA else len(decompose_n_sector(N).members)
         tasks = pools * -(-runs // BLOCK_SIZE)
@@ -237,8 +240,12 @@ def _check_tallies(n_list, protocol: str, runs: int, iterations: int) -> None:
         if size > MAX_BLOCK_BYTES:
             raise ValueError(
                 f"N={N} gathers {size} bytes of walker results, 16 per iteration of "
-                f"each of {tasks} tasks; the limit is {MAX_BLOCK_BYTES} bytes "
-                f"({MAX_BLOCK_BYTES // 2**20} MiB)")
+                f"each of {tasks} tasks; {limit}")
+        size = per_walker * pools * runs
+        if size > MAX_BLOCK_BYTES:
+            raise ValueError(
+                f"N={N} needs {size} bytes of window tallies and residuals, "
+                f"{per_walker} per walker of {pools * runs} walkers; {limit}")
 
 
 def _params(args) -> ModelParams:
@@ -306,6 +313,8 @@ def _cmd_witten(args) -> int:
             {"N": args.N, "which": args.which, "beta": beta_used, "value": value},
             indent=1,
         ) + "\n"
+    elif args.format == "csv":
+        text = f"N,which,beta,value\n{args.N},{args.which},{beta_used!r},{value!r}\n"
     else:
         text = f"{value!r}\n"
     return _emit(args, "witten", text, started)

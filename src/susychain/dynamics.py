@@ -129,22 +129,32 @@ def _pools(config: ProtocolConfig, cache_dir) -> list[tuple[str, _Pool]]:
                           np.concatenate([p.signed for _, p in pools])))]
 
 
+def _window_start(iterations: int) -> int:
+    """First iteration of the steady-state window, the last 20% (at least one)."""
+    return iterations - max(1, iterations // 5)
+
+
+def _tally_dtype(window: int) -> np.dtype:
+    """Smallest signed integer dtype that holds +-window, a walker's window tally."""
+    # a signed dtype holding -(w + 1) holds +w too; min_scalar_type(-w) is int8 at w = 128
+    return np.min_scalar_type(-window - 1)
+
+
 def _walk_block(key: tuple, pool: _Pool, beta: float, iterations: int,
                 window_start: int, size: int):
     """One block of walkers, full trajectory, deterministic draw order.
 
-    `key` is the block's seed_stream key. The window tallies come in the
-    smallest signed integer dtype that holds +-(window length), which keeps
-    the results the coordinator gathers small. The last result counts the
-    walkers per pool state after the last iteration.
+    `key` is the block's seed_stream key. The window tallies come in
+    _tally_dtype of the window length, which keeps the results the
+    coordinator gathers small. The last result counts the walkers per pool
+    state after the last iteration.
     """
     rng = seed_stream(*key)
     dim = len(pool.energies)
     cur = rng.integers(0, dim, size)
     counts = np.zeros(iterations, dtype=np.int64)
     sums = np.zeros(iterations)
-    # a signed dtype holding -(w + 1) holds +w too; min_scalar_type(-w) is int8 at w = 128
-    tally = np.min_scalar_type(window_start - iterations - 1)
+    tally = _tally_dtype(iterations - window_start)
     wsum = np.zeros(size, dtype=tally)
     wcnt = np.zeros(size, dtype=tally)
     for t in range(iterations):
@@ -214,8 +224,7 @@ def run_protocol(config: ProtocolConfig, cache_dir=None, threads: int = 1) -> Wi
     pools in-sector walkers across all chains, so it tracks the parity
     histogram a per-chain measurement protocol accumulates.
     """
-    iters = config.iterations
-    window_start = iters - max(1, iters // 5)
+    window_start = _window_start(config.iterations)
     results = _walk(config, _pools(config, cache_dir), threads, window_start)
     cnts, sums, wsums, wcnts, _ = zip(*results)  # task order: deterministic fold
     counts, sums = sum(cnts), sum(sums)

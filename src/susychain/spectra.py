@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import os
 import struct
 import tempfile
@@ -210,8 +211,18 @@ def cached_block(
     return energies
 
 
+# 16 chains hold one coupling value's member chains for every sector the
+# full-chain size guard admits (lengths 1..14); at 2**14 levels or fewer
+# each, that is at most 2 MiB of energies
+@functools.lru_cache(maxsize=16)
 def full_chain_spectrum(
     L: int, params: ModelParams, cache_dir: str | Path | None = None
 ) -> tuple[np.ndarray, ...]:
-    """Energies of every block of an L-site chain, indexed by n_d; 2**L levels in all."""
-    return tuple(cached_block(SectorKey(L, nd), params, cache_dir) for nd in range(L + 1))
+    """Energies of every block of an L-site chain, indexed by n_d; 2**L levels in all.
+
+    Memoized per process and shared by every caller, so the arrays are read-only.
+    """
+    chain = tuple(cached_block(SectorKey(L, nd), params, cache_dir) for nd in range(L + 1))
+    for energies in chain:
+        energies.flags.writeable = False
+    return chain

@@ -11,7 +11,6 @@ and the estimators respond, which is what the deviation laws quantify.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -146,33 +145,15 @@ def wtilde_qgca_exact(N: int, params: ModelParams, beta: float, cache_dir=None) 
     estimate, and it is the quantity that converges to the pooled-chain
     value at low temperature.
     """
-    return wtilde_qgca_sectors((N,), params, beta, cache_dir)[N]
-
-
-def wtilde_qgca_sectors(n_list, params: ModelParams, beta: float,
-                        cache_dir=None) -> dict[int, float]:
-    """wtilde_qgca_exact for every sector of n_list, keyed by N.
-
-    A chain of length L is a member of every sector from N = L+1 to 2L+1,
-    so each distinct length is diagonalized once and reduced to the
-    log Gibbs weights of its blocks relative to log Z_L before the next.
-    """
     if not 0.0 <= beta < math.inf:
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    members = {N: decompose_n_sector(N).members for N in n_list}
-    log_w = {}  # SectorKey -> log(sum_{i in block} e^{-beta E_i} / Z_L)
-    blocks = sorted({key for keys in members.values() for key in keys})
-    for L, keys in itertools.groupby(blocks, key=lambda key: key.L):
-        chain = full_chain_spectrum(L, params, cache_dir)
-        log_z = _log_gibbs(np.concatenate(chain), beta)
-        for key in keys:
-            log_w[key] = _log_gibbs(chain[key.n_d], beta) - log_z
-    out = {}
-    for N, keys in members.items():
-        lw = [log_w[key] for key in keys]
-        w = np.exp(np.array(lw) - max(lw))
-        out[N] = float((np.array([key.parity for key in keys]) * w).sum() / w.sum())
-    return out
+    keys = decompose_n_sector(N).members
+    lw = []  # log(sum_{i in block} e^{-beta E_i} / Z_L) per member block
+    for key in keys:
+        chain = full_chain_spectrum(key.L, params, cache_dir)
+        lw.append(_log_gibbs(chain[key.n_d], beta) - _log_gibbs(np.concatenate(chain), beta))
+    w = np.exp(np.array(lw) - max(lw))
+    return float((np.array([key.parity for key in keys]) * w).sum() / w.sum())
 
 
 def _log_gibbs(energies: np.ndarray, beta: float) -> float:

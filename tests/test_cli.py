@@ -86,6 +86,19 @@ class TestWitten:
         assert float(out) == 0.0
         assert err == ""
 
+    @pytest.mark.parametrize("which,extra,beta", [
+        ("gca", ("--beta", "5"), "5.0"),
+        ("regularized", ("--beta0", "2"), "2.0"),
+    ])
+    def test_csv_is_a_header_and_one_row(self, capsys, which, extra, beta):
+        _, json_out, _ = run_cli(capsys, "witten", "--N", "4", "--which", which, *extra,
+                                 "--format", "json")
+        code, out, _ = run_cli(capsys, "witten", "--N", "4", "--which", which, *extra,
+                               "--format", "csv")
+        assert code == 0
+        value = json.loads(json_out)["value"]
+        assert out == f"N,which,beta,value\n4,{which},{beta},{value!r}\n"
+
     def test_out_file_and_manifest(self, capsys, tmp_path):
         out_file = tmp_path / "w.json"
         code, _, _ = run_cli(capsys, "witten", "--N", "4", "--format", "json",
@@ -606,7 +619,16 @@ class TestSizeGuard:
         (("sweep", "--estimator", "sampled-qgca", "--N", "3,4", "--values", "1.0,1.1",
           "--runs", "1", "--iterations", "10000000"),
          "N=3 gathers 320000000 bytes"),
-    ], ids=["dynamics-iterations", "dynamics-qgca-runs", "sweep-gca", "sweep-qgca"])
+        # int8 window tallies at one iteration: 2 + 2 + 8 bytes per walker
+        (("dynamics", "--N", "3", "--runs", "33554432", "--iterations", "1"),
+         "N=3 needs 335544320 bytes of window tallies and residuals, 10 per walker "
+         "of 33554432 walkers"),
+        (("sweep", "--estimator", "sampled-qgca", "--N", "3,4", "--values", "1.0,1.1",
+          "--runs", "16777216", "--iterations", "1"),
+         "N=3 needs 335544320 bytes of window tallies and residuals, 10 per walker "
+         "of 33554432 walkers"),
+    ], ids=["dynamics-iterations", "dynamics-qgca-runs", "sweep-gca", "sweep-qgca",
+            "dynamics-walkers", "sweep-walkers"])
     def test_oversized_walker_results_are_refused_before_any_walker(
             self, capsys, tmp_path, no_walkers, argv, message):
         out = tmp_path / "out"
@@ -677,7 +699,7 @@ def test_public_api_census():
         "diagonalize", "enumerate_sector", "full_chain_spectrum", "gca_occupancy",
         "level_slopes", "metropolis_accept", "protection_report", "run_protocol", "seed_stream",
         "slope_cn", "sweep", "witten_regularized", "wtilde_gca_exact",
-        "wtilde_qgca_exact", "wtilde_qgca_sectors",
+        "wtilde_qgca_exact",
     ]
     for name in susychain.__all__:
         assert getattr(susychain, name) is not None

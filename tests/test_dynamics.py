@@ -159,6 +159,20 @@ class TestStationarity:
         assert abs(frac - 2.0 / 6.0) < 0.02
 
 
+def test_every_chain_block_is_diagonalized_once(monkeypatch):
+    # sectors 3..11 of both protocols share the 65 blocks of the lengths 1..10
+    import susychain.spectra as spectra_mod
+
+    seen = []
+    diagonalize = spectra_mod.diagonalize
+    monkeypatch.setattr(spectra_mod, "diagonalize",
+                        lambda m: seen.append(m.key) or diagonalize(m))
+    for protocol in (PROTOCOL_GCA, PROTOCOL_QGCA):
+        for N in range(3, 12):
+            run_protocol(ProtocolConfig(protocol, N, 5.0, iterations=3, runs=5))
+    assert len(seen) == len(set(seen)) == sum(L + 1 for L in range(1, 11)) == 65
+
+
 class TestDeterminism:
     def test_same_seed_same_trace(self):
         a = _trace(PROTOCOL_GCA, 4, 2.0, runs=800, iterations=40, seed=9)

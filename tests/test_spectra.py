@@ -102,6 +102,19 @@ def test_full_chain_small_spectra():
     assert np.allclose(np.sort(chain2), [0.0, 1.0, 2.0, 2.0], atol=1e-12)
 
 
+def test_full_chain_spectrum_is_memoized_and_read_only(monkeypatch):
+    solved = []
+    diagonalize = spectra.diagonalize
+    monkeypatch.setattr(spectra, "diagonalize", lambda m: solved.append(m.key) or diagonalize(m))
+    chain = full_chain_spectrum(5, SUSY)
+    assert full_chain_spectrum(5, SUSY) is chain
+    assert len(solved) == 6
+    for block in chain:
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0] = 0.0
+
+
 class TestCache:
     def _spec(self):
         return diagonalize(build_hamiltonian(SectorKey(2, 1), SUSY))
@@ -159,7 +172,9 @@ class TestCache:
     def test_hit_and_miss_return_the_same_energies_and_type(self, tmp_path):
         plain = full_chain_spectrum(6, SUSY)
         cold = full_chain_spectrum(6, SUSY, tmp_path)
+        full_chain_spectrum.cache_clear()  # read the chain back from disk, not the memo
         warm = full_chain_spectrum(6, SUSY, tmp_path)
+        assert warm is not cold
         for chain in (plain, cold, warm):
             assert type(chain) is tuple and len(chain) == 7
             for nd, block in enumerate(chain):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -20,7 +21,6 @@ from susychain.susy import (
     witten_regularized,
     wtilde_gca_exact,
     wtilde_qgca_exact,
-    wtilde_qgca_sectors,
 )
 
 SUSY = ModelParams()
@@ -225,20 +225,33 @@ def test_qgca_low_temperature_limit(N):
     assert wtilde_qgca_exact(N, SUSY, 60.0) == pytest.approx(W_REG[N], abs=1e-8)
 
 
+OFF_POINT = ModelParams(J=-0.8, Delta=1.3, h=0.2)
+
+# sha256 of the float64 values of sectors 3..11, recorded when one batch
+# evaluated every sector of a coupling value together
+QGCA_SECTOR_DIGESTS = {
+    (SUSY, 0.0): "4086dd8516c56e40333f173ae0d6b18c8f047d03b11fffe07318e1e08a0a9586",
+    (SUSY, 5.0): "2c5355e26590d70cd5c75b7d572814d91bb30fcad2bed89356569ebe7ed914e8",
+    (SUSY, 800.0): "0048e885b2cb0ec5248037bcd3f774f795811fc842d48002bb1bb063c6916a6d",
+    (OFF_POINT, 0.0): "4086dd8516c56e40333f173ae0d6b18c8f047d03b11fffe07318e1e08a0a9586",
+    (OFF_POINT, 5.0): "27bdf74a95c86fda556c3f76c7d17929dbd1e8607a93aa3de71aa132ca50f3db",
+    (OFF_POINT, 800.0): "b0a966c4192e5b6d4b93f827ad5860a81642f2dbb813498dbf7d484628b4181a",
+}
+
+
 @pytest.mark.parametrize("beta", [0.0, 5.0, 800.0])
-@pytest.mark.parametrize("params", [SUSY, ModelParams(J=-0.8, Delta=1.3, h=0.2)])
+@pytest.mark.parametrize("params", [SUSY, OFF_POINT])
 def test_qgca_sectors_match_one_sector_at_a_time(beta, params):
-    together = wtilde_qgca_sectors(range(3, 12), params, beta)
-    assert list(together) == list(range(3, 12))
-    for N in range(3, 12):
-        assert wtilde_qgca_exact(N, params, beta) == together[N]
+    values = [wtilde_qgca_exact(N, params, beta) for N in range(3, 12)]
+    digest = hashlib.sha256(np.array(values).tobytes()).hexdigest()
+    assert digest == QGCA_SECTOR_DIGESTS[params, beta]
 
 
-def test_qgca_sectors_validate_like_one_sector():
+def test_qgca_validates_beta_and_sector():
     with pytest.raises(ValueError, match="beta"):
-        wtilde_qgca_sectors((4,), SUSY, -1.0)
+        wtilde_qgca_exact(4, SUSY, -1.0)
     with pytest.raises(ValueError, match="sector label"):
-        wtilde_qgca_sectors((4, 2), SUSY, 5.0)
+        wtilde_qgca_exact(2, SUSY, 5.0)
 
 
 @pytest.mark.parametrize("N", range(3, 12))

@@ -46,3 +46,12 @@ def test_dynamics_spans_annotate_the_protocol_run(tmp_path):
     assert attrs["walker_steps"] == 10 * 5
     assert attrs["tasks"] == 1
     assert 0 <= attrs["in_sector"] <= 10 * 5
+
+
+def test_dynamics_solves_each_chain_block_once_behind_the_traced_memo(tmp_path):
+    spans = trace(tmp_path, "dynamics", "--protocol", "qgca", "--N", "5", "--runs", "10",
+                  "--iterations", "5", "--threads", "1")
+    # sector 5 has member chains L = 2, 3 and 4
+    assert len(by_name(spans, "spectra.full_chain_spectrum")) == 3
+    blocks = [tuple(attrs["block"]) for *_, attrs in by_name(spans, "spectra.diagonalize")]
+    assert blocks and len(blocks) == len(set(blocks))
