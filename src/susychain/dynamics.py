@@ -147,7 +147,7 @@ def _walk_block(key: tuple, pool: _Pool, beta: float, iterations: int,
     `key` is the block's seed_stream key. The window tallies come in
     _tally_dtype of the window length, which keeps the results the
     coordinator gathers small. The last result counts the walkers per pool
-    state after the last iteration.
+    state after the last iteration, in the smallest dtype that holds `size`.
     """
     rng = seed_stream(*key)
     dim = len(pool.energies)
@@ -170,7 +170,8 @@ def _walk_block(key: tuple, pool: _Pool, beta: float, iterations: int,
             if t >= window_start:
                 wsum += signed.astype(tally)  # parities +-1 and 0 convert exactly
                 wcnt += signed != 0.0
-    return counts, sums, wsum, wcnt, np.bincount(cur, minlength=dim)
+    return counts, sums, wsum, wcnt, np.bincount(cur, minlength=dim).astype(
+        np.min_scalar_type(size))
 
 
 def _worker_count(threads: int, tasks: int, cpus: int) -> int:
@@ -279,7 +280,8 @@ def gca_occupancy(config: ProtocolConfig, cache_dir=None,
     pools = _pools(config, cache_dir)
     # window_start past the last iteration: no window sums are kept
     results = _walk(config, pools, threads, config.iterations)
-    return sum(r[-1] for r in results), pools[0][1].energies.copy()
+    counts = np.sum([r[-1] for r in results], axis=0, dtype=np.int64)
+    return counts, pools[0][1].energies.copy()
 
 
 def write_trace_csv(trace: WittenTrace, path: str | Path, extra_meta: dict | None = None) -> None:
@@ -299,11 +301,10 @@ def write_trace_csv(trace: WittenTrace, path: str | Path, extra_meta: dict | Non
     }
     if extra_meta:
         meta.update(extra_meta)
-    lines = ["# " + json.dumps(meta, sort_keys=True)]
-    lines.append("iteration,estimate,stderr,legitimate_count")
-    for i in range(cfg.iterations):
-        lines.append(
-            f"{i + 1},{float(trace.estimate[i])!r},{float(trace.stderr[i])!r},"
-            f"{int(trace.legitimate_count[i])}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    # line by line: a trace of n iterations never sits in memory as one string
+    with Path(path).open("w") as f:
+        f.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+        f.write("iteration,estimate,stderr,legitimate_count\n")
+        for i in range(cfg.iterations):
+            f.write(f"{i + 1},{float(trace.estimate[i])!r},{float(trace.stderr[i])!r},"
+                    f"{int(trace.legitimate_count[i])}\n")

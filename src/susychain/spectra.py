@@ -2,8 +2,10 @@
 
 Spectra are the only expensive objects in the package (everything else is
 arithmetic over them), so their energies get a checksummed binary cache
-keyed by the block and the exact coupling values. Eigenvectors are read
-only by the Hellmann-Feynman slope, which takes them from `diagonalize`.
+keyed by the block and the exact coupling values. They are solved without
+eigenvectors (`eigvalsh`). Only the slope path calls `diagonalize` (`eigh`):
+the Hellmann-Feynman slope reads its eigenvectors, and the finite-difference
+slope reads its energies so both estimates come from one solver.
 """
 
 from __future__ import annotations
@@ -205,7 +207,11 @@ def cached_block(
         hit = cache_get(cache_dir, key, params)
         if hit is not None:
             return hit
-    energies = diagonalize(build_hamiltonian(key, params)).energies
+    matrix = build_hamiltonian(key, params)
+    try:
+        energies = np.linalg.eigvalsh(matrix.entries)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(key, str(exc)) from exc
     if cache_dir is not None:
         cache_put(cache_dir, key, params, energies)
     return energies

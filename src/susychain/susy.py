@@ -67,14 +67,8 @@ def assemble(N: int, params: ModelParams, cache_dir=None) -> SusySpectrum:
     remain unpaired; their pair_ids entry stays None there.
     """
     members = decompose_n_sector(N).members
-    blocks = [cached_block(key, params, cache_dir) for key in members]
-    energies = np.concatenate(blocks)
-    sizes = [len(e) for e in blocks]
-    lengths = np.repeat([key.L for key in members], sizes)
-    parities = np.repeat([key.parity for key in members], sizes)
-    # stable, like a sort of (energy, L) tuples: the estimators sum in this order
-    order = np.lexsort((lengths, energies))
-    energies, lengths, parities = energies[order], lengths[order], parities[order]
+    energies, lengths, parities = _sorted_levels(
+        members, [cached_block(key, params, cache_dir) for key in members])
 
     e, p = energies.tolist(), parities.tolist()
     pair_of: list[int | None] = [None] * len(e)
@@ -103,6 +97,20 @@ def assemble(N: int, params: ModelParams, cache_dir=None) -> SusySpectrum:
     )
 
 
+def _sorted_levels(members, blocks: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(energies, lengths, parities) of the member blocks' levels, sorted by (energy, L).
+
+    The sort is stable, like a sort of (energy, L) tuples: the estimators sum
+    in this order, so every caller must order its levels here.
+    """
+    energies = np.concatenate(blocks)
+    sizes = [len(e) for e in blocks]
+    lengths = np.repeat([key.L for key in members], sizes)
+    parities = np.repeat([key.parity for key in members], sizes)
+    order = np.lexsort((lengths, energies))
+    return energies[order], lengths[order], parities[order]
+
+
 def witten_regularized(spec: SusySpectrum, beta0: float) -> float:
     """Tr[(-1)^F e^{-beta0 H}] over the sector; beta0-independent when
     every positive level is parity-paired."""
@@ -120,12 +128,16 @@ def wtilde_gca_exact(spec: SusySpectrum, beta: float) -> float:
     """
     if not 0.0 <= beta < math.inf:
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    e = spec.energies
+    return _parity_average(spec.energies, spec.parities, beta)
+
+
+def _parity_average(e: np.ndarray, parities: np.ndarray, beta: float) -> float:
+    """Gibbs average of the parities of levels e at inverse temperature beta."""
     # shift by the ground energy only where e^{-beta E0} leaves the float range:
     # slope_cn's central difference magnifies the weights' last bits 5000-fold
     e0 = e.min() if beta * abs(e.min()) > 600.0 else 0.0
     w = np.exp(-beta * (e - e0))
-    return float((spec.parities * w).sum() / w.sum())
+    return float((parities * w).sum() / w.sum())
 
 
 def wtilde_qgca_exact(N: int, params: ModelParams, beta: float, cache_dir=None) -> float:
@@ -184,11 +196,22 @@ def params_at(coupling: str, value: float) -> ModelParams:
 
 def finite_difference_dw(N: int, beta: float, coupling: str) -> float:
     """Central finite difference of the exact pooled-chain index at the
-    supersymmetric point."""
+    supersymmetric point.
+
+    The shifted spectra come from `diagonalize`, the solver of the
+    Hellmann-Feynman cross-check, and are summed in `assemble`'s level order.
+    """
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
     c0 = SUSY_VALUE.get(coupling, 0.0)  # params_at rejects an unknown name
-    up, dn = (wtilde_gca_exact(assemble(N, params_at(coupling, c0 + step)), beta)
-              for step in (FD_STEP, -FD_STEP))
-    return (up - dn) / (2.0 * FD_STEP)
+    members = decompose_n_sector(N).members
+    w = []
+    for step in (FD_STEP, -FD_STEP):
+        params = params_at(coupling, c0 + step)
+        energies, _, parities = _sorted_levels(
+            members, [diagonalize(build_hamiltonian(key, params)).energies for key in members])
+        w.append(_parity_average(energies, parities, beta))
+    return (w[0] - w[1]) / (2.0 * FD_STEP)
 
 
 def _susy_blocks(N: int) -> list:

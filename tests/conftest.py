@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from susychain.model import SectorMatrix
 from susychain.spectra import full_chain_spectrum
 
 
@@ -11,3 +13,26 @@ def fresh_chain_memo():
     otherwise depend on which chains earlier tests left in the memo.
     """
     full_chain_spectrum.cache_clear()
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """(key, params) of every block LAPACK solves, by eigh or eigvalsh, in call order.
+
+    The package solves only SectorMatrix entries, so each SectorMatrix built
+    while the fixture is active files its block under the id of its entries.
+    """
+    blocks, seen = {}, []
+    post_init = SectorMatrix.__post_init__
+
+    def register(self):
+        post_init(self)
+        blocks[id(self.entries)] = (self.key, self.params)
+
+    def counting(solve):
+        return lambda a, *args, **kwargs: seen.append(blocks[id(a)]) or solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(SectorMatrix, "__post_init__", register)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    return seen

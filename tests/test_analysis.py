@@ -99,23 +99,13 @@ def test_exact_sweep_is_thread_stable():
     ]
 
 
-def test_sweep_diagonalizes_the_same_blocks_at_any_thread_count(monkeypatch):
-    import susychain.spectra as spectra_mod
-
-    calls = []
-    real = spectra_mod.diagonalize
-
-    def counting(matrix):
-        calls.append(matrix.key)
-        return real(matrix)
-
-    monkeypatch.setattr(spectra_mod, "diagonalize", counting)
+def test_sweep_diagonalizes_the_same_blocks_at_any_thread_count(solves):
     spec = SweepSpec("delta", (0.97, 0.98, 0.99, 1.01, 1.02, 1.03), (5, 6, 7))
     counts = []
     for threads in (1, 2):
-        calls.clear()
+        solves.clear()
         sweep(spec, threads=threads)
-        counts.append(len(calls))
+        counts.append(len(solves))
     assert counts[0] == counts[1]
 
 
@@ -132,62 +122,42 @@ def test_exact_sweep_starts_no_thread(monkeypatch):
     assert sweep(spec, threads=4) == serial
 
 
-def test_exact_sweep_enumerates_each_block_once(monkeypatch):
+def test_exact_sweep_enumerates_each_block_once(monkeypatch, solves):
     import susychain.model as model_mod
-    import susychain.spectra as spectra_mod
 
-    enumerated, diagonalized = [], set()
-    enumerate_sector, diagonalize = model_mod.enumerate_sector, spectra_mod.diagonalize
+    enumerated = []
+    enumerate_sector = model_mod.enumerate_sector
     monkeypatch.setattr(model_mod, "enumerate_sector",
                         lambda key: enumerated.append(key) or enumerate_sector(key))
-    monkeypatch.setattr(spectra_mod, "diagonalize",
-                        lambda m: diagonalized.add(m.key) or diagonalize(m))
     model_mod._block_operators.cache_clear()
     sweep(SweepSpec("delta", (0.9, 1.0, 1.1), tuple(range(3, 9)), estimator="exact-qgca"))
     assert len(enumerated) == len(set(enumerated))
-    assert set(enumerated) == diagonalized
+    assert set(enumerated) == {key for key, _ in solves}
 
 
-def test_exact_qgca_sweep_diagonalizes_each_block_once_off_the_special_point(monkeypatch):
-    import susychain.spectra as spectra_mod
-
-    seen = []
-    diagonalize = spectra_mod.diagonalize
-    monkeypatch.setattr(spectra_mod, "diagonalize",
-                        lambda m: seen.append((m.key, m.params)) or diagonalize(m))
+def test_exact_qgca_sweep_diagonalizes_each_block_once_off_the_special_point(solves):
     sweep(SweepSpec("delta", (0.9, 0.97, 1.0, 1.02, 1.1), tuple(range(3, 10)),
                     estimator="exact-qgca"))
-    off = [(key, params) for key, params in seen if params != ModelParams()]
+    off = [(key, params) for key, params in solves if params != ModelParams()]
     assert len(off) == len(set(off))
     # each grid value off the point diagonalizes all L+1 blocks of lengths 1..8
     grid = [key for key, params in off if params.Delta in (0.9, 0.97, 1.02, 1.1)]
     assert len(grid) == 4 * sum(L + 1 for L in range(1, 9))
 
 
-def test_exact_sweep_diagonalizes_the_special_point_at_most_twice(monkeypatch):
-    import susychain.spectra as spectra_mod
-    import susychain.susy as susy_mod
-
-    seen = []
-    diagonalize = spectra_mod.diagonalize
-
-    def counting(m):
-        seen.append((m.key, m.params))
-        return diagonalize(m)
-
-    monkeypatch.setattr(spectra_mod, "diagonalize", counting)
-    monkeypatch.setattr(susy_mod, "diagonalize", counting, raising=False)
+def test_exact_sweep_diagonalizes_the_special_point_at_most_twice(solves):
     sweep(SweepSpec("delta", (0.9, 1.0, 1.1), tuple(range(3, 10)), estimator="exact-qgca"))
     # once for the chain spectra, once for the Hellmann-Feynman slope
-    at_point = Counter(key for key, params in seen if params == ModelParams())
+    at_point = Counter(key for key, params in solves if params == ModelParams())
     assert len(at_point) == sum(L + 1 for L in range(1, 9))
     assert max(at_point.values()) <= 2
 
 
-# sha256 of sweep CSVs written before sweep evaluated one value across all sectors
+# sha256 of sweep CSVs; the exact one re-recorded when block energies moved to
+# eigvalsh (values moved by at most 3.1e-15, the slope column not at all)
 FROZEN_SWEEPS = [
     ("exact-qgca", {},
-     "c9500ea524888368f8b32f6f6345c9a9598f19df771eaba8f044baf447d0b058"),
+     "3d6543315a30a65c9211fc3a57333d2f18c4ae52796a3e5976526695b22ee2ed"),
     ("sampled-qgca", {"runs": 300, "iterations": 5},
      "7e65c401cac40424caebc5d530db357543533eb7211a72bf8ab2267a78b82016"),
 ]
@@ -223,16 +193,11 @@ class TestFirstOrderFit:
             assert r.relative_discrepancy <= 0.02
             assert not r.nonlinear
 
-    def test_fit_diagonalizes_nothing(self, monkeypatch):
-        import susychain.spectra as spectra_mod
-
+    def test_fit_diagonalizes_nothing(self, solves):
         records = sweep(SweepSpec("delta", SMALL_SHIFTS, (4, 6)))
-        calls = []
-        real = spectra_mod.diagonalize
-        monkeypatch.setattr(spectra_mod, "diagonalize",
-                            lambda m: calls.append(m.key) or real(m))
+        solves.clear()
         reports = compare_first_order(records)
-        assert calls == []
+        assert solves == []
         for rep in reports:
             rate = next(r.first_order_prediction for r in records
                         if r.N == rep.N and r.value == SMALL_SHIFTS[-1]) / 0.05
@@ -327,16 +292,18 @@ def test_sweep_csv_roundtrip(tmp_path):
 
 
 def test_sweep_writers_frozen_digests(tmp_path):
-    # digests recorded before the writers took their columns from the dataclasses
+    # digests recorded before the writers took their columns from the dataclasses,
+    # re-recorded when block energies moved to eigvalsh: CSV values moved by at
+    # most 4.2e-15, the fitted slope by 1.7e-14, the predicted slope not at all
     spec = SweepSpec("delta", (0.95, 0.97, 0.99, 1.0, 1.01, 1.03, 1.05), (4, 6))
     recs = sweep(spec)
     path = tmp_path / "sweep.csv"
     write_sweep_csv(recs, path, meta={"beta": 5.0})
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "d6bfba21656bc6751884cbab54c690a6ffbc2dd95ccdc095c3a3e9f310a547f6")
+        "60f630a48d6d1c927786c749d7331ca72b42cfc59be6cf91f6ebfc26908a45f7")
     fit = fit_report_json(compare_first_order(recs))
     assert hashlib.sha256(fit.encode()).hexdigest() == (
-        "dc2f6d315b9eea7091ea1033581b82ef599b8816a96e1477f5b007dfd3592569")
+        "bb6e216eec77918a6f9801f784ead2ebe831f405a0bc3566570b43b4692028d9")
 
 
 def test_fit_report_json_is_parseable():

@@ -361,17 +361,10 @@ class TestSweep:
         rows = (tmp_path / "sweep_delta_exact-gca.csv").read_text().splitlines()
         assert len(rows) == 2 + 3
 
-    def test_zero_beta_is_refused_before_any_diagonalization(self, capsys, tmp_path,
-                                                             monkeypatch):
-        import susychain.spectra as spectra_mod
-
-        calls = []
-        real = spectra_mod.diagonalize
-        monkeypatch.setattr(spectra_mod, "diagonalize",
-                            lambda m: calls.append(m.key) or real(m))
+    def test_zero_beta_is_refused_before_any_diagonalization(self, capsys, tmp_path, solves):
         code, out, err = run_cli(capsys, "sweep", "--N", "4", "--points", "3",
                                  "--beta", "0", "--out", str(tmp_path / "o"))
-        assert calls == []
+        assert solves == []
         assert code == 2
         assert out == ""
         assert "beta" in err
@@ -526,12 +519,15 @@ class TestExitCodes:
         assert code == 3
         assert "consistency" in err
 
-    def test_eigensolver_failure_maps_to_3(self, capsys, monkeypatch):
+    # a sweep solves energies with eigvalsh, then its first-order slope with eigh
+    @pytest.mark.parametrize("solver", ["eigh", "eigvalsh"])
+    def test_eigensolver_failure_maps_to_3(self, capsys, monkeypatch, tmp_path, solver):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
-        code, out, err = run_cli(capsys, "witten", "--N", "4")
+        monkeypatch.setattr(np.linalg, solver, fail)
+        code, out, err = run_cli(capsys, "sweep", "--N", "4", "--points", "3",
+                                 "--out", str(tmp_path))
         assert (code, out) == (3, "")
         assert err.startswith("numerical failure: eigensolver failed on block (L=")
         assert "Traceback" not in err

@@ -159,18 +159,12 @@ class TestStationarity:
         assert abs(frac - 2.0 / 6.0) < 0.02
 
 
-def test_every_chain_block_is_diagonalized_once(monkeypatch):
+def test_every_chain_block_is_diagonalized_once(solves):
     # sectors 3..11 of both protocols share the 65 blocks of the lengths 1..10
-    import susychain.spectra as spectra_mod
-
-    seen = []
-    diagonalize = spectra_mod.diagonalize
-    monkeypatch.setattr(spectra_mod, "diagonalize",
-                        lambda m: seen.append(m.key) or diagonalize(m))
     for protocol in (PROTOCOL_GCA, PROTOCOL_QGCA):
         for N in range(3, 12):
             run_protocol(ProtocolConfig(protocol, N, 5.0, iterations=3, runs=5))
-    assert len(seen) == len(set(seen)) == sum(L + 1 for L in range(1, 11)) == 65
+    assert len(solves) == len(set(solves)) == sum(L + 1 for L in range(1, 11)) == 65
 
 
 class TestDeterminism:
@@ -255,6 +249,19 @@ class TestOccupancy:
         counts, energies = gca_occupancy(cfg)
         assert counts.sum() == 700
         assert len(counts) == len(energies) == 12  # 2**2 + 2**3 pool states
+
+    def test_counts_are_compact_per_task_and_summed_as_int64(self):
+        pools = _pools(ProtocolConfig(PROTOCOL_GCA, 4, 40.0), None)
+        assert _walk_block((1, "gca", 4, 0), pools[0][1], 40.0, 5, 5, 300)[-1].dtype == np.uint16
+        # at beta = 40 nearly every walker ends in one of the pool's two zero
+        # modes (chains L = 2 and 3): more than a task's uint16 counts hold
+        # once the tasks are added
+        runs = 18 * BLOCK_SIZE
+        counts, _ = gca_occupancy(ProtocolConfig(PROTOCOL_GCA, 4, 40.0, iterations=100,
+                                                 runs=runs))
+        assert counts.dtype == np.int64
+        assert counts.sum() == runs
+        assert counts.max() > np.iinfo(np.uint16).max
 
     def test_every_pool_state_reachable(self):
         # beta = 0 accepts every proposal, so 2000 walkers end spread over

@@ -102,13 +102,10 @@ def test_full_chain_small_spectra():
     assert np.allclose(np.sort(chain2), [0.0, 1.0, 2.0, 2.0], atol=1e-12)
 
 
-def test_full_chain_spectrum_is_memoized_and_read_only(monkeypatch):
-    solved = []
-    diagonalize = spectra.diagonalize
-    monkeypatch.setattr(spectra, "diagonalize", lambda m: solved.append(m.key) or diagonalize(m))
+def test_full_chain_spectrum_is_memoized_and_read_only(solves):
     chain = full_chain_spectrum(5, SUSY)
     assert full_chain_spectrum(5, SUSY) is chain
-    assert len(solved) == 6
+    assert len(solves) == 6
     for block in chain:
         assert not block.flags.writeable
         with pytest.raises(ValueError):
