@@ -42,6 +42,7 @@ from .spectra import CACHE_VERSION, SolverError, _blas_threads, _one_blas_thread
 from .susy import (
     COUPLING_DELTA,
     SUSY_VALUE,
+    ZERO_TOL,
     NumericalConsistencyError,
     assemble,
     witten_regularized,
@@ -281,7 +282,7 @@ def _cmd_spectrum(args) -> int:
         lines = [f"{'L':>3} {'n_d':>4} {'energy':>18} {'parity':>7} {'pair':>5}"]
         for r in rows:
             pair = "-" if r["pair_id"] is None else str(r["pair_id"])
-            star = "  *zero" if abs(r["energy"]) < 1e-10 else ""
+            star = "  *zero" if abs(r["energy"]) < ZERO_TOL else ""
             lines.append(
                 f"{r['L']:>3} {r['n_d']:>4} {r['energy']:>18.12f} "
                 f"{r['parity']:>7} {pair:>5}{star}"

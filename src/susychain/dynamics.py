@@ -64,13 +64,17 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class WittenTrace:
-    """Per-iteration estimates plus a steady-state window summary.
+    """Per-iteration estimates, a steady-state window summary and the final occupancy.
 
     estimate[i] is NaN when no walker was in the sector at iteration i
     (a gap, not a zero). The window covers the last 20% of iterations;
     window_stderr treats each walker's window contribution as one cluster,
     which absorbs the strong within-walker autocorrelation that a naive
     per-sample error estimate would ignore.
+
+    occupancy counts the walkers on each pool state after the last
+    iteration, member chains in ascending L and their blocks in n_d order:
+    an i.i.d. sample of the long-run occupation, since walkers are independent.
     """
 
     config: ProtocolConfig
@@ -80,6 +84,7 @@ class WittenTrace:
     window_estimate: float
     window_stderr: float
     window_legit: int
+    occupancy: np.ndarray
 
     def __post_init__(self):
         n = self.config.iterations
@@ -140,8 +145,7 @@ def _tally_dtype(window: int) -> np.dtype:
     return np.min_scalar_type(-window - 1)
 
 
-def _walk_block(key: tuple, pool: _Pool, beta: float, iterations: int,
-                window_start: int, size: int):
+def _walk_block(key: tuple, pool: _Pool, beta: float, iterations: int, size: int):
     """One block of walkers, full trajectory, deterministic draw order.
 
     `key` is the block's seed_stream key. The window tallies come in
@@ -154,6 +158,7 @@ def _walk_block(key: tuple, pool: _Pool, beta: float, iterations: int,
     cur = rng.integers(0, dim, size)
     counts = np.zeros(iterations, dtype=np.int64)
     sums = np.zeros(iterations)
+    window_start = _window_start(iterations)
     tally = _tally_dtype(iterations - window_start)
     wsum = np.zeros(size, dtype=tally)
     wcnt = np.zeros(size, dtype=tally)
@@ -205,18 +210,6 @@ def _parallel_map(fn, tasks: list[tuple], workers: int) -> list:
         return list(ex.map(fn, *zip(*tasks)))
 
 
-def _walk(config: ProtocolConfig, pools: list[tuple[str, _Pool]], threads: int,
-          window_start: int) -> list:
-    """One map task per (pool, block); results in task order."""
-    tasks = [
-        ((config.base_seed, tag, config.N, start), pool, config.beta, config.iterations,
-         window_start, min(BLOCK_SIZE, config.runs - start))
-        for tag, pool in pools
-        for start in range(0, config.runs, BLOCK_SIZE)
-    ]
-    return _parallel_map(_walk_block, tasks, threads)
-
-
 def run_protocol(config: ProtocolConfig, cache_dir=None, threads: int = 1) -> WittenTrace:
     """Drive `config.runs` walkers over each pool of the protocol and fold the results.
 
@@ -225,10 +218,19 @@ def run_protocol(config: ProtocolConfig, cache_dir=None, threads: int = 1) -> Wi
     pools in-sector walkers across all chains, so it tracks the parity
     histogram a per-chain measurement protocol accumulates.
     """
-    window_start = _window_start(config.iterations)
-    results = _walk(config, _pools(config, cache_dir), threads, window_start)
-    cnts, sums, wsums, wcnts, _ = zip(*results)  # task order: deterministic fold
+    starts = range(0, config.runs, BLOCK_SIZE)
+    # one map task per (pool, block), pool-major
+    tasks = [((config.base_seed, tag, config.N, start), pool, config.beta, config.iterations,
+              min(BLOCK_SIZE, config.runs - start))
+             for tag, pool in _pools(config, cache_dir) for start in starts]
+    results = _parallel_map(_walk_block, tasks, threads)
+    cnts, sums, wsums, wcnts, finals = zip(*results)  # task order: deterministic fold
     counts, sums = sum(cnts), sum(sums)
+    # each pool's compact per-task counts, added as int64, pools in order
+    occupancy = np.concatenate([
+        sum(finals[i:i + len(starts)], np.zeros(len(finals[i]), dtype=np.int64))
+        for i in range(0, len(finals), len(starts))
+    ])
 
     with np.errstate(invalid="ignore", divide="ignore"):
         estimate = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
@@ -239,7 +241,7 @@ def run_protocol(config: ProtocolConfig, cache_dir=None, threads: int = 1) -> Wi
             np.where(counts == 1, 0.0, np.nan),
         )
 
-    window = estimate[window_start:]
+    window = estimate[_window_start(config.iterations):]
     valid = ~np.isnan(window)
     window_estimate = float(window[valid].mean()) if valid.any() else float("nan")
     total = sum(int(c.sum()) for c in wcnts)
@@ -263,25 +265,8 @@ def run_protocol(config: ProtocolConfig, cache_dir=None, threads: int = 1) -> Wi
         window_estimate=window_estimate,
         window_stderr=window_stderr,
         window_legit=total,
+        occupancy=occupancy,
     )
-
-
-def gca_occupancy(config: ProtocolConfig, cache_dir=None,
-                  threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Final occupancy counts per pooled eigenstate -> (counts, pool energies).
-
-    Replays the exact GCA trajectories of run_protocol (same streams, same
-    draw order) and counts each walker's state at the last iteration.
-    Walkers are independent, so those counts are an i.i.d. sample of the
-    long-run occupation, fit for distribution tests.
-    """
-    if config.protocol != PROTOCOL_GCA:
-        raise ValueError("config.protocol must be 'gca'")
-    pools = _pools(config, cache_dir)
-    # window_start past the last iteration: no window sums are kept
-    results = _walk(config, pools, threads, config.iterations)
-    counts = np.sum([r[-1] for r in results], axis=0, dtype=np.int64)
-    return counts, pools[0][1].energies.copy()
 
 
 def write_trace_csv(trace: WittenTrace, path: str | Path, extra_meta: dict | None = None) -> None:

@@ -46,7 +46,6 @@ class BlockEigenpairs:
     """Eigenpairs of one (L, n_d) block: ascending energies, column states."""
 
     key: SectorKey
-    params: ModelParams
     energies: np.ndarray
     states: np.ndarray
 
@@ -61,7 +60,7 @@ def diagonalize(matrix: SectorMatrix) -> BlockEigenpairs:
         energies, states = np.linalg.eigh(matrix.entries)
     except np.linalg.LinAlgError as exc:
         raise SolverError(matrix.key, str(exc)) from exc
-    return BlockEigenpairs(matrix.key, matrix.params, energies, states)
+    return BlockEigenpairs(matrix.key, energies, states)
 
 
 def _openblas():

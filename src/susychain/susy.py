@@ -41,7 +41,6 @@ class SusySpectrum:
     """
 
     N: int
-    params: ModelParams
     energies: np.ndarray
     lengths: np.ndarray
     parities: np.ndarray
@@ -87,7 +86,6 @@ def assemble(N: int, params: ModelParams, cache_dir=None) -> SusySpectrum:
     zeros = np.flatnonzero(np.abs(energies) < ZERO_TOL)
     return SusySpectrum(
         N=N,
-        params=params,
         energies=energies,
         lengths=lengths,
         parities=parities,

@@ -36,11 +36,11 @@ import pytest
 from scipy import stats
 
 from susychain.analysis import SweepSpec, compare_first_order, default_grid, sweep
-from susychain.basis import SectorKey
+from susychain.basis import SectorKey, decompose_n_sector
 from susychain.cli import main as cli_main
-from susychain.dynamics import ProtocolConfig, gca_occupancy, run_protocol
+from susychain.dynamics import ProtocolConfig, run_protocol
 from susychain.model import ModelParams, build_hamiltonian
-from susychain.spectra import diagonalize
+from susychain.spectra import diagonalize, full_chain_spectrum
 from susychain.susy import (
     assemble,
     finite_difference_dw,
@@ -321,7 +321,10 @@ def test_criterion_8_gradient_and_oracle_checks():
     # independent walkers sample the long-run occupation
     cfg = ProtocolConfig("gca", 5, 1.0, iterations=ITERATIONS, runs=RUNS,
                          base_seed=SEED)
-    counts, energies = gca_occupancy(cfg, threads=THREADS)
+    counts = run_protocol(cfg, threads=THREADS).occupancy
+    # the pool's states: member chains in ascending L, blocks in n_d order
+    energies = np.concatenate([e for key in decompose_n_sector(5).members
+                               for e in full_chain_spectrum(key.L, SUSY)])
     weights = np.exp(-energies)
     expected = counts.sum() * weights / weights.sum()
     keep = expected >= 10

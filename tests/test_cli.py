@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -99,13 +100,17 @@ class TestWitten:
         value = json.loads(json_out)["value"]
         assert out == f"N,which,beta,value\n4,{which},{beta},{value!r}\n"
 
-    def test_out_file_and_manifest(self, capsys, tmp_path):
-        out_file = tmp_path / "w.json"
+    # an --out with a suffix names the file; one without names a directory
+    @pytest.mark.parametrize("out,written", [("w.json", "w.json"),
+                                             ("wdir", "wdir/witten.txt")],
+                             ids=["file", "directory"])
+    def test_out_file_and_manifest(self, capsys, tmp_path, out, written):
+        out_file = tmp_path / written
         code, _, _ = run_cli(capsys, "witten", "--N", "4", "--format", "json",
-                             "--out", str(out_file))
+                             "--out", str(tmp_path / out))
         assert code == 0
         assert json.loads(out_file.read_text())["N"] == 4
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = json.loads((out_file.parent / "manifest.json").read_text())
         assert manifest["command"] == "witten"
         assert manifest["base_seed"] is None  # witten has no --seed
         assert manifest["outputs"] == [str(out_file)]
@@ -615,7 +620,7 @@ class TestSizeGuard:
         (("sweep", "--estimator", "sampled-qgca", "--N", "3,4", "--values", "1.0,1.1",
           "--runs", "1", "--iterations", "10000000"),
          "N=3 gathers 320000000 bytes"),
-        # int8 window tallies at one iteration: 2 + 2 + 8 bytes per walker
+        # int8 window tallies at one iteration: 1 + 1 + 8 bytes per walker
         (("dynamics", "--N", "3", "--runs", "33554432", "--iterations", "1"),
          "N=3 needs 335544320 bytes of window tallies and residuals, 10 per walker "
          "of 33554432 walkers"),
@@ -633,6 +638,29 @@ class TestSizeGuard:
         assert err.startswith(f"error: {message}")
         assert err.rstrip().endswith("the limit is 268435456 bytes (256 MiB)")
         assert not out.exists()
+
+    @pytest.mark.parametrize("iterations", [500, 640])
+    def test_guard_figures_are_the_kernel_arrays(self, iterations):
+        # the guard's per-iteration and per-walker figures, read from its
+        # messages, against the arrays one walker task really returns
+        from susychain.cli import _check_tallies
+        from susychain.dynamics import ProtocolConfig, _pools, _walk_block
+
+        with pytest.raises(ValueError, match="walker results") as refused:
+            _check_tallies([3], "gca", 2**40, iterations)
+        per_iteration = int(re.search(r"(\d+) per iteration", str(refused.value))[1])
+        with pytest.raises(ValueError, match="window tallies") as refused:
+            _check_tallies([3], "gca", 2**25, iterations)
+        per_walker = int(re.search(r"(\d+) per walker", str(refused.value))[1])
+
+        size = 100
+        pool = _pools(ProtocolConfig("gca", 3, 2.0), None)[0][1]
+        counts, sums, wsum, wcnt, _ = _walk_block((1, "gca", 3, 0), pool, 2.0, iterations,
+                                                  size)
+        assert counts.nbytes + sums.nbytes == per_iteration * iterations
+        # each walker's two tallies, and the fold's float64 residual
+        assert wsum.nbytes + wcnt.nbytes + 8 * size == per_walker * size
+        assert (per_iteration, per_walker) == (16, 10 if iterations < 640 else 12)
 
     @pytest.mark.parametrize("iterations,refused", [(2**24, False), (2**24 + 1, True)])
     def test_walker_results_at_the_limit_pass_the_guard(self, capsys, no_walkers,
@@ -692,7 +720,7 @@ def test_public_api_census():
         "SweepRecord", "SweepSpec", "WittenTrace", "__version__", "assemble",
         "build_hamiltonian", "cache_get", "cache_put",
         "compare_first_order", "decompose_n_sector", "deviation_first_order",
-        "diagonalize", "enumerate_sector", "full_chain_spectrum", "gca_occupancy",
+        "diagonalize", "enumerate_sector", "full_chain_spectrum",
         "level_slopes", "metropolis_accept", "protection_report", "run_protocol", "seed_stream",
         "slope_cn", "sweep", "witten_regularized", "wtilde_gca_exact",
         "wtilde_qgca_exact",

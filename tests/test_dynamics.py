@@ -12,15 +12,16 @@ from susychain.dynamics import (
     PROTOCOL_GCA,
     PROTOCOL_QGCA,
     ProtocolConfig,
-    gca_occupancy,
     metropolis_accept,
     run_protocol,
     seed_stream,
     write_trace_csv,
 )
 from susychain import dynamics
+from susychain.basis import decompose_n_sector
 from susychain.dynamics import _parallel_map, _pools, _walk_block, _worker_count
 from susychain.model import ModelParams
+from susychain.spectra import full_chain_spectrum
 from susychain.susy import assemble, wtilde_gca_exact, wtilde_qgca_exact
 
 SUSY = ModelParams()
@@ -234,31 +235,33 @@ def test_outputs_do_not_depend_on_worker_count(tmp_path_factory, runs, iteration
     out = tmp_path_factory.mktemp("workers")
     for protocol in (PROTOCOL_GCA, PROTOCOL_QGCA):
         cfg = ProtocolConfig(protocol, 5, 2.0, iterations=iterations, runs=runs)
-        serial = _csv_bytes(run_protocol(cfg, threads=1), out, "serial.csv")
-        mapped = _csv_bytes(run_protocol(cfg, threads=workers), out, "mapped.csv")
-        assert serial == mapped
-    cfg = ProtocolConfig(PROTOCOL_GCA, 5, 2.0, iterations=iterations, runs=runs)
-    serial, _ = gca_occupancy(cfg, threads=1)
-    mapped, _ = gca_occupancy(cfg, threads=workers)
-    assert np.array_equal(serial, mapped)
+        serial, mapped = run_protocol(cfg, threads=1), run_protocol(cfg, threads=workers)
+        assert _csv_bytes(serial, out, "serial.csv") == _csv_bytes(mapped, out, "mapped.csv")
+        assert np.array_equal(serial.occupancy, mapped.occupancy)
+
+
+def _pool_energies(N):
+    """Energies of sector N's member chains, ascending L, each chain's blocks in n_d order."""
+    return np.concatenate([energies for key in decompose_n_sector(N).members
+                           for energies in full_chain_spectrum(key.L, SUSY)])
 
 
 class TestOccupancy:
     def test_final_counts_sum_to_runs(self):
         cfg = ProtocolConfig(PROTOCOL_GCA, 4, 2.0, iterations=50, runs=700)
-        counts, energies = gca_occupancy(cfg)
+        counts = run_protocol(cfg).occupancy
         assert counts.sum() == 700
-        assert len(counts) == len(energies) == 12  # 2**2 + 2**3 pool states
+        assert len(counts) == len(_pool_energies(4)) == 12  # 2**2 + 2**3 pool states
 
     def test_counts_are_compact_per_task_and_summed_as_int64(self):
         pools = _pools(ProtocolConfig(PROTOCOL_GCA, 4, 40.0), None)
-        assert _walk_block((1, "gca", 4, 0), pools[0][1], 40.0, 5, 5, 300)[-1].dtype == np.uint16
+        assert _walk_block((1, "gca", 4, 0), pools[0][1], 40.0, 5, 300)[-1].dtype == np.uint16
         # at beta = 40 nearly every walker ends in one of the pool's two zero
         # modes (chains L = 2 and 3): more than a task's uint16 counts hold
         # once the tasks are added
         runs = 18 * BLOCK_SIZE
-        counts, _ = gca_occupancy(ProtocolConfig(PROTOCOL_GCA, 4, 40.0, iterations=100,
-                                                 runs=runs))
+        counts = run_protocol(ProtocolConfig(PROTOCOL_GCA, 4, 40.0, iterations=100,
+                                             runs=runs)).occupancy
         assert counts.dtype == np.int64
         assert counts.sum() == runs
         assert counts.max() > np.iinfo(np.uint16).max
@@ -267,15 +270,15 @@ class TestOccupancy:
         # beta = 0 accepts every proposal, so 2000 walkers end spread over
         # all 12 states, about 167 each
         cfg = ProtocolConfig(PROTOCOL_GCA, 4, 0.0, iterations=10, runs=2000)
-        counts, _ = gca_occupancy(cfg)
+        counts = run_protocol(cfg).occupancy
         assert counts.min() >= 100
 
     def test_final_histogram_matches_gibbs(self):
         from scipy import stats
 
         cfg = ProtocolConfig(PROTOCOL_GCA, 4, 1.0, iterations=200, runs=20000)
-        counts, energies = gca_occupancy(cfg)
-        weights = np.exp(-energies)
+        counts = run_protocol(cfg).occupancy
+        weights = np.exp(-_pool_energies(4))
         expected = counts.sum() * weights / weights.sum()
         keep = expected >= 10
         if (~keep).any():
@@ -286,19 +289,21 @@ class TestOccupancy:
         stat, p = stats.chisquare(obs, exp * obs.sum() / exp.sum())
         assert p > 0.01
 
-    def test_mode_validation(self):
-        # final occupancy is the only mode, and only the pooled protocol has it
-        cfg = ProtocolConfig(PROTOCOL_GCA, 4, 2.0, iterations=5, runs=10)
-        with pytest.raises(TypeError):
-            gca_occupancy(cfg, mode="visits")
-        with pytest.raises(ValueError):
-            gca_occupancy(ProtocolConfig(PROTOCOL_QGCA, 4, 2.0, iterations=5, runs=10))
+    def test_qgca_occupancy_covers_each_member_chain(self):
+        # sector 5's chains L = 2, 3, 4, two tasks each: every chain's own
+        # 2**L states, in ascending L, hold all of its walkers
+        runs = BLOCK_SIZE + 100
+        counts = run_protocol(ProtocolConfig(PROTOCOL_QGCA, 5, 2.0, iterations=20,
+                                             runs=runs)).occupancy
+        assert counts.dtype == np.int64
+        assert len(counts) == len(_pool_energies(5)) == 4 + 8 + 16
+        assert [int(c.sum()) for c in np.split(counts, [4, 12])] == [runs] * 3
 
     def test_thread_invariance(self):
         cfg = ProtocolConfig(PROTOCOL_GCA, 5, 2.0, iterations=30,
                              runs=BLOCK_SIZE + 100)
-        a, _ = gca_occupancy(cfg, threads=1)
-        b, _ = gca_occupancy(cfg, threads=4)
+        a = run_protocol(cfg, threads=1).occupancy
+        b = run_protocol(cfg, threads=4).occupancy
         assert np.array_equal(a, b)
 
 
@@ -322,18 +327,18 @@ def _float64_tallies(key, pool, beta, iterations, window_start, size):
 class TestWindowTallies:
     # at beta = 40 the N=4 walkers settle in their chain's ground state, so
     # in-sector walkers tally the whole window: |wsum| reaches its length
+    # the window is the last iterations // 5: 127 iterations fit int8, 128 do not
     @pytest.mark.parametrize("iterations,window_start,dtype", [
         (500, 400, np.int8),
-        (159, 32, np.int8),
-        (160, 32, np.int16),
-        (160, 160, np.int8),
+        (639, 512, np.int8),
+        (640, 512, np.int16),
     ])
     def test_smallest_dtype_that_holds_the_window(self, iterations, window_start, dtype):
         cfg = ProtocolConfig(PROTOCOL_QGCA, 4, 40.0, iterations=iterations, runs=500)
         reached = 0
         for tag, pool in _pools(cfg, None):
             key = (1, tag, 4, 0)
-            _, _, wsum, wcnt, _ = _walk_block(key, pool, 40.0, iterations, window_start, 500)
+            _, _, wsum, wcnt, _ = _walk_block(key, pool, 40.0, iterations, 500)
             assert wsum.dtype == wcnt.dtype == dtype
             ref_sum, ref_cnt = _float64_tallies(key, pool, 40.0, iterations, window_start, 500)
             assert np.array_equal(wsum, ref_sum)
@@ -346,13 +351,13 @@ class TestWindowTallies:
         cfg = ProtocolConfig(PROTOCOL_QGCA, 4, 2.0, iterations=iterations,
                              runs=2 * BLOCK_SIZE + 100)
         results = []
-        walk = dynamics._walk
+        parallel_map = dynamics._parallel_map
 
-        def recording_walk(*args):
-            results.extend(walk(*args))
+        def recording_map(*args):
+            results.extend(parallel_map(*args))
             return results
 
-        monkeypatch.setattr(dynamics, "_walk", recording_walk)
+        monkeypatch.setattr(dynamics, "_parallel_map", recording_map)
         trace = run_protocol(cfg)
         assert len(results) == 6  # two chains, three blocks each
 
@@ -381,7 +386,7 @@ class TestFrozenOutputs:
     def test_occupancy_digest(self):
         cfg = ProtocolConfig(PROTOCOL_GCA, 5, 2.0, iterations=30,
                              runs=BLOCK_SIZE + 100)
-        counts, _ = gca_occupancy(cfg)
+        counts = run_protocol(cfg).occupancy
         assert counts.sum() == BLOCK_SIZE + 100
         assert _sha256(counts.astype(np.int64).tobytes()) == (
             "049267b0c11d950e5dd1aaf1c2b3ae6ebaf7e0024362c36831f9bc3ae284e759")

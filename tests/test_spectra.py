@@ -118,51 +118,51 @@ class TestCache:
 
     def test_roundtrip_bit_exact(self, tmp_path):
         spec = self._spec()
-        cache_put(tmp_path, spec.key, spec.params, spec.energies)
-        loaded = cache_get(tmp_path, spec.key, spec.params)
+        cache_put(tmp_path, spec.key, SUSY, spec.energies)
+        loaded = cache_get(tmp_path, spec.key, SUSY)
         assert loaded is not None
         assert np.array_equal(loaded, spec.energies)
 
     def test_key_exactness(self, tmp_path):
         spec = self._spec()
-        cache_put(tmp_path, spec.key, spec.params, spec.energies)
+        cache_put(tmp_path, spec.key, SUSY, spec.energies)
         near = ModelParams(Delta=1.000001)
         assert cache_get(tmp_path, spec.key, near) is None
 
     def test_corruption_is_a_miss(self, tmp_path):
         spec = self._spec()
-        path = cache_put(tmp_path, spec.key, spec.params, spec.energies)
+        path = cache_put(tmp_path, spec.key, SUSY, spec.energies)
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 0xFF
         path.write_bytes(bytes(raw))
-        assert cache_get(tmp_path, spec.key, spec.params) is None
+        assert cache_get(tmp_path, spec.key, SUSY) is None
 
     def test_truncation_is_a_miss(self, tmp_path):
         spec = self._spec()
-        path = cache_put(tmp_path, spec.key, spec.params, spec.energies)
+        path = cache_put(tmp_path, spec.key, SUSY, spec.energies)
         path.write_bytes(path.read_bytes()[:10])
-        assert cache_get(tmp_path, spec.key, spec.params) is None
+        assert cache_get(tmp_path, spec.key, SUSY) is None
 
     def test_every_flipped_byte_and_truncation_is_a_miss(self, tmp_path):
         spec = self._spec()
-        path = cache_put(tmp_path, spec.key, spec.params, spec.energies)
+        path = cache_put(tmp_path, spec.key, SUSY, spec.energies)
         raw = path.read_bytes()
         damaged = [raw[:n] for n in range(len(raw))]
         damaged += [raw[:i] + bytes([raw[i] ^ 0xFF]) + raw[i + 1:] for i in range(len(raw))]
         for bad in damaged:
             path.write_bytes(bad)
-            assert cache_get(tmp_path, spec.key, spec.params) is None
+            assert cache_get(tmp_path, spec.key, SUSY) is None
             assert cache_header(path) is None
 
     def test_version_bump_is_a_miss(self, tmp_path, monkeypatch):
         spec = self._spec()
-        cache_put(tmp_path, spec.key, spec.params, spec.energies)
+        cache_put(tmp_path, spec.key, SUSY, spec.energies)
         monkeypatch.setattr(spectra, "CACHE_VERSION", spectra.CACHE_VERSION + 1)
-        assert cache_get(tmp_path, spec.key, spec.params) is None
+        assert cache_get(tmp_path, spec.key, SUSY) is None
 
     def test_payload_is_the_energies_alone(self, tmp_path):
         spec = diagonalize(build_hamiltonian(SectorKey(6, 3), SUSY))
-        path = cache_put(tmp_path, spec.key, spec.params, spec.energies)
+        path = cache_put(tmp_path, spec.key, SUSY, spec.energies)
         assert path.stat().st_size == spectra._HEADER.size + 8 * 20
         assert path.read_bytes()[spectra._HEADER.size:] == spec.energies.tobytes()
 
@@ -181,7 +181,7 @@ class TestCache:
     def test_version_1_entry_is_a_miss_and_not_counted(self, tmp_path):
         # a block as version 1 stored it: energies, then the eigenvector matrix
         spec = self._spec()
-        key, p = spec.key, spec.params
+        key, p = spec.key, SUSY
         payload = spec.energies.tobytes() + spec.states.tobytes()
         old = spectra._HEADER.pack(spectra._MAGIC, 1, key.L, key.n_d, p.J, p.Delta, p.h,
                                    len(spec.energies), hashlib.sha256(payload).digest())
@@ -203,6 +203,22 @@ class TestCache:
         assert out.splitlines()[-1] == "1 entries" and "skipped" not in err
         assert err.count("other cache versions") == 1
 
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch, capsys):
+        def refuse(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(spectra.os, "replace", refuse)
+        spec = self._spec()
+        with pytest.raises(OSError, match="No space left"):
+            cache_put(tmp_path, spec.key, SUSY, spec.energies)
+        assert list(tmp_path.rglob("*.tmp")) == []
+        root = tmp_path / "cli"
+        assert main(["spectrum", "--N", "4", "--cache-dir", str(root)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("I/O error: ")
+        assert list(root.rglob("*.tmp")) == []
+
 
 COUPLINGS = st.floats(-4.0, 4.0, allow_nan=False)
 
@@ -212,7 +228,7 @@ def block_spectra(draw):
     L = draw(st.integers(1, 6))
     key = SectorKey(L, draw(st.integers(0, L)))
     params = ModelParams(J=draw(COUPLINGS), Delta=draw(COUPLINGS), h=draw(COUPLINGS))
-    return diagonalize(build_hamiltonian(key, params))
+    return params, diagonalize(build_hamiltonian(key, params))
 
 
 def run_inspect(root):
@@ -223,23 +239,24 @@ def run_inspect(root):
 
 
 @settings(max_examples=40, deadline=None, database=None)
-@given(spec=block_spectra())
-def test_cache_roundtrip_of_random_blocks_is_bit_exact(tmp_path_factory, spec):
+@given(block=block_spectra())
+def test_cache_roundtrip_of_random_blocks_is_bit_exact(tmp_path_factory, block):
+    p, spec = block
     root = tmp_path_factory.mktemp("cache")
-    path = cache_put(root, spec.key, spec.params, spec.energies)
-    loaded = cache_get(root, spec.key, spec.params)
+    path = cache_put(root, spec.key, p, spec.energies)
+    loaded = cache_get(root, spec.key, p)
     assert loaded.tobytes() == spec.energies.tobytes()
-    p = spec.params
     assert cache_header(path) == (spec.key.L, spec.key.n_d, p.J, p.Delta, p.h,
                                   len(spec.energies))
     assert [q.name for q in root.rglob("*") if q.is_file()] == [path.name]
 
 
 @settings(max_examples=80, deadline=None, database=None)
-@given(spec=block_spectra(), flip=st.booleans(), data=st.data())
-def test_damaged_cache_entry_is_a_miss_and_skipped(tmp_path_factory, spec, flip, data):
+@given(block=block_spectra(), flip=st.booleans(), data=st.data())
+def test_damaged_cache_entry_is_a_miss_and_skipped(tmp_path_factory, block, flip, data):
+    params, spec = block
     root = tmp_path_factory.mktemp("cache")
-    path = cache_put(root, spec.key, spec.params, spec.energies)
+    path = cache_put(root, spec.key, params, spec.energies)
     raw = path.read_bytes()
     # half the draws land in the header, whose key fields no checksum covers
     header = st.integers(0, spectra._HEADER.size - 1)
@@ -250,7 +267,7 @@ def test_damaged_cache_entry_is_a_miss_and_skipped(tmp_path_factory, spec, flip,
     else:
         raw = raw[:at]
     path.write_bytes(raw)
-    assert cache_get(root, spec.key, spec.params) is None
+    assert cache_get(root, spec.key, params) is None
     assert cache_header(path) is None
     code, out, err = run_inspect(root)
     assert (code, out) == (0, "0 entries\n")

@@ -319,10 +319,18 @@ def test_hellmann_feynman_survives_underflowing_weights(N, beta):
     assert hf == pytest.approx(fd, rel=1e-3)
 
 
-@pytest.mark.parametrize("broken", ["finite_difference_dw", "hellmann_feynman_dw"])
+@pytest.mark.parametrize("broken", ["finite_difference_dw", "hellmann_feynman_dw", "disagree"])
 def test_non_finite_slope_is_a_consistency_error(monkeypatch, broken):
-    monkeypatch.setattr(susy_mod, broken, lambda *a: math.nan)
-    with pytest.raises(NumericalConsistencyError, match="non-finite"):
+    if broken == "disagree":
+        # finite, but twice the finite difference: past the 5% agreement bound
+        fd = susy_mod.finite_difference_dw
+        monkeypatch.setattr(susy_mod, "hellmann_feynman_dw",
+                            lambda N, beta, coupling, blocks=None: 2 * fd(N, beta, coupling))
+        match = "disagree"
+    else:
+        monkeypatch.setattr(susy_mod, broken, lambda *a: math.nan)
+        match = "non-finite"
+    with pytest.raises(NumericalConsistencyError, match=match):
         deviation_first_order(4, 5.0, COUPLING_DELTA, 0.01)
 
 
