@@ -57,6 +57,11 @@ DEFAULT_N_LIST = tuple(range(3, 12))
 # chains pass N <= 15 (C(14,7) = 3432, 90 MiB).
 MAX_BLOCK_BYTES = 256 * 2**20
 
+# Bytes per iteration that run_protocol's fold holds beside the gathered
+# results: the summed counts and sums, estimate and stderr, and at most
+# four 8-byte temporaries while they are built.
+FOLD_BYTES = 8 * 8
+
 
 # every shared flag is defined once; each subcommand names the ones it reads
 _SHARED = {
@@ -225,23 +230,26 @@ def _check_size(n_list, full_chain: bool) -> None:
 
 
 def _check_tallies(n_list, protocol: str, runs: int, iterations: int) -> None:
-    """Refuse a Monte Carlo run whose walker results exceed MAX_BLOCK_BYTES.
+    """Refuse a Monte Carlo run whose trace or walker results exceed MAX_BLOCK_BYTES.
 
     Every walker task returns int64 counts and float64 sums per iteration,
     and the coordinator gathers the tasks of one sector, ceil(runs /
-    BLOCK_SIZE) per pool, before it folds them. Each walker also returns
-    two window tallies, which the fold turns into one float64 residual.
+    BLOCK_SIZE) per pool, and folds them into the trace while it holds them.
+    Each walker also returns two window tallies, which the fold turns into
+    one float64 residual.
     """
     per_walker = 2 * _tally_dtype(iterations - _window_start(iterations)).itemsize + 8
     limit = f"the limit is {MAX_BLOCK_BYTES} bytes ({MAX_BLOCK_BYTES // 2**20} MiB)"
     for N in n_list:
         pools = 1 if protocol == PROTOCOL_GCA else len(decompose_n_sector(N).members)
         tasks = pools * -(-runs // BLOCK_SIZE)
-        size = 16 * iterations * tasks
+        per_iteration = 16 * tasks + FOLD_BYTES
+        size = per_iteration * iterations
         if size > MAX_BLOCK_BYTES:
             raise ValueError(
-                f"N={N} gathers {size} bytes of walker results, 16 per iteration of "
-                f"each of {tasks} tasks; {limit}")
+                f"N={N} needs {size} bytes of walker results and trace, {per_iteration} "
+                f"per iteration: 16 from each of {tasks} tasks and {FOLD_BYTES} to fold "
+                f"them; {limit}")
         size = per_walker * pools * runs
         if size > MAX_BLOCK_BYTES:
             raise ValueError(

@@ -114,7 +114,7 @@ def seed_stream(base_seed: int, tag: str, N: int, run_index: int) -> np.random.G
 
 @dataclass(frozen=True)
 class _Pool:
-    """Pool states: energies, and the parity (-1)**n_d in the sector, 0 outside."""
+    """Pool states: energies, and int8 codes: parity (-1)**n_d in the sector, 0 outside."""
 
     energies: np.ndarray
     signed: np.ndarray
@@ -125,7 +125,7 @@ def _pools(config: ProtocolConfig, cache_dir) -> list[tuple[str, _Pool]]:
     pools = []
     for key in decompose_n_sector(config.N).members:
         chain = full_chain_spectrum(key.L, config.params, cache_dir)
-        signed = [np.full(len(e), float(key.parity) if nd == key.n_d else 0.0)
+        signed = [np.full(len(e), key.parity if nd == key.n_d else 0, dtype=np.int8)
                   for nd, e in enumerate(chain)]
         pools.append((f"qgca:L{key.L}", _Pool(np.concatenate(chain), np.concatenate(signed))))
     if config.protocol == PROTOCOL_QGCA:
@@ -148,14 +148,20 @@ def _tally_dtype(window: int) -> np.dtype:
 def _walk_block(key: tuple, pool: _Pool, beta: float, iterations: int, size: int):
     """One block of walkers, full trajectory, deterministic draw order.
 
-    `key` is the block's seed_stream key. The window tallies come in
+    `key` is the block's seed_stream key. The stream draws `size` start
+    states, then each iteration `size` proposals and `size` uniforms. Only
+    accepted walkers are updated; `n` and `s` stay the in-sector count and
+    parity sum of the current states. The window tallies come in
     _tally_dtype of the window length, which keeps the results the
     coordinator gathers small. The last result counts the walkers per pool
     state after the last iteration, in the smallest dtype that holds `size`.
     """
     rng = seed_stream(*key)
-    dim = len(pool.energies)
+    energies, codes = pool.energies, pool.signed
+    dim = len(energies)
     cur = rng.integers(0, dim, size)
+    ecur, scur = energies[cur], codes[cur]
+    n, s = np.count_nonzero(scur), int(scur.sum())
     counts = np.zeros(iterations, dtype=np.int64)
     sums = np.zeros(iterations)
     window_start = _window_start(iterations)
@@ -165,16 +171,16 @@ def _walk_block(key: tuple, pool: _Pool, beta: float, iterations: int, size: int
     for t in range(iterations):
         prop = rng.integers(0, dim, size)
         u = rng.random(size)
-        accept = metropolis_accept(pool.energies[prop] - pool.energies[cur], beta, u)
-        cur = np.where(accept, prop, cur)
-        signed = pool.signed[cur]
-        n = np.count_nonzero(signed)
-        counts[t] = n
-        if n:
-            sums[t] = signed.sum()
-            if t >= window_start:
-                wsum += signed.astype(tally)  # parities +-1 and 0 convert exactly
-                wcnt += signed != 0.0
+        moved = np.flatnonzero(metropolis_accept(energies[prop] - ecur, beta, u))
+        new = prop[moved]
+        old, code = scur[moved], codes[new]
+        n += np.count_nonzero(code) - np.count_nonzero(old)
+        s += int(code.sum() - old.sum())
+        cur[moved], ecur[moved], scur[moved] = new, energies[new], code
+        counts[t], sums[t] = n, s  # parity sums are integers, exact in float64
+        if n and t >= window_start:
+            wsum += scur
+            wcnt += scur != 0
     return counts, sums, wsum, wcnt, np.bincount(cur, minlength=dim).astype(
         np.min_scalar_type(size))
 

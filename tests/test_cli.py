@@ -12,6 +12,7 @@ import pytest
 import susychain
 import susychain.spectra as spectra
 from susychain.cli import build_parser, main
+from susychain.dynamics import BLOCK_SIZE
 from susychain.susy import NumericalConsistencyError
 
 
@@ -608,18 +609,18 @@ class TestSizeGuard:
 
     @pytest.mark.parametrize("argv,message", [
         (("dynamics", "--N", "3", "--runs", "1", "--iterations", "100000000000"),
-         "N=3 gathers 1600000000000 bytes of walker results, 16 per iteration of each "
-         "of 1 tasks"),
+         "N=3 needs 8000000000000 bytes of walker results and trace, 80 per iteration: "
+         "16 from each of 1 tasks and 64 to fold them"),
         (("dynamics", "--protocol", "qgca", "--N", "11", "--runs", "50000000",
           "--iterations", "500"),
-         "N=11 gathers 292992000 bytes of walker results, 16 per iteration of each "
-         "of 36624 tasks"),
+         "N=11 needs 293024000 bytes of walker results and trace, 586048 per "
+         "iteration: 16 from each of 36624 tasks and 64 to fold them"),
         (("sweep", "--estimator", "sampled-gca", "--N", "3,4", "--values", "1.0,1.1",
           "--runs", "1", "--iterations", "20000000"),
-         "N=3 gathers 320000000 bytes"),
+         "N=3 needs 1600000000 bytes of walker results and trace"),
         (("sweep", "--estimator", "sampled-qgca", "--N", "3,4", "--values", "1.0,1.1",
           "--runs", "1", "--iterations", "10000000"),
-         "N=3 gathers 320000000 bytes"),
+         "N=3 needs 960000000 bytes of walker results and trace"),
         # int8 window tallies at one iteration: 1 + 1 + 8 bytes per walker
         (("dynamics", "--N", "3", "--runs", "33554432", "--iterations", "1"),
          "N=3 needs 335544320 bytes of window tallies and residuals, 10 per walker "
@@ -641,14 +642,14 @@ class TestSizeGuard:
 
     @pytest.mark.parametrize("iterations", [500, 640])
     def test_guard_figures_are_the_kernel_arrays(self, iterations):
-        # the guard's per-iteration and per-walker figures, read from its
+        # the guard's per-task and per-walker figures, read from its
         # messages, against the arrays one walker task really returns
         from susychain.cli import _check_tallies
         from susychain.dynamics import ProtocolConfig, _pools, _walk_block
 
         with pytest.raises(ValueError, match="walker results") as refused:
             _check_tallies([3], "gca", 2**40, iterations)
-        per_iteration = int(re.search(r"(\d+) per iteration", str(refused.value))[1])
+        per_task = int(re.search(r"(\d+) from each", str(refused.value))[1])
         with pytest.raises(ValueError, match="window tallies") as refused:
             _check_tallies([3], "gca", 2**25, iterations)
         per_walker = int(re.search(r"(\d+) per walker", str(refused.value))[1])
@@ -657,14 +658,53 @@ class TestSizeGuard:
         pool = _pools(ProtocolConfig("gca", 3, 2.0), None)[0][1]
         counts, sums, wsum, wcnt, _ = _walk_block((1, "gca", 3, 0), pool, 2.0, iterations,
                                                   size)
-        assert counts.nbytes + sums.nbytes == per_iteration * iterations
+        assert counts.nbytes + sums.nbytes == per_task * iterations
         # each walker's two tallies, and the fold's float64 residual
         assert wsum.nbytes + wcnt.nbytes + 8 * size == per_walker * size
-        assert (per_iteration, per_walker) == (16, 10 if iterations < 640 else 12)
+        assert (per_task, per_walker) == (16, 10 if iterations < 640 else 12)
 
-    @pytest.mark.parametrize("iterations,refused", [(2**24, False), (2**24 + 1, True)])
-    def test_walker_results_at_the_limit_pass_the_guard(self, capsys, no_walkers,
-                                                         iterations, refused):
+    # 2**14 iterations keep every fold array under numpy's 256 KiB threshold
+    # for reusing temporaries, 2**16 put them over it
+    @pytest.mark.parametrize("iterations", [2**14, 2**16])
+    @pytest.mark.parametrize("runs", [1, BLOCK_SIZE + 1])
+    def test_trace_figure_bounds_the_fold(self, monkeypatch, iterations, runs):
+        # the guard's bytes per iteration against the peak traced allocation
+        # of run_protocol, from the gathered results to the finished trace
+        import tracemalloc
+
+        from susychain import dynamics
+        from susychain.cli import _check_tallies
+
+        with pytest.raises(ValueError, match="walker results") as refused:
+            _check_tallies([3], "gca", runs, 2**40)
+        per_iteration = int(re.search(r"(\d+) per iteration", str(refused.value))[1])
+
+        def results(fn, tasks, workers):
+            # arrays of the shapes and dtypes each walker task returns
+            return [(np.ones(steps, dtype=np.int64), np.ones(steps), np.ones(size, np.int8),
+                     np.ones(size, np.int8), np.zeros(len(pool.energies), np.uint16))
+                    for _, pool, _, steps, size in tasks]
+
+        monkeypatch.setattr(dynamics, "_parallel_map", results)
+        config = dynamics.ProtocolConfig("gca", 3, 2.0, iterations=iterations, runs=runs)
+        dynamics._pools(config, None)  # chain spectra memoized before tracing
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            trace = dynamics.run_protocol(config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert trace.estimate.nbytes + trace.stderr.nbytes + trace.legitimate_count.nbytes \
+            == 24 * iterations
+        # beside the per-iteration arrays, ufuncs that cast take fixed
+        # buffers of 8192 elements: at most 128 KiB
+        assert (per_iteration - 16) * iterations < peak <= per_iteration * iterations + 2**17
+
+    # one task and 80 bytes per iteration: 256 MiB holds 3355443 iterations
+    @pytest.mark.parametrize("iterations,refused", [(3355443, False), (3355444, True)])
+    def test_trace_at_the_limit_passes_the_guard(self, capsys, no_walkers, iterations,
+                                                 refused):
         argv = ["dynamics", "--N", "3", "--runs", "1", "--iterations", str(iterations),
                 "--threads", "1"]
         if refused:

@@ -307,21 +307,74 @@ class TestOccupancy:
         assert np.array_equal(a, b)
 
 
-def _float64_tallies(key, pool, beta, iterations, window_start, size):
-    """Window tallies of _walk_block's walk, replayed and summed in float64 and int64."""
+def _reference_walk(key, pool, beta, iterations, size):
+    """The full-array kernel: every walker gathered and rewritten each iteration.
+
+    It reads the parities as the float64 array the pools once held, and
+    returns _walk_block's five results.
+    """
+    signed_parity = pool.signed.astype(np.float64)
     rng = seed_stream(*key)
     dim = len(pool.energies)
     cur = rng.integers(0, dim, size)
-    wsum, wcnt = np.zeros(size), np.zeros(size, dtype=np.int64)
+    counts = np.zeros(iterations, dtype=np.int64)
+    sums = np.zeros(iterations)
+    window_start = dynamics._window_start(iterations)
+    tally = dynamics._tally_dtype(iterations - window_start)
+    wsum = np.zeros(size, dtype=tally)
+    wcnt = np.zeros(size, dtype=tally)
     for t in range(iterations):
         prop = rng.integers(0, dim, size)
         u = rng.random(size)
         accept = metropolis_accept(pool.energies[prop] - pool.energies[cur], beta, u)
         cur = np.where(accept, prop, cur)
-        if t >= window_start:
-            wsum += pool.signed[cur]
-            wcnt += pool.signed[cur] != 0.0
-    return wsum, wcnt
+        signed = signed_parity[cur]
+        n = np.count_nonzero(signed)
+        counts[t] = n
+        if n:
+            sums[t] = signed.sum()
+            if t >= window_start:
+                wsum += signed.astype(tally)  # parities +-1 and 0 convert exactly
+                wcnt += signed != 0.0
+    return counts, sums, wsum, wcnt, np.bincount(cur, minlength=dim).astype(
+        np.min_scalar_type(size))
+
+
+class TestKernel:
+    @pytest.mark.parametrize("N", range(3, 12))
+    @pytest.mark.parametrize("protocol", [PROTOCOL_GCA, PROTOCOL_QGCA])
+    def test_matches_the_full_array_kernel(self, protocol, N):
+        # beta = 0 accepts every move and beta = 40 almost none; one walker,
+        # and one iteration, a one-iteration window
+        for tag, pool in _pools(ProtocolConfig(protocol, N, 1.0), None):
+            for beta in (0.0, 0.7, 5.0, 40.0):
+                for size, iterations in ((300, 40), (1, 7), (1001, 13), (64, 1)):
+                    key = (1, tag, N, 0)
+                    got = _walk_block(key, pool, beta, iterations, size)
+                    want = _reference_walk(key, pool, beta, iterations, size)
+                    for g, w in zip(got, want, strict=True):
+                        assert g.dtype == w.dtype
+                        assert np.array_equal(g, w)
+
+    def test_parities_are_int8_codes(self):
+        for protocol in (PROTOCOL_GCA, PROTOCOL_QGCA):
+            for _, pool in _pools(ProtocolConfig(protocol, 5, 1.0), None):
+                assert pool.signed.dtype == np.int8
+                assert set(np.unique(pool.signed)) <= {-1, 0, 1}
+
+    @pytest.mark.parametrize("iterations", [1, 17])
+    def test_one_acceptance_rule_call_per_iteration(self, monkeypatch, iterations):
+        calls = []
+        accept = dynamics.metropolis_accept
+
+        def counting(*args):
+            calls.append(args)
+            return accept(*args)
+
+        monkeypatch.setattr(dynamics, "metropolis_accept", counting)
+        pool = _pools(ProtocolConfig(PROTOCOL_GCA, 5, 1.0), None)[0][1]
+        _walk_block((1, "gca", 5, 0), pool, 2.0, iterations, 300)
+        assert len(calls) == iterations
 
 
 class TestWindowTallies:
@@ -340,7 +393,7 @@ class TestWindowTallies:
             key = (1, tag, 4, 0)
             _, _, wsum, wcnt, _ = _walk_block(key, pool, 40.0, iterations, 500)
             assert wsum.dtype == wcnt.dtype == dtype
-            ref_sum, ref_cnt = _float64_tallies(key, pool, 40.0, iterations, window_start, 500)
+            _, _, ref_sum, ref_cnt, _ = _reference_walk(key, pool, 40.0, iterations, 500)
             assert np.array_equal(wsum, ref_sum)
             assert np.array_equal(wcnt, ref_cnt)
             reached = max(reached, int(np.abs(wsum.astype(np.int64)).max()))
