@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ProtocolConfig, run_protocol
+from .spectra import _check_sector
 from .susy import (
     COUPLING_DELTA,
     SUSY_VALUE,
@@ -49,6 +50,12 @@ class SweepSpec:
         # the first-order rate needs beta > 0; reject it before any point runs
         if not 0.0 < self.beta < math.inf:
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
+        for N in self.n_list:
+            if self.estimator.startswith("exact-"):
+                _check_sector(N, full_chains=self.estimator == "exact-qgca")
+            else:
+                ProtocolConfig(self.estimator.removeprefix("sampled-"), N, self.beta,
+                               self.iterations, self.runs)
 
 
 @dataclass(frozen=True)
@@ -77,11 +84,8 @@ def _evaluate(spec: SweepSpec, N: int, value: float, seed: int | None,
         return wtilde_gca_exact(assemble(N, params, cache_dir), spec.beta), 0.0
     if spec.estimator == "exact-qgca":
         return wtilde_qgca_exact(N, params, spec.beta, cache_dir), 0.0
-    protocol = "gca" if spec.estimator == "sampled-gca" else "qgca"
-    config = ProtocolConfig(
-        protocol=protocol, N=N, beta=spec.beta, iterations=spec.iterations,
-        runs=spec.runs, base_seed=seed, params=params,
-    )
+    config = ProtocolConfig(spec.estimator.removeprefix("sampled-"), N, spec.beta,
+                            spec.iterations, spec.runs, base_seed=seed, params=params)
     trace = run_protocol(config, cache_dir, threads)
     return trace.window_estimate, trace.window_stderr
 
@@ -244,4 +248,7 @@ def write_sweep_csv(records: list[SweepRecord], path: str | Path,
 
 
 def fit_report_json(reports: list[FitReport]) -> str:
-    return json.dumps([asdict(r) for r in reports], indent=1)
+    """Strict JSON: a non-finite value (the discrepancy to a zero prediction) is null."""
+    rows = [{k: None if isinstance(v, float) and not math.isfinite(v) else v
+             for k, v in asdict(r).items()} for r in reports]
+    return json.dumps(rows, indent=1, allow_nan=False)

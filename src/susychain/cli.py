@@ -34,9 +34,8 @@ from .analysis import (
     sweep,
     write_sweep_csv,
 )
-from .basis import SectorKey, decompose_n_sector
 from .dynamics import PROTOCOL_GCA, PROTOCOL_QGCA, ProtocolConfig, run_protocol, write_trace_csv
-from .dynamics import BLOCK_SIZE, _tally_dtype, _usable_cpus, _window_start
+from .dynamics import _usable_cpus
 from .model import SUSY_POINT, ModelParams
 from .spectra import CACHE_VERSION, SolverError, _blas_threads, _one_blas_thread, cache_header
 from .susy import (
@@ -51,16 +50,6 @@ from .susy import (
 )
 
 DEFAULT_N_LIST = tuple(range(3, 12))
-
-# Largest dense float64 block a command may build. Paths over a sector's own
-# blocks pass N <= 22 (C(15,6) = 5005, 191 MiB); paths over whole member
-# chains pass N <= 15 (C(14,7) = 3432, 90 MiB).
-MAX_BLOCK_BYTES = 256 * 2**20
-
-# Bytes per iteration that run_protocol's fold holds beside the gathered
-# results: the summed counts and sums, estimate and stderr, and at most
-# four 8-byte temporaries while they are built.
-FOLD_BYTES = 8 * 8
 
 
 # every shared flag is defined once; each subcommand names the ones it reads
@@ -209,61 +198,12 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
     return path
 
 
-def _check_size(n_list, full_chain: bool) -> None:
-    """Refuse a sector whose largest dense block exceeds MAX_BLOCK_BYTES.
-
-    Member-block paths diagonalize the sector's (L, N-L-1) blocks; full-chain
-    paths every block of each member chain, whose largest is n_d = L//2.
-    Dimensions are binomials, so nothing is enumerated or allocated.
-    """
-    for N in n_list:
-        keys = decompose_n_sector(N).members
-        if full_chain:
-            keys = [SectorKey(key.L, key.L // 2) for key in keys]
-        key = max(keys, key=lambda k: k.dimension)
-        size = 8 * key.dimension**2
-        if size > MAX_BLOCK_BYTES:
-            raise ValueError(
-                f"N={N} needs the dense block (L={key.L}, n_d={key.n_d}) of dimension "
-                f"{key.dimension}, {size} bytes; the limit is {MAX_BLOCK_BYTES} bytes "
-                f"({MAX_BLOCK_BYTES // 2**20} MiB) per block")
-
-
-def _check_tallies(n_list, protocol: str, runs: int, iterations: int) -> None:
-    """Refuse a Monte Carlo run whose trace or walker results exceed MAX_BLOCK_BYTES.
-
-    Every walker task returns int64 counts and float64 sums per iteration,
-    and the coordinator gathers the tasks of one sector, ceil(runs /
-    BLOCK_SIZE) per pool, and folds them into the trace while it holds them.
-    Each walker also returns two window tallies, which the fold turns into
-    one float64 residual.
-    """
-    per_walker = 2 * _tally_dtype(iterations - _window_start(iterations)).itemsize + 8
-    limit = f"the limit is {MAX_BLOCK_BYTES} bytes ({MAX_BLOCK_BYTES // 2**20} MiB)"
-    for N in n_list:
-        pools = 1 if protocol == PROTOCOL_GCA else len(decompose_n_sector(N).members)
-        tasks = pools * -(-runs // BLOCK_SIZE)
-        per_iteration = 16 * tasks + FOLD_BYTES
-        size = per_iteration * iterations
-        if size > MAX_BLOCK_BYTES:
-            raise ValueError(
-                f"N={N} needs {size} bytes of walker results and trace, {per_iteration} "
-                f"per iteration: 16 from each of {tasks} tasks and {FOLD_BYTES} to fold "
-                f"them; {limit}")
-        size = per_walker * pools * runs
-        if size > MAX_BLOCK_BYTES:
-            raise ValueError(
-                f"N={N} needs {size} bytes of window tallies and residuals, "
-                f"{per_walker} per walker of {pools * runs} walkers; {limit}")
-
-
 def _params(args) -> ModelParams:
     return ModelParams(J=args.J, Delta=args.Delta, h=args.h)
 
 
 def _cmd_spectrum(args) -> int:
     started = _timestamp()
-    _check_size([args.N], full_chain=False)
     spec = assemble(args.N, _params(args), args.cache_dir)
     rows = [
         {"L": L, "n_d": spec.N - L - 1, "energy": e, "parity": p, "pair_id": pair}
@@ -305,7 +245,6 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_witten(args) -> int:
     started = _timestamp()
-    _check_size([args.N], full_chain=args.which == "qgca")
     params = _params(args)
     if args.which == "regularized":
         beta0 = args.beta0 if args.beta0 is not None else 1.0
@@ -349,17 +288,11 @@ def _emit(args, command: str, text: str, started: str) -> int:
 def _cmd_dynamics(args) -> int:
     started = _timestamp()
     sectors = [args.N] if args.N is not None else list(DEFAULT_N_LIST)
-    _check_size(sectors, full_chain=True)
-    # every config is validated before the first run writes anything
-    configs = [
-        ProtocolConfig(
-            protocol=args.protocol, N=N, beta=args.beta,
-            iterations=args.iterations, runs=args.runs,
-            base_seed=args.seed, params=_params(args),
-        )
-        for N in sectors
-    ]
-    _check_tallies(sectors, args.protocol, args.runs, args.iterations)
+    # every config is validated and size-checked before the first run writes anything
+    configs = [ProtocolConfig(protocol=args.protocol, N=N, beta=args.beta,
+                              iterations=args.iterations, runs=args.runs,
+                              base_seed=args.seed, params=_params(args))
+               for N in sectors]
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
@@ -393,9 +326,6 @@ def _cmd_sweep(args) -> int:
         estimator=args.estimator, runs=args.runs, iterations=args.iterations,
         base_seed=args.seed,
     )
-    _check_size(n_list, full_chain=spec.estimator != "exact-gca")
-    if spec.estimator.startswith("sampled-"):
-        _check_tallies(n_list, spec.estimator[len("sampled-"):], spec.runs, spec.iterations)
     records = sweep(spec, args.cache_dir, args.threads)
     meta = {"coupling": spec.coupling, "estimator": spec.estimator, "beta": spec.beta,
             "version": __version__}

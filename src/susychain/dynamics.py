@@ -35,12 +35,17 @@ import numpy as np
 
 from .basis import decompose_n_sector
 from .model import ModelParams
-from .spectra import full_chain_spectrum
+from .spectra import MAX_BLOCK_BYTES, _check_sector, full_chain_spectrum
 
 PROTOCOL_GCA = "gca"
 PROTOCOL_QGCA = "qgca"
 
 BLOCK_SIZE = 8192
+
+# Bytes per iteration that run_protocol's fold holds beside the gathered
+# results: the summed counts and sums. The trace it builds once they are
+# freed (counts, estimate, stderr and one temporary) takes no more.
+FOLD_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -54,12 +59,31 @@ class ProtocolConfig:
     params: ModelParams = field(default_factory=ModelParams)
 
     def __post_init__(self):
+        _check_sector(self.N, full_chains=True)  # the pools are whole member chains
         if self.protocol not in (PROTOCOL_GCA, PROTOCOL_QGCA):
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.iterations < 1 or self.runs < 1:
             raise ValueError("iterations and runs must be >= 1")
         if not 0.0 <= self.beta < math.inf:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        # Each walker task returns int64 counts and float64 sums per iteration, all
+        # held by the fold of the run's ceil(runs / BLOCK_SIZE) tasks per pool; each
+        # walker also returns two window tallies, which the fold turns into one residual.
+        pools = 1 if self.protocol == PROTOCOL_GCA else len(decompose_n_sector(self.N).members)
+        tasks = pools * -(-self.runs // BLOCK_SIZE)
+        per_iteration = 16 * tasks + FOLD_BYTES
+        window = self.iterations - _window_start(self.iterations)
+        per_walker = 2 * _tally_dtype(window).itemsize + 8  # and a float64 residual
+        limit = f"the limit is {MAX_BLOCK_BYTES} bytes ({MAX_BLOCK_BYTES // 2**20} MiB)"
+        if per_iteration * self.iterations > MAX_BLOCK_BYTES:
+            raise ValueError(
+                f"N={self.N} needs {per_iteration * self.iterations} bytes of walker results "
+                f"and trace, {per_iteration} per iteration: 16 from each of {tasks} tasks and "
+                f"{FOLD_BYTES} to fold them; {limit}")
+        if per_walker * pools * self.runs > MAX_BLOCK_BYTES:
+            raise ValueError(
+                f"N={self.N} needs {per_walker * pools * self.runs} bytes of window tallies "
+                f"and residuals, {per_walker} per walker of {pools * self.runs} walkers; {limit}")
 
 
 @dataclass(frozen=True)
@@ -229,23 +253,31 @@ def run_protocol(config: ProtocolConfig, cache_dir=None, threads: int = 1) -> Wi
     tasks = [((config.base_seed, tag, config.N, start), pool, config.beta, config.iterations,
               min(BLOCK_SIZE, config.runs - start))
              for tag, pool in _pools(config, cache_dir) for start in starts]
-    results = _parallel_map(_walk_block, tasks, threads)
-    cnts, sums, wsums, wcnts, finals = zip(*results)  # task order: deterministic fold
-    counts, sums = sum(cnts), sum(sums)
+    cnts, task_sums, wsums, wcnts, finals = zip(*_parallel_map(_walk_block, tasks, threads))
+    counts, sums = np.zeros(config.iterations, dtype=np.int64), np.zeros(config.iterations)
+    for c, s in zip(cnts, task_sums):  # task order: deterministic fold
+        counts += c
+        sums += s
+    del cnts, task_sums, c, s  # the gathered trace arrays, freed before the trace is built
     # each pool's compact per-task counts, added as int64, pools in order
     occupancy = np.concatenate([
         sum(finals[i:i + len(starts)], np.zeros(len(finals[i]), dtype=np.int64))
         for i in range(0, len(finals), len(starts))
     ])
 
+    # in place; entries with counts <= 1 divide by zero here and are set after
     with np.errstate(invalid="ignore", divide="ignore"):
-        estimate = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-        # parities are +-1: sample variance = (n - s^2/n)/(n-1)
-        var = (counts - sums**2 / np.maximum(counts, 1)) / np.maximum(counts - 1, 1)
-        stderr = np.where(
-            counts > 1, np.sqrt(np.maximum(var, 0.0) / np.maximum(counts, 1)),
-            np.where(counts == 1, 0.0, np.nan),
-        )
+        estimate = sums / counts
+        stderr = np.square(sums, out=sums)  # parities are +-1: var = (n - s^2/n)/(n-1)
+        stderr /= counts
+        np.subtract(counts, stderr, out=stderr)
+        stderr /= counts - 1
+        np.maximum(stderr, 0.0, out=stderr)
+        stderr /= counts
+        np.sqrt(stderr, out=stderr)
+    estimate[counts == 0] = np.nan
+    stderr[counts == 1] = 0.0
+    stderr[counts == 0] = np.nan
 
     window = estimate[_window_start(config.iterations):]
     valid = ~np.isnan(window)

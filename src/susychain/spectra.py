@@ -21,13 +21,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import SectorKey
+from .basis import SectorKey, decompose_n_sector
 from .model import ModelParams, SectorMatrix, build_hamiltonian
 
 CACHE_VERSION = 2  # 1 also stored the eigenvectors
 _MAGIC = b"SCSP"
 # magic, version, L, n_d, J, Delta, h, dimension, sha256 of the payload
 _HEADER = struct.Struct("<4sIII3dI32s")
+
+# Largest dense float64 block the package builds. Paths over a sector's own
+# blocks pass N <= 22 (C(15,6) = 5005, 191 MiB); paths over whole member
+# chains pass N <= 15 (C(14,7) = 3432, 90 MiB).
+MAX_BLOCK_BYTES = 256 * 2**20
 
 # thread-count symbols of numpy's bundled OpenBLAS, by symbol prefix and suffix
 _OPENBLAS_NAMES = (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", ""))
@@ -48,6 +53,24 @@ class BlockEigenpairs:
     key: SectorKey
     energies: np.ndarray
     states: np.ndarray
+
+
+def _check_block(owner: str, key: SectorKey) -> None:
+    """Refuse block `key`, which `owner` needs, if it exceeds MAX_BLOCK_BYTES as a dense matrix."""
+    size = 8 * key.dimension**2
+    if size > MAX_BLOCK_BYTES:
+        raise ValueError(
+            f"{owner} needs the dense block (L={key.L}, n_d={key.n_d}) of dimension "
+            f"{key.dimension}, {size} bytes; the limit is {MAX_BLOCK_BYTES} bytes "
+            f"({MAX_BLOCK_BYTES // 2**20} MiB) per block")
+
+
+def _check_sector(N: int, full_chains: bool = False) -> None:
+    """Refuse sector N, before any basis is enumerated, if a block it needs is too large."""
+    keys = decompose_n_sector(N).members
+    if full_chains:  # every block of each member chain: the largest is n_d = L//2
+        keys = [SectorKey(key.L, key.L // 2) for key in keys]
+    _check_block(f"N={N}", max(keys, key=lambda k: k.dimension))
 
 
 def diagonalize(matrix: SectorMatrix) -> BlockEigenpairs:
@@ -227,6 +250,7 @@ def full_chain_spectrum(
 
     Memoized per process and shared by every caller, so the arrays are read-only.
     """
+    _check_block(f"the L={L} chain", SectorKey(L, L // 2))
     chain = tuple(cached_block(SectorKey(L, nd), params, cache_dir) for nd in range(L + 1))
     for energies in chain:
         energies.flags.writeable = False

@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis import decompose_n_sector
 from .model import SUSY_POINT, ModelParams, build_hamiltonian, level_slopes
-from .spectra import cached_block, diagonalize, full_chain_spectrum
+from .spectra import _check_sector, cached_block, diagonalize, full_chain_spectrum
 
 ZERO_TOL = 1e-10
 PAIR_TOL = 1e-8
@@ -65,6 +65,7 @@ def assemble(N: int, params: ModelParams, cache_dir=None) -> SusySpectrum:
     degeneracy tolerance. Away from the supersymmetric point levels may
     remain unpaired; their pair_ids entry stays None there.
     """
+    _check_sector(N)
     members = decompose_n_sector(N).members
     energies, lengths, parities = _sorted_levels(
         members, [cached_block(key, params, cache_dir) for key in members])
@@ -155,6 +156,7 @@ def wtilde_qgca_exact(N: int, params: ModelParams, beta: float, cache_dir=None) 
     estimate, and it is the quantity that converges to the pooled-chain
     value at low temperature.
     """
+    _check_sector(N, full_chains=True)
     if not 0.0 <= beta < math.inf:
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
     keys = decompose_n_sector(N).members
@@ -201,6 +203,7 @@ def finite_difference_dw(N: int, beta: float, coupling: str) -> float:
     """
     if not 0.0 <= beta < math.inf:
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    _check_sector(N)
     c0 = SUSY_VALUE.get(coupling, 0.0)  # params_at rejects an unknown name
     members = decompose_n_sector(N).members
     w = []
@@ -214,6 +217,7 @@ def finite_difference_dw(N: int, beta: float, coupling: str) -> float:
 
 def _susy_blocks(N: int) -> list:
     """Eigenpairs of every member block of sector N at the supersymmetric point."""
+    _check_sector(N)
     return [diagonalize(build_hamiltonian(key, SUSY_POINT))
             for key in decompose_n_sector(N).members]
 

@@ -312,3 +312,13 @@ def test_fit_report_json_is_parseable():
     data = json.loads(fit_report_json(reports))
     assert data[0]["N"] == 4
     assert data[0]["points"] == 6
+    # a zero predicted slope gives an infinite discrepancy, written as null
+    zero = [FitReport(N=3, fitted_slope=0.0, predicted_slope=0.0,
+                      relative_discrepancy=float("inf"), nonlinear=False, points=4)]
+
+    def strict(token):
+        raise ValueError(f"not JSON: {token}")
+
+    data = json.loads(fit_report_json(zero), parse_constant=strict)
+    assert data[0]["relative_discrepancy"] is None
+    assert data[0]["predicted_slope"] == 0.0

@@ -11,9 +11,18 @@ import pytest
 
 import susychain
 import susychain.spectra as spectra
+from susychain.analysis import SweepSpec
 from susychain.cli import build_parser, main
-from susychain.dynamics import BLOCK_SIZE
-from susychain.susy import NumericalConsistencyError
+from susychain.dynamics import BLOCK_SIZE, ProtocolConfig
+from susychain.model import SUSY_POINT
+from susychain.spectra import full_chain_spectrum
+from susychain.susy import (
+    NumericalConsistencyError,
+    assemble,
+    deviation_first_order,
+    slope_cn,
+    wtilde_qgca_exact,
+)
 
 
 def run_cli(capsys, *argv):
@@ -597,6 +606,35 @@ class TestSizeGuard:
         with pytest.raises(Reached):
             main(list(argv))
 
+    # the Python API refuses where it builds, as the command line does
+    @pytest.mark.parametrize("fn,args,message", [
+        (assemble, (25, SUSY_POINT), "N=25 needs the dense block (L=17, n_d=7) of dimension "
+                                     "19448, 3025797632 bytes"),
+        (wtilde_qgca_exact, (16, SUSY_POINT, 5.0), "N=16 needs the dense block (L=15, n_d=7)"),
+        (slope_cn, (23, 5.0), "N=23 needs the dense block (L=16, n_d=6)"),
+        (deviation_first_order, (23, 5.0, "delta", 0.01), "N=23 needs the dense block"),
+        (full_chain_spectrum, (15, SUSY_POINT), "the L=15 chain needs the dense block "
+                                                "(L=15, n_d=7)"),
+        (ProtocolConfig, ("qgca", 16, 5.0), "N=16 needs the dense block (L=15, n_d=7)"),
+        (SweepSpec, ("delta", (1.0,), (3, 40)), "N=40 needs the dense block (L=28, n_d=11)"),
+        (SweepSpec, ("delta", (1.0,), (3, 4), 5.0, "sampled-gca", 1, 20000000),
+         "N=3 needs 640000000 bytes of walker results and trace"),
+    ], ids=["assemble", "wtilde_qgca_exact", "slope_cn", "deviation_first_order",
+            "full_chain_spectrum", "ProtocolConfig", "SweepSpec", "SweepSpec-sampled"])
+    def test_python_api_refuses_before_any_block(self, no_blocks, fn, args, message):
+        with pytest.raises(ValueError) as refused:
+            fn(*args)
+        assert str(refused.value).startswith(message)
+        assert "; the limit is 268435456 bytes (256 MiB)" in str(refused.value)
+
+    @pytest.mark.parametrize("fn,args", [
+        (assemble, (22, SUSY_POINT)),
+        (full_chain_spectrum, (14, SUSY_POINT)),
+    ], ids=["assemble", "full_chain_spectrum"])
+    def test_python_api_passes_the_guard(self, no_blocks, fn, args):
+        with pytest.raises(Reached):
+            fn(*args)
+
 
     @pytest.fixture
     def no_walkers(self, monkeypatch):
@@ -609,18 +647,18 @@ class TestSizeGuard:
 
     @pytest.mark.parametrize("argv,message", [
         (("dynamics", "--N", "3", "--runs", "1", "--iterations", "100000000000"),
-         "N=3 needs 8000000000000 bytes of walker results and trace, 80 per iteration: "
-         "16 from each of 1 tasks and 64 to fold them"),
+         "N=3 needs 3200000000000 bytes of walker results and trace, 32 per iteration: "
+         "16 from each of 1 tasks and 16 to fold them"),
         (("dynamics", "--protocol", "qgca", "--N", "11", "--runs", "50000000",
           "--iterations", "500"),
-         "N=11 needs 293024000 bytes of walker results and trace, 586048 per "
-         "iteration: 16 from each of 36624 tasks and 64 to fold them"),
+         "N=11 needs 293000000 bytes of walker results and trace, 586000 per "
+         "iteration: 16 from each of 36624 tasks and 16 to fold them"),
         (("sweep", "--estimator", "sampled-gca", "--N", "3,4", "--values", "1.0,1.1",
           "--runs", "1", "--iterations", "20000000"),
-         "N=3 needs 1600000000 bytes of walker results and trace"),
+         "N=3 needs 640000000 bytes of walker results and trace"),
         (("sweep", "--estimator", "sampled-qgca", "--N", "3,4", "--values", "1.0,1.1",
           "--runs", "1", "--iterations", "10000000"),
-         "N=3 needs 960000000 bytes of walker results and trace"),
+         "N=3 needs 480000000 bytes of walker results and trace"),
         # int8 window tallies at one iteration: 1 + 1 + 8 bytes per walker
         (("dynamics", "--N", "3", "--runs", "33554432", "--iterations", "1"),
          "N=3 needs 335544320 bytes of window tallies and residuals, 10 per walker "
@@ -644,14 +682,13 @@ class TestSizeGuard:
     def test_guard_figures_are_the_kernel_arrays(self, iterations):
         # the guard's per-task and per-walker figures, read from its
         # messages, against the arrays one walker task really returns
-        from susychain.cli import _check_tallies
-        from susychain.dynamics import ProtocolConfig, _pools, _walk_block
+        from susychain.dynamics import _pools, _walk_block
 
         with pytest.raises(ValueError, match="walker results") as refused:
-            _check_tallies([3], "gca", 2**40, iterations)
+            ProtocolConfig("gca", 3, 2.0, iterations=iterations, runs=2**40)
         per_task = int(re.search(r"(\d+) from each", str(refused.value))[1])
         with pytest.raises(ValueError, match="window tallies") as refused:
-            _check_tallies([3], "gca", 2**25, iterations)
+            ProtocolConfig("gca", 3, 2.0, iterations=iterations, runs=2**25)
         per_walker = int(re.search(r"(\d+) per walker", str(refused.value))[1])
 
         size = 100
@@ -673,10 +710,9 @@ class TestSizeGuard:
         import tracemalloc
 
         from susychain import dynamics
-        from susychain.cli import _check_tallies
 
         with pytest.raises(ValueError, match="walker results") as refused:
-            _check_tallies([3], "gca", runs, 2**40)
+            ProtocolConfig("gca", 3, 2.0, iterations=2**40, runs=runs)
         per_iteration = int(re.search(r"(\d+) per iteration", str(refused.value))[1])
 
         def results(fn, tasks, workers):
@@ -701,8 +737,8 @@ class TestSizeGuard:
         # buffers of 8192 elements: at most 128 KiB
         assert (per_iteration - 16) * iterations < peak <= per_iteration * iterations + 2**17
 
-    # one task and 80 bytes per iteration: 256 MiB holds 3355443 iterations
-    @pytest.mark.parametrize("iterations,refused", [(3355443, False), (3355444, True)])
+    # one task and 32 bytes per iteration: 256 MiB holds 8388608 iterations
+    @pytest.mark.parametrize("iterations,refused", [(8388608, False), (8388609, True)])
     def test_trace_at_the_limit_passes_the_guard(self, capsys, no_walkers, iterations,
                                                  refused):
         argv = ["dynamics", "--N", "3", "--runs", "1", "--iterations", str(iterations),

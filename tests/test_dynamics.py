@@ -428,6 +428,36 @@ class TestWindowTallies:
         assert trace.window_stderr == stderr
         assert trace.window_legit == total
 
+    # several tasks, and one walker per chain, whose counts hit 0, 1 and 2
+    @pytest.mark.parametrize("N,runs", [(4, 2 * BLOCK_SIZE + 100), (9, 1)])
+    def test_trace_fold_matches_the_expression_fold(self, monkeypatch, N, runs):
+        cfg = ProtocolConfig(PROTOCOL_QGCA, N, 0.0, iterations=200, runs=runs)
+        results = []
+        parallel_map = dynamics._parallel_map
+
+        def recording_map(*args):
+            results.extend(parallel_map(*args))
+            return results
+
+        monkeypatch.setattr(dynamics, "_parallel_map", recording_map)
+        trace = run_protocol(cfg)
+
+        # the fold as it was: new arrays from sum() and np.where
+        counts = sum(r[0] for r in results)
+        sums = sum(r[1] for r in results)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            estimate = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+            var = (counts - sums**2 / np.maximum(counts, 1)) / np.maximum(counts - 1, 1)
+            stderr = np.where(
+                counts > 1, np.sqrt(np.maximum(var, 0.0) / np.maximum(counts, 1)),
+                np.where(counts == 1, 0.0, np.nan),
+            )
+        if runs == 1:
+            assert {0, 1, 2} <= set(counts.tolist())
+        assert trace.legitimate_count.tobytes() == counts.tobytes()
+        assert trace.estimate.tobytes() == estimate.tobytes()
+        assert trace.stderr.tobytes() == stderr.tobytes()
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
