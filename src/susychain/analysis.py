@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ProtocolConfig, run_protocol
+from .dynamics import ProtocolConfig, run_protocols
 from .spectra import _check_sector
 from .susy import (
     COUPLING_DELTA,
@@ -76,18 +76,37 @@ def default_grid(coupling: str, points: int = 21) -> tuple[float, ...]:
     return tuple(float(v) for v in np.linspace(center - 0.5, center + 0.5, points))
 
 
-def _evaluate(spec: SweepSpec, N: int, value: float, seed: int | None,
-              cache_dir, threads: int) -> tuple[float, float]:
-    """One (estimator, N, coupling value) evaluation -> (wtilde, stderr)."""
+def _exact(spec: SweepSpec, N: int, value: float, cache_dir) -> tuple[float, float]:
+    """One exact (N, coupling value) evaluation -> (wtilde, stderr 0)."""
     params = params_at(spec.coupling, value)
     if spec.estimator == "exact-gca":
         return wtilde_gca_exact(assemble(N, params, cache_dir), spec.beta), 0.0
-    if spec.estimator == "exact-qgca":
-        return wtilde_qgca_exact(N, params, spec.beta, cache_dir), 0.0
-    config = ProtocolConfig(spec.estimator.removeprefix("sampled-"), N, spec.beta,
-                            spec.iterations, spec.runs, base_seed=seed, params=params)
-    trace = run_protocol(config, cache_dir, threads)
-    return trace.window_estimate, trace.window_stderr
+    return wtilde_qgca_exact(N, params, spec.beta, cache_dir), 0.0
+
+
+def _sampled(spec: SweepSpec, cache_dir, threads: int) -> tuple[dict, dict]:
+    """Sampled (wtilde, stderr) per sector at the special point, and at each grid value.
+
+    The reference and then each distinct value, every sector of a point in
+    turn, run as one stream of protocol runs over one map of workers.
+    """
+    # SeedSequence loads numpy.random (and OpenSSL), which exact sweeps never use
+    ref_seed = int(np.random.SeedSequence(
+        entropy=spec.base_seed, spawn_key=(0x5EED,)
+    ).generate_state(1)[0])
+    values = list(dict.fromkeys(spec.values))
+    seeds = [ref_seed] + [spec.base_seed] * len(values)
+    configs = [ProtocolConfig(spec.estimator.removeprefix("sampled-"), N, spec.beta,
+                              spec.iterations, spec.runs, base_seed=seed,
+                              params=params_at(spec.coupling, value))
+               for value, seed in zip([SUSY_VALUE[spec.coupling], *values], seeds)
+               for N in spec.n_list]
+    windows = [(t.window_estimate, t.window_stderr)
+               for t in run_protocols(configs, cache_dir, threads)]
+    n = len(spec.n_list)
+    ref, *points = (dict(zip(spec.n_list, windows[i:i + n]))
+                    for i in range(0, len(windows), n))
+    return ref, dict(zip(values, points))
 
 
 def sweep(spec: SweepSpec, cache_dir=None, threads: int = 1) -> list[SweepRecord]:
@@ -99,25 +118,21 @@ def sweep(spec: SweepSpec, cache_dir=None, threads: int = 1) -> list[SweepRecord
     spectra. The reference at the special point uses its own seed so
     sampled deviations do not cancel correlated noise; sampled streams are
     keyed by (seed, N, block), so the evaluation order does not change
-    them. Exact estimators read no seed, so a grid value equal to the
+    them, and every sampled point streams through one map of worker
+    processes. Exact estimators read no seed, so a grid value equal to the
     special one reuses the reference.
     """
-    exact = spec.estimator.startswith("exact-")
-    # SeedSequence loads numpy.random (and OpenSSL), which exact sweeps never use
-    ref_seed = None if exact else int(np.random.SeedSequence(
-        entropy=spec.base_seed, spawn_key=(0x5EED,)
-    ).generate_state(1)[0])
-
     susy_value = SUSY_VALUE[spec.coupling]
-    ref = {N: _evaluate(spec, N, susy_value, ref_seed, cache_dir, threads)
-           for N in spec.n_list}
+    if spec.estimator.startswith("exact-"):
+        ref = {N: _exact(spec, N, susy_value, cache_dir) for N in spec.n_list}
+        done = {susy_value: ref}
+    else:
+        ref, done = _sampled(spec, cache_dir, threads)
     # first-order deviation per unit |shift|, |dW/dc|
     rate = {N: deviation_first_order(N, spec.beta, spec.coupling, 1.0) for N in spec.n_list}
-    done = {susy_value: ref} if exact else {}
     for value in spec.values:
-        if value not in done:
-            done[value] = {N: _evaluate(spec, N, value, spec.base_seed, cache_dir, threads)
-                           for N in spec.n_list}
+        if value not in done:  # exact only: every sampled value is done
+            done[value] = {N: _exact(spec, N, value, cache_dir) for N in spec.n_list}
     points = [done[value] for value in spec.values]
     records = []
     for N in spec.n_list:

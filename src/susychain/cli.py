@@ -15,6 +15,7 @@ import os
 import platform
 import shutil
 import sys
+from contextlib import closing
 from pathlib import Path
 
 # numpy's bundled OpenBLAS reads this once, as numpy loads, and starts that
@@ -34,7 +35,7 @@ from .analysis import (
     sweep,
     write_sweep_csv,
 )
-from .dynamics import PROTOCOL_GCA, PROTOCOL_QGCA, ProtocolConfig, run_protocol, write_trace_csv
+from .dynamics import PROTOCOL_GCA, PROTOCOL_QGCA, ProtocolConfig, run_protocols, write_trace_csv
 from .dynamics import _usable_cpus
 from .model import SUSY_POINT, ModelParams
 from .spectra import CACHE_VERSION, SolverError, _blas_threads, _one_blas_thread, cache_header
@@ -297,18 +298,20 @@ def _cmd_dynamics(args) -> int:
     if out:
         out.mkdir(parents=True, exist_ok=True)
     outputs = []
-    for N, config in zip(sectors, configs):
-        trace = run_protocol(config, args.cache_dir, args.threads)
-        line = (
-            f"{args.protocol} N={N} beta={args.beta}: "
-            f"window estimate {trace.window_estimate:.6f} "
-            f"+- {trace.window_stderr:.6f} ({trace.window_legit} in-sector samples)"
-        )
-        print(line)
-        if out:
-            path = out / f"trace_{args.protocol}_N{N}.csv"
-            write_trace_csv(trace, path, {"version": __version__})
-            outputs.append(path)
+    # one worker pool for every sector; closing it on an error stops the workers
+    with closing(run_protocols(configs, args.cache_dir, args.threads)) as traces:
+        for trace in traces:
+            N = trace.config.N
+            line = (
+                f"{args.protocol} N={N} beta={args.beta}: "
+                f"window estimate {trace.window_estimate:.6f} "
+                f"+- {trace.window_stderr:.6f} ({trace.window_legit} in-sector samples)"
+            )
+            print(line)
+            if out:
+                path = out / f"trace_{args.protocol}_N{N}.csv"
+                write_trace_csv(trace, path, {"version": __version__})
+                outputs.append(path)
     if out:
         _write_manifest(out, "dynamics", args, outputs, started)
     return 0

@@ -19,7 +19,9 @@ Reproducibility: walkers are partitioned into fixed-size blocks; each
 block consumes its own counter-based random stream seeded by (base seed,
 protocol tag, N, first run index of the block). Blocks run as tasks of
 one process map and are folded in task order, so outputs are
-bit-identical for any worker count.
+bit-identical for any worker count. run_protocols streams the blocks of
+many runs through one map: its workers are forked once, and they walk the
+next run's blocks while the caller handles the last run's trace.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ import json
 import math
 import os
 import zlib
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice, starmap
 from pathlib import Path
 
 import numpy as np
@@ -69,8 +73,8 @@ class ProtocolConfig:
         # Each walker task returns int64 counts and float64 sums per iteration, all
         # held by the fold of the run's ceil(runs / BLOCK_SIZE) tasks per pool; each
         # walker also returns two window tallies, which the fold turns into one residual.
-        pools = 1 if self.protocol == PROTOCOL_GCA else len(decompose_n_sector(self.N).members)
-        tasks = pools * -(-self.runs // BLOCK_SIZE)
+        pools, blocks = _task_shape(self)
+        tasks = pools * blocks
         per_iteration = 16 * tasks + FOLD_BYTES
         window = self.iterations - _window_start(self.iterations)
         per_walker = 2 * _tally_dtype(window).itemsize + 8  # and a float64 residual
@@ -158,6 +162,23 @@ def _pools(config: ProtocolConfig, cache_dir) -> list[tuple[str, _Pool]]:
                           np.concatenate([p.signed for _, p in pools])))]
 
 
+def _task_shape(config: ProtocolConfig) -> tuple[int, int]:
+    """(pools, blocks per pool) of one run: the union pool for GCA, one per chain for QGCA."""
+    pools = 1 if config.protocol == PROTOCOL_GCA else len(decompose_n_sector(config.N).members)
+    return pools, -(-config.runs // BLOCK_SIZE)
+
+
+def _tasks(config: ProtocolConfig, cache_dir):
+    """_walk_block's arguments, one task per (pool, block), pool-major.
+
+    Lazy: a map that draws tasks ahead builds the next run's pools when it reaches them.
+    """
+    for tag, pool in _pools(config, cache_dir):
+        for start in range(0, config.runs, BLOCK_SIZE):
+            yield ((config.base_seed, tag, config.N, start), pool, config.beta,
+                   config.iterations, min(BLOCK_SIZE, config.runs - start))
+
+
 def _window_start(iterations: int) -> int:
     """First iteration of the steady-state window, the last 20% (at least one)."""
     return iterations - max(1, iterations // 5)
@@ -222,47 +243,66 @@ def _usable_cpus() -> int:
             else os.cpu_count() or 1)
 
 
-def _parallel_map(fn, tasks: list[tuple], workers: int) -> list:
-    """[fn(*task) for task in tasks] over worker processes, in task order.
+def _parallel_map(fn, tasks, workers: int):
+    """fn(*task) for each task, lazily and in task order, over `workers` processes.
+
+    The workers are forked once, when the first task is submitted, and at
+    most 2 * workers tasks are submitted ahead of the consumer, which bounds
+    the results the coordinator holds. Using the iterator up or closing it
+    cancels what has not started and shuts the workers down.
 
     Workers are forked where the platform offers it: pools are built in the
     parent and workers never call LAPACK. `fn` is module-level and the
     tasks pickle, so the default start method works elsewhere.
     """
-    workers = _worker_count(workers, len(tasks), _usable_cpus())
     if workers == 1:
-        return [fn(*task) for task in tasks]
+        yield from starmap(fn, tasks)
+        return
     import multiprocessing as mp
     from concurrent.futures.process import ProcessPoolExecutor
 
     method = "fork" if "fork" in mp.get_all_start_methods() else None
-    with ProcessPoolExecutor(workers, mp_context=mp.get_context(method)) as ex:
-        return list(ex.map(fn, *zip(*tasks)))
+    ex = ProcessPoolExecutor(workers, mp_context=mp.get_context(method))
+    try:
+        pending = deque()
+        for task in tasks:
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(ex.submit(fn, *task))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        ex.shutdown(cancel_futures=True)
 
 
-def run_protocol(config: ProtocolConfig, cache_dir=None, threads: int = 1) -> WittenTrace:
+def run_protocol(config: ProtocolConfig, cache_dir=None, threads: int = 1, *,
+                 results=None) -> WittenTrace:
     """Drive `config.runs` walkers over each pool of the protocol and fold the results.
 
     GCA walkers share the union pool of all chain lengths in the sector
     window; QGCA walkers stay on one member chain each. The QGCA estimate
     pools in-sector walkers across all chains, so it tracks the parity
     histogram a per-chain measurement protocol accumulates.
+
+    `results` are this run's walker results in task order, drawn from a
+    map that other runs share (run_protocols); without them the run maps
+    its own tasks over up to `threads` worker processes.
     """
-    starts = range(0, config.runs, BLOCK_SIZE)
-    # one map task per (pool, block), pool-major
-    tasks = [((config.base_seed, tag, config.N, start), pool, config.beta, config.iterations,
-              min(BLOCK_SIZE, config.runs - start))
-             for tag, pool in _pools(config, cache_dir) for start in starts]
-    cnts, task_sums, wsums, wcnts, finals = zip(*_parallel_map(_walk_block, tasks, threads))
+    pools, blocks = _task_shape(config)
+    if results is None:
+        workers = _worker_count(threads, pools * blocks, _usable_cpus())
+        results = _parallel_map(_walk_block, _tasks(config, cache_dir), workers)
+    cnts, task_sums, wsums, wcnts, finals = zip(*results)
     counts, sums = np.zeros(config.iterations, dtype=np.int64), np.zeros(config.iterations)
     for c, s in zip(cnts, task_sums):  # task order: deterministic fold
         counts += c
         sums += s
-    del cnts, task_sums, c, s  # the gathered trace arrays, freed before the trace is built
+    # the gathered trace arrays (and a map's list of them), freed before the trace is built
+    del results, cnts, task_sums, c, s
     # each pool's compact per-task counts, added as int64, pools in order
     occupancy = np.concatenate([
-        sum(finals[i:i + len(starts)], np.zeros(len(finals[i]), dtype=np.int64))
-        for i in range(0, len(finals), len(starts))
+        sum(finals[i:i + blocks], np.zeros(len(finals[i]), dtype=np.int64))
+        for i in range(0, len(finals), blocks)
     ])
 
     # in place; entries with counts <= 1 divide by zero here and are set after
@@ -305,6 +345,27 @@ def run_protocol(config: ProtocolConfig, cache_dir=None, threads: int = 1) -> Wi
         window_legit=total,
         occupancy=occupancy,
     )
+
+
+def run_protocols(configs, cache_dir=None, threads: int = 1):
+    """Yield run_protocol(config) for each config in order, all their tasks in one map.
+
+    The workers are forked once for every run, and they walk the next
+    run's blocks while the caller handles the trace just yielded. Each
+    block keeps its own seed stream and each run folds its blocks in task
+    order, so every trace equals the one run_protocol makes alone. Close
+    the generator (or use it up) to shut the workers down.
+    """
+    configs = list(configs)
+    counts = [math.prod(_task_shape(config)) for config in configs]
+    workers = _worker_count(threads, sum(counts), _usable_cpus())
+    tasks = (task for config in configs for task in _tasks(config, cache_dir))
+    results = _parallel_map(_walk_block, tasks, workers)
+    try:
+        for config, count in zip(configs, counts):
+            yield run_protocol(config, results=islice(results, count))
+    finally:
+        results.close()
 
 
 def write_trace_csv(trace: WittenTrace, path: str | Path, extra_meta: dict | None = None) -> None:

@@ -38,7 +38,7 @@ from scipy import stats
 from susychain.analysis import SweepSpec, compare_first_order, default_grid, sweep
 from susychain.basis import SectorKey, decompose_n_sector
 from susychain.cli import main as cli_main
-from susychain.dynamics import ProtocolConfig, run_protocol
+from susychain.dynamics import ProtocolConfig, run_protocol, run_protocols
 from susychain.model import ModelParams, build_hamiltonian
 from susychain.spectra import diagonalize, full_chain_spectrum
 from susychain.susy import (
@@ -72,22 +72,17 @@ def exact_gca():
 
 @pytest.fixture(scope="module")
 def gca_traces():
-    traces = {}
-    for N in SECTORS:
-        cfg = ProtocolConfig("gca", N, 5.0, iterations=ITERATIONS, runs=RUNS,
-                             base_seed=SEED)
-        traces[N] = run_protocol(cfg, threads=THREADS)
-    return traces
+    configs = [ProtocolConfig("gca", N, 5.0, iterations=ITERATIONS, runs=RUNS,
+                              base_seed=SEED) for N in SECTORS]
+    return {trace.config.N: trace for trace in run_protocols(configs, threads=THREADS)}
 
 
 @pytest.fixture(scope="module")
 def gca_steady_traces(gca_traces):
-    traces = dict(gca_traces)
-    for N, iters in STEADY_ITERATIONS.items():
-        cfg = ProtocolConfig("gca", N, 5.0, iterations=iters, runs=RUNS,
-                             base_seed=SEED)
-        traces[N] = run_protocol(cfg, threads=THREADS)
-    return traces
+    configs = [ProtocolConfig("gca", N, 5.0, iterations=iters, runs=RUNS, base_seed=SEED)
+               for N, iters in STEADY_ITERATIONS.items()]
+    steady = {trace.config.N: trace for trace in run_protocols(configs, threads=THREADS)}
+    return {**gca_traces, **steady}
 
 
 @pytest.fixture(scope="module")
@@ -101,12 +96,9 @@ def gca_expected():
 
 @pytest.fixture(scope="module")
 def qgca_traces():
-    traces = {}
-    for N in SECTORS:
-        cfg = ProtocolConfig("qgca", N, 5.0, iterations=ITERATIONS, runs=RUNS,
-                             base_seed=SEED)
-        traces[N] = run_protocol(cfg, threads=THREADS)
-    return traces
+    configs = [ProtocolConfig("qgca", N, 5.0, iterations=ITERATIONS, runs=RUNS,
+                              base_seed=SEED) for N in SECTORS]
+    return {trace.config.N: trace for trace in run_protocols(configs, threads=THREADS)}
 
 
 def test_criterion_1_sector_census():

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -13,7 +14,7 @@ import susychain
 import susychain.spectra as spectra
 from susychain.analysis import SweepSpec
 from susychain.cli import build_parser, main
-from susychain.dynamics import BLOCK_SIZE, ProtocolConfig
+from susychain.dynamics import BLOCK_SIZE, ProtocolConfig, run_protocol, write_trace_csv
 from susychain.model import SUSY_POINT
 from susychain.spectra import full_chain_spectrum
 from susychain.susy import (
@@ -325,6 +326,50 @@ class TestDynamics:
         assert len(lines) == 9
         for N in range(3, 12):
             assert any(f"N={N} " in ln for ln in lines)
+
+    @pytest.mark.parametrize("threads,pools", [("2", 1), ("1", 0)])
+    def test_one_worker_pool_per_command(self, capsys, tmp_path, monkeypatch, threads, pools):
+        # every sector's blocks stream through one pool, forked once; with a
+        # pool per run, the nine sectors of two or more member chains made nine
+        from concurrent.futures import process
+
+        from susychain import dynamics
+
+        made = []
+
+        class Counting(process.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(process, "ProcessPoolExecutor", Counting)
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+        argv = ["dynamics", "--protocol", "qgca", "--runs", "20", "--iterations", "5",
+                "--threads", threads]
+        code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "pooled"))
+        assert code == 0
+        assert len(made) == pools
+        assert multiprocessing.active_children() == []
+        # the same bytes as one run_protocol per sector, each on one thread
+        for N in range(3, 12):
+            config = ProtocolConfig("qgca", N, 5.0, iterations=5, runs=20)
+            write_trace_csv(run_protocol(config), tmp_path / "alone.csv",
+                            {"version": susychain.__version__})
+            name = f"trace_qgca_N{N}.csv"
+            assert (tmp_path / "pooled" / name).read_bytes() == \
+                (tmp_path / "alone.csv").read_bytes()
+
+    def test_no_worker_outlives_a_failed_command(self, capsys, tmp_path, monkeypatch):
+        from susychain import dynamics
+
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+        (tmp_path / "trace_qgca_N4.csv").mkdir()  # the second sector's trace cannot be written
+        code, out, err = run_cli(capsys, "dynamics", "--protocol", "qgca", "--runs", "20",
+                                 "--iterations", "5", "--threads", "2", "--out", str(tmp_path))
+        assert code == 4
+        assert "I/O error" in err
+        assert (tmp_path / "trace_qgca_N3.csv").is_file()
+        assert multiprocessing.active_children() == []
 
 
 class TestSweep:

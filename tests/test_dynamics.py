@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -215,8 +216,71 @@ class TestParallelMap:
 
     def test_results_come_back_in_task_order(self):
         tasks = [(2, k) for k in range(12)]
-        assert _parallel_map(pow, tasks, 3) == [2**k for k in range(12)]
-        assert _parallel_map(pow, [], 3) == []
+        assert list(_parallel_map(pow, tasks, 3)) == [2**k for k in range(12)]
+        assert list(_parallel_map(pow, [], 3)) == []
+
+    @pytest.mark.parametrize("stop", [None, 5])
+    def test_at_most_two_tasks_per_worker_run_ahead(self, monkeypatch, stop):
+        # a fake pool that runs each task as it is submitted and counts the
+        # futures whose results the consumer has not taken yet
+        from concurrent.futures import Future, process
+
+        ahead, seen, shutdowns = [0], [], []
+
+        class Taken(Future):
+            def result(self, timeout=None):
+                ahead[0] -= 1
+                return super().result(timeout)
+
+        class Counting:
+            def __init__(self, workers, mp_context):
+                pass
+
+            def submit(self, fn, *args):
+                ahead[0] += 1
+                seen.append(ahead[0])
+                future = Taken()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                shutdowns.append(cancel_futures)
+
+        monkeypatch.setattr(process, "ProcessPoolExecutor", Counting)
+        results = _parallel_map(pow, [(2, k) for k in range(20)], 3)
+        # used up, or closed after `stop` results
+        got = list(results) if stop is None else [next(results) for _ in range(stop)]
+        results.close()
+        assert got == [2**k for k in range(len(got))]
+        assert max(seen) == 2 * 3  # the bound is reached and never passed
+        assert len(got) + 2 * 3 >= len(seen)  # nothing submitted past the bound
+        assert shutdowns == [True]
+
+
+def _same_trace(a, b):
+    """WittenTrace a equals b field by field, bytes and dtypes of every array."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "config":
+            assert x == y
+        else:
+            x, y = np.asarray(x), np.asarray(y)
+            assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes()), f.name
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
+def test_streamed_runs_do_not_depend_on_worker_count(monkeypatch, threads):
+    # several runs of both protocols through one map, each with a partial block
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 4)
+    configs = [ProtocolConfig(PROTOCOL_GCA, 4, 2.0, iterations=4, runs=BLOCK_SIZE + 1),
+               ProtocolConfig(PROTOCOL_QGCA, 5, 1.0, iterations=3, runs=BLOCK_SIZE + 1),
+               ProtocolConfig(PROTOCOL_GCA, 6, 5.0, iterations=5, runs=BLOCK_SIZE + 1,
+                              base_seed=3),
+               ProtocolConfig(PROTOCOL_QGCA, 4, 0.0, iterations=2, runs=BLOCK_SIZE + 1)]
+    streamed = list(dynamics.run_protocols(configs, threads=threads))
+    assert len(streamed) == len(configs)
+    for trace, config in zip(streamed, configs):
+        _same_trace(trace, run_protocol(config, threads=1))
 
 
 def _csv_bytes(trace, directory, name):

@@ -63,9 +63,10 @@ def test_cli_keeps_a_thread_count_set_in_the_environment():
 
 
 # Runs `main(argv)` in a new interpreter; prints the exit code and which of
-# OpenSSL's binding and numpy.random the run loaded.
+# OpenSSL's binding, numpy.random and multiprocessing the run loaded.
 _LOADS = ("import sys; from susychain.cli import main; code = main({argv!r}); "
-          "print(code, sorted(m for m in ('_hashlib', 'numpy.random') if m in sys.modules))")
+          "print(code, sorted(m for m in ('_hashlib', 'multiprocessing', 'numpy.random') "
+          "if m in sys.modules))")
 
 
 def loads(*argv: str) -> str:
@@ -87,6 +88,7 @@ def test_cli_import_loads_neither_openssl_nor_numpy_random():
     ("sweep", "--estimator", "exact-gca", "--N", "3,4", "--points", "3"),
 ])
 def test_exact_commands_load_neither_openssl_nor_numpy_random(tmp_path, argv):
+    # nor multiprocessing: only sampled runs map tasks over worker processes
     if argv[0] == "sweep":
         argv = (*argv, "--out", str(tmp_path))
     assert loads(*argv) == "0 []"
