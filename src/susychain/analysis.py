@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ProtocolConfig, run_protocols
+from .dynamics import ProtocolConfig, _csv_lines, run_protocols
 from .spectra import _check_sector
 from .susy import (
     COUPLING_DELTA,
@@ -249,17 +249,8 @@ def protection_report(beta_low: float, beta_high: float, n_list,
 
 def write_sweep_csv(records: list[SweepRecord], path: str | Path,
                     meta: dict | None = None) -> None:
-    lines = []
-    if meta is not None:
-        lines.append("# " + json.dumps(meta, sort_keys=True))
-    columns = fields(SweepRecord)
-    lines.append(",".join(f.name for f in columns))
-    for r in records:
-        lines.append(",".join(
-            repr(float(v)) if f.type == "float" else str(v)
-            for f, v in zip(columns, astuple(r))
-        ))
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = [f.name for f in fields(SweepRecord)]
+    Path(path).write_text("".join(_csv_lines(columns, map(astuple, records), meta)))
 
 
 def fit_report_json(reports: list[FitReport]) -> str:

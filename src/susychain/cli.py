@@ -13,6 +13,7 @@ import datetime
 import json
 import os
 import platform
+import re
 import shutil
 import sys
 from contextlib import closing
@@ -36,7 +37,7 @@ from .analysis import (
     write_sweep_csv,
 )
 from .dynamics import PROTOCOL_GCA, PROTOCOL_QGCA, ProtocolConfig, run_protocols, write_trace_csv
-from .dynamics import _usable_cpus
+from .dynamics import _csv_lines, _usable_cpus
 from .model import SUSY_POINT, ModelParams
 from .spectra import CACHE_VERSION, SolverError, _blas_threads, _one_blas_thread, cache_header
 from .susy import (
@@ -91,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--which", choices=("regularized", "gca", "qgca"), default="gca")
     p.add_argument("--beta", type=float, default=5.0)
-    p.add_argument("--beta0", type=float, default=None,
+    p.add_argument("--beta0", type=float, default=1.0,
                    help="regularization beta for --which regularized")
 
     p = add("dynamics", "Metropolis collision traces", "seed", "out", "threads", *_COUPLINGS)
@@ -211,78 +212,52 @@ def _cmd_spectrum(args) -> int:
         for L, e, p, pair in zip(spec.lengths.tolist(), spec.energies.tolist(),
                                  spec.parities.tolist(), spec.pair_ids)
     ]
-    summary = {
-        "N": spec.N,
-        "zero_mode_count": spec.zero_mode_count,
-        "zero_mode_length": spec.zero_mode_length,
-        "levels": rows,
-    }
-    if args.format == "json":
-        text = json.dumps(summary, indent=1) + "\n"
-    elif args.format == "csv":
-        lines = ["L,n_d,energy,parity,pair_id"]
-        lines += [
-            f"{r['L']},{r['n_d']},{float(r['energy'])!r},{r['parity']},"
-            f"{'' if r['pair_id'] is None else r['pair_id']}"
-            for r in rows
-        ]
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [f"{'L':>3} {'n_d':>4} {'energy':>18} {'parity':>7} {'pair':>5}"]
-        for r in rows:
-            pair = "-" if r["pair_id"] is None else str(r["pair_id"])
-            star = "  *zero" if abs(r["energy"]) < ZERO_TOL else ""
-            lines.append(
-                f"{r['L']:>3} {r['n_d']:>4} {r['energy']:>18.12f} "
-                f"{r['parity']:>7} {pair:>5}{star}"
-            )
-        lines.append(
-            f"zero modes: {spec.zero_mode_count}"
-            + (f" (at L={spec.zero_mode_length})" if spec.zero_mode_count else "")
-        )
-        text = "\n".join(lines) + "\n"
-    return _emit(args, "spectrum", text, started)
+    summary = {"N": spec.N, "zero_mode_count": spec.zero_mode_count,
+               "zero_mode_length": spec.zero_mode_length, "levels": rows}
+    table = [f"{'L':>3} {'n_d':>4} {'energy':>18} {'parity':>7} {'pair':>5}"]
+    table += [
+        f"{r['L']:>3} {r['n_d']:>4} {r['energy']:>18.12f} {r['parity']:>7} "
+        f"{'-' if r['pair_id'] is None else r['pair_id']:>5}"
+        + ("  *zero" if abs(r["energy"]) < ZERO_TOL else "")
+        for r in rows
+    ]
+    table.append(f"zero modes: {spec.zero_mode_count}"
+                 + (f" (at L={spec.zero_mode_length})" if spec.zero_mode_count else ""))
+    return _emit(args, "spectrum", _render(args.format, rows, summary, table), started)
 
 
 def _cmd_witten(args) -> int:
     started = _timestamp()
     params = _params(args)
-    if args.which == "regularized":
-        beta0 = args.beta0 if args.beta0 is not None else 1.0
-        value = witten_regularized(assemble(args.N, params, args.cache_dir), beta0)
-        beta_used = beta0
-    elif args.which == "gca":
-        value = wtilde_gca_exact(assemble(args.N, params, args.cache_dir), args.beta)
-        beta_used = args.beta
+    beta = args.beta0 if args.which == "regularized" else args.beta
+    if args.which == "qgca":
+        value = wtilde_qgca_exact(args.N, params, beta, args.cache_dir)
     else:
-        value = wtilde_qgca_exact(args.N, params, args.beta, args.cache_dir)
-        beta_used = args.beta
-    if args.format == "json":
-        text = json.dumps(
-            {"N": args.N, "which": args.which, "beta": beta_used, "value": value},
-            indent=1,
-        ) + "\n"
-    elif args.format == "csv":
-        text = f"N,which,beta,value\n{args.N},{args.which},{beta_used!r},{value!r}\n"
-    else:
-        text = f"{value!r}\n"
-    return _emit(args, "witten", text, started)
+        estimator = witten_regularized if args.which == "regularized" else wtilde_gca_exact
+        value = estimator(assemble(args.N, params, args.cache_dir), beta)
+    row = {"N": args.N, "which": args.which, "beta": beta, "value": value}
+    return _emit(args, "witten", _render(args.format, [row], row, [repr(value)]), started)
+
+
+def _render(fmt: str, rows: list[dict], document, table: list[str]) -> str:
+    """A command's output text in `fmt`: `rows` as CSV, `document` as JSON or the `table` lines."""
+    if fmt == "csv":
+        return "".join(_csv_lines(list(rows[0]), (row.values() for row in rows)))
+    if fmt == "json":
+        return json.dumps(document, indent=1) + "\n"
+    return "\n".join(table) + "\n"
 
 
 def _emit(args, command: str, text: str, started: str) -> int:
     if args.out is None:
         sys.stdout.write(text)
         return 0
+    # an --out with a suffix names the file; one without names its directory
     out = Path(args.out)
-    if out.suffix:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
-        _write_manifest(out.parent, command, args, [out], started)
-    else:
-        out.mkdir(parents=True, exist_ok=True)
-        target = out / f"{command}.txt"
-        target.write_text(text)
-        _write_manifest(out, command, args, [target], started)
+    target = out if out.suffix else out / f"{command}.txt"
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(text)
+    _write_manifest(target.parent, command, args, [target], started)
     return 0
 
 
@@ -358,8 +333,16 @@ def _cmd_cache(args) -> int:
         raise ValueError("cache command requires --cache-dir")
     root = Path(args.cache_dir)
     if args.action == "clear":
-        if root.exists():
-            shutil.rmtree(root)
+        # every version's directory, then the root if nothing else is left in it
+        for path in root.glob("v*"):
+            if re.fullmatch(r"v[0-9]+", path.name) and path.is_dir() and not path.is_symlink():
+                shutil.rmtree(path)
+        left = sorted(path.name for path in root.iterdir()) if root.exists() else []
+        if left:
+            print(f"kept {root}: {len(left)} entries that are not the cache's: "
+                  + ", ".join(left), file=sys.stderr)
+        elif root.exists():
+            root.rmdir()
         print(f"cleared {root}")
         return 0
     current = f"v{CACHE_VERSION}"

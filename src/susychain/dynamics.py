@@ -385,10 +385,21 @@ def write_trace_csv(trace: WittenTrace, path: str | Path, extra_meta: dict | Non
     }
     if extra_meta:
         meta.update(extra_meta)
-    # line by line: a trace of n iterations never sits in memory as one string
+    # row by row, as numpy scalars: a trace of n iterations is never held as text or objects
+    rows = zip(range(1, cfg.iterations + 1), trace.estimate, trace.stderr,
+               trace.legitimate_count)
     with Path(path).open("w") as f:
-        f.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        f.write("iteration,estimate,stderr,legitimate_count\n")
-        for i in range(cfg.iterations):
-            f.write(f"{i + 1},{float(trace.estimate[i])!r},{float(trace.stderr[i])!r},"
-                    f"{int(trace.legitimate_count[i])}\n")
+        f.writelines(_csv_lines(("iteration", "estimate", "stderr", "legitimate_count"),
+                                rows, meta))
+
+
+def _csv_lines(columns, rows, meta: dict | None = None):
+    """The package's one CSV dialect, a line at a time: an optional `# {json}` line of
+    `meta`, the column names, then one line per row. Floats (numpy's float64 too) are
+    written in round-trip form, None as an empty cell, anything else as str, unquoted."""
+    if meta is not None:
+        yield "# " + json.dumps(meta, sort_keys=True) + "\n"
+    yield ",".join(columns) + "\n"
+    for row in rows:
+        yield ",".join(repr(float(v)) if isinstance(v, float) else "" if v is None else str(v)
+                       for v in row) + "\n"

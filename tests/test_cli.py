@@ -40,6 +40,23 @@ def assert_parser_refuses(capsys, *argv):
     assert capsys.readouterr().out == ""
 
 
+_GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("argv,name", [
+    (("spectrum", "--N", "3"), "spectrum_N3"),  # one pair, no zero mode
+    (("spectrum", "--N", "4"), "spectrum_N4"),  # a zero mode (pair_id None) and a pair
+    *((("witten", "--N", "4", "--which", which), f"witten_N4_{which}")
+      for which in ("regularized", "gca", "qgca")),
+])
+def test_output_bytes_are_pinned(capsys, argv, name, fmt):
+    """Regenerate a golden with e.g. `susychain spectrum --N 3 --format csv`."""
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert out.encode() == (_GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
 class TestSpectrum:
     def test_json_listing(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--N", "4", "--format", "json")
@@ -282,6 +299,14 @@ class TestManifestArguments:
         else:
             assert manifest["base_seed"] is None and "base_seed" not in meta
 
+    def test_regularized_records_the_default_beta0(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "witten", "--N", "4", "--which", "regularized",
+                             "--format", "json", "--out", str(tmp_path / "w.json"))
+        assert code == 0
+        used = json.loads((tmp_path / "w.json").read_text())["beta"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["arguments"]["beta0"] == used == 1.0
+
     def test_shared_config_still_sets_unread_values(self, capsys, tmp_path):
         conf = tmp_path / "shared.conf"
         conf.write_text("beta0 = 2.0\nbeta = 2.0\nruns = 200\n")
@@ -478,6 +503,26 @@ class TestCache:
         code, out, _ = run_cli(capsys, "cache", "clear", "--cache-dir", str(cache))
         assert code == 0
         assert not cache.exists()
+
+    def test_clear_keeps_what_is_not_the_cache(self, capsys, tmp_path):
+        cache, outside = tmp_path / "cache", tmp_path / "outside"
+        run_cli(capsys, "witten", "--N", "4", "--cache-dir", str(cache))
+        (cache / "v1").mkdir()  # an older version's directory goes too
+        (cache / "v1" / "old.spec").write_bytes(b"x")
+        (cache / "data.csv").write_text("a,b\n")
+        (cache / "notes").mkdir()
+        (cache / "notes" / "paper.txt").write_text("x")
+        (cache / "v2x").mkdir()
+        outside.mkdir()
+        (outside / "keep.txt").write_text("k")
+        (cache / "v3").symlink_to(outside)
+        code, out, err = run_cli(capsys, "cache", "clear", "--cache-dir", str(cache))
+        assert code == 0
+        assert sorted(p.name for p in cache.iterdir()) == ["data.csv", "notes", "v2x", "v3"]
+        assert (cache / "notes" / "paper.txt").read_text() == "x"
+        assert (outside / "keep.txt").read_text() == "k"
+        assert "data.csv, notes, v2x, v3" in err
+        assert out == f"cleared {cache}\n"
 
     @pytest.mark.parametrize("action", ["inspect", "clear"])
     @pytest.mark.parametrize("bad", [["--J", "nan"], ["--h", "7"], ["--Delta=1.2"]])
@@ -830,6 +875,20 @@ def test_option_census():
     }
     assert found == census
     assert sum(map(len, found.values())) == 48
+
+
+def test_readme_flag_table_matches_the_parser():
+    # the README's command-line table: each subcommand's own flags and the defaults it names
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", readme, re.M))
+    subcommands = build_parser().subcommands
+    assert set(rows) == set(subcommands)
+    for name, sub in subcommands.items():
+        actions = {a.option_strings[0]: a for a in sub._actions
+                   if a.option_strings and a.dest not in ("help", "cache_dir", "config")}
+        assert set(re.findall(r"--[\w-]+", rows[name])) == set(actions), name
+        for flag, default in re.findall(r"`(--[\w-]+)` \(default ([^)]+)\)", rows[name]):
+            assert default == str(actions[flag].default), (name, flag)
 
 
 def test_public_api_census():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from susychain.dynamics import (
 )
 from susychain import dynamics
 from susychain.basis import decompose_n_sector
-from susychain.dynamics import _parallel_map, _pools, _walk_block, _worker_count
+from susychain.dynamics import _csv_lines, _parallel_map, _pools, _walk_block, _worker_count
 from susychain.model import ModelParams
 from susychain.spectra import full_chain_spectrum
 from susychain.susy import assemble, wtilde_gca_exact, wtilde_qgca_exact
@@ -576,3 +577,56 @@ class TestTraceCsv:
         ]
         assert gap_rows
         assert all(",nan," in ln for ln in gap_rows)
+
+
+# the edge floats of the dialect, drawn as Python floats and as numpy float64
+_EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072e-308)
+_FLOATS = st.sampled_from(_EDGE_FLOATS) | st.floats()
+_CELLS = st.one_of(
+    _FLOATS, _FLOATS.map(np.float64),
+    st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.none(),
+    st.text(st.characters(blacklist_characters=",\n\r", blacklist_categories=("Cs",))),
+)
+_META = st.none() | st.dictionaries(
+    st.text(), st.none() | st.integers() | st.floats(allow_nan=False) | st.text(), max_size=4)
+
+
+@st.composite
+def _tables(draw):
+    width = draw(st.integers(1, 5))
+    columns = draw(st.lists(st.from_regex(r"[a-z_]{1,8}", fullmatch=True),
+                            min_size=width, max_size=width))
+    rows = draw(st.lists(st.lists(_CELLS, min_size=width, max_size=width), max_size=6))
+    return columns, rows, draw(_META)
+
+
+class TestCsvDialect:
+    """The contract of the one CSV writer that trace, sweep, spectrum and witten files use."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tables())
+    def test_cells_parse_back(self, table):
+        columns, rows, meta = table
+        lines = list(_csv_lines(columns, rows, meta))
+        assert all(line.endswith("\n") and "\n" not in line[:-1] for line in lines)
+        if meta is not None:
+            assert lines[0].startswith("# ")
+            assert json.loads(lines.pop(0)[2:]) == meta
+        assert lines[0] == ",".join(columns) + "\n"
+        assert len(lines) == 1 + len(rows)
+        for line, row in zip(lines[1:], rows):
+            cells = line[:-1].split(",")
+            assert len(cells) == len(row)
+            for cell, v in zip(cells, row):
+                if v is None:
+                    assert cell == ""
+                elif isinstance(v, float):
+                    if math.isnan(v):
+                        assert math.isnan(float(cell))
+                    else:  # the same bits, -0.0 and subnormals included
+                        assert struct.pack("<d", float(cell)) == struct.pack("<d", v)
+                elif isinstance(v, (int, np.integer)):
+                    assert cell == str(int(v))
+                else:
+                    assert cell == v
