@@ -328,15 +328,20 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _version_dirs(root: Path) -> list[Path]:
+    """Every cache version's directory under `root`: real `v<digits>` directories, no symlinks."""
+    return [path for path in (root.iterdir() if root.exists() else ())
+            if re.fullmatch(r"v[0-9]+", path.name) and path.is_dir() and not path.is_symlink()]
+
+
 def _cmd_cache(args) -> int:
     if args.cache_dir is None:
         raise ValueError("cache command requires --cache-dir")
     root = Path(args.cache_dir)
     if args.action == "clear":
         # every version's directory, then the root if nothing else is left in it
-        for path in root.glob("v*"):
-            if re.fullmatch(r"v[0-9]+", path.name) and path.is_dir() and not path.is_symlink():
-                shutil.rmtree(path)
+        for path in _version_dirs(root):
+            shutil.rmtree(path)
         left = sorted(path.name for path in root.iterdir()) if root.exists() else []
         if left:
             print(f"kept {root}: {len(left)} entries that are not the cache's: "
@@ -346,7 +351,7 @@ def _cmd_cache(args) -> int:
         print(f"cleared {root}")
         return 0
     current = f"v{CACHE_VERSION}"
-    old = sum(1 for path in root.glob("v*/*.spec") if path.parent.name != current)
+    old = sum(len(list(d.glob("*.spec"))) for d in _version_dirs(root) if d.name != current)
     if old:
         print(f"{old} entries of other cache versions not listed; "
               "`cache clear` removes them", file=sys.stderr)

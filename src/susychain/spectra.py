@@ -1,11 +1,11 @@
 """Eigendecomposition of block matrices, full-chain spectra, and a disk cache.
 
-Spectra are the only expensive objects in the package (everything else is
-arithmetic over them), so their energies get a checksummed binary cache
-keyed by the block and the exact coupling values. They are solved without
-eigenvectors (`eigvalsh`). Only the slope path calls `diagonalize` (`eigh`):
-the Hellmann-Feynman slope reads its eigenvectors, and the finite-difference
-slope reads its energies so both estimates come from one solver.
+Spectra are the only expensive objects in the package (all else is
+arithmetic over them), so their energies get a disk cache keyed by the block
+and the exact couplings and checked by a BLAKE2b-256 digest. They are solved
+without eigenvectors (`eigvalsh`). Only the slope path calls `diagonalize`
+(`eigh`): the Hellmann-Feynman slope reads its eigenvectors, and the
+finite-difference slope reads its energies so both come from one solver.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ import numpy as np
 from .basis import SectorKey, decompose_n_sector
 from .model import ModelParams, SectorMatrix, build_hamiltonian
 
-CACHE_VERSION = 2  # 1 also stored the eigenvectors
+CACHE_VERSION = 3  # 1 also stored the eigenvectors; 1 and 2 checked with sha256
 _MAGIC = b"SCSP"
-# magic, version, L, n_d, J, Delta, h, dimension, sha256 of the payload
+# magic, version, L, n_d, J, Delta, h, dimension, BLAKE2b-256 of the payload
 _HEADER = struct.Struct("<4sIII3dI32s")
 
 # Largest dense float64 block the package builds. Paths over a sector's own
@@ -143,10 +143,9 @@ def _entry_path(cache_dir: Path, key: SectorKey, params: ModelParams) -> Path:
 
 
 def _digest(payload: bytes) -> bytes:
-    """sha256 of a cache payload."""
-    import hashlib  # loads OpenSSL, which only cache reads and writes need
-
-    return hashlib.sha256(payload).digest()
+    """BLAKE2b-256 of a cache payload, from CPython's built-in BLAKE2, which loads no OpenSSL."""
+    from _blake2 import blake2b  # imported here: only cache reads and writes need it
+    return blake2b(payload, digest_size=32).digest()
 
 
 def cache_put(cache_dir: str | Path, key: SectorKey, params: ModelParams,

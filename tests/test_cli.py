@@ -515,14 +515,45 @@ class TestCache:
         (cache / "v2x").mkdir()
         outside.mkdir()
         (outside / "keep.txt").write_text("k")
-        (cache / "v3").symlink_to(outside)
+        foreign = f"v{spectra.CACHE_VERSION + 1}"
+        (cache / foreign).symlink_to(outside)
         code, out, err = run_cli(capsys, "cache", "clear", "--cache-dir", str(cache))
         assert code == 0
-        assert sorted(p.name for p in cache.iterdir()) == ["data.csv", "notes", "v2x", "v3"]
+        assert sorted(p.name for p in cache.iterdir()) == ["data.csv", "notes", "v2x", foreign]
         assert (cache / "notes" / "paper.txt").read_text() == "x"
         assert (outside / "keep.txt").read_text() == "k"
-        assert "data.csv, notes, v2x, v3" in err
+        assert f"data.csv, notes, v2x, {foreign}" in err
         assert out == f"cleared {cache}\n"
+
+    def test_inspect_counts_only_what_clear_removes(self, capsys, tmp_path):
+        cache, outside = tmp_path / "cache", tmp_path / "outside"
+        run_cli(capsys, "witten", "--N", "4", "--cache-dir", str(cache))
+        for name in ("v1", "v2x"):
+            (cache / name).mkdir()
+            (cache / name / "old.spec").write_bytes(b"x")
+        outside.mkdir()
+        (outside / "old.spec").write_bytes(b"x")
+        (cache / "v99").symlink_to(outside)
+        code, out, err = run_cli(capsys, "cache", "inspect", "--cache-dir", str(cache))
+        assert (code, out.splitlines()[-1]) == (0, "2 entries")
+        # v1 only: clear removes it and keeps v2x and the symlink
+        assert err == "1 entries of other cache versions not listed; `cache clear` removes them\n"
+        run_cli(capsys, "cache", "clear", "--cache-dir", str(cache))
+        assert sorted(p.name for p in cache.iterdir()) == ["v2x", "v99"]
+
+    def test_inspect_refuses_a_regular_file_as_clear_does(self, capsys, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        results = [run_cli(capsys, "cache", action, "--cache-dir", str(blocker))
+                   for action in ("inspect", "clear")]
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert (code, out) == (4, "")
+        assert err.startswith("I/O error: [Errno 20] Not a directory")
+        assert blocker.read_text() == ""
+        # a directory that does not exist is an empty cache
+        assert run_cli(capsys, "cache", "inspect", "--cache-dir", str(tmp_path / "none")) == (
+            0, "0 entries\n", "")
 
     @pytest.mark.parametrize("action", ["inspect", "clear"])
     @pytest.mark.parametrize("bad", [["--J", "nan"], ["--h", "7"], ["--Delta=1.2"]])

@@ -203,6 +203,28 @@ class TestCache:
         assert out.splitlines()[-1] == "1 entries" and "skipped" not in err
         assert err.count("other cache versions") == 1
 
+    def test_version_2_entry_is_a_miss_counted_and_cleared(self, tmp_path):
+        # a block as version 2 stored it: the energies alone, checked by sha256
+        spec = self._spec()
+        key, p = spec.key, SUSY
+        payload = spec.energies.tobytes()
+        old = spectra._HEADER.pack(spectra._MAGIC, 2, key.L, key.n_d, p.J, p.Delta, p.h,
+                                   len(spec.energies), hashlib.sha256(payload).digest())
+        name = spectra._entry_name(key.L, key.n_d, p.J, p.Delta, p.h)
+        (tmp_path / "v2").mkdir()
+        (tmp_path / "v2" / name).write_bytes(old + payload)
+        assert cache_get(tmp_path, key, p) is None
+        code, out, err = run_inspect(tmp_path)
+        assert (code, out) == (0, "0 entries\n")
+        assert err == "1 entries of other cache versions not listed; `cache clear` removes them\n"
+        # the same bytes under the current version's directory are still a miss
+        path = cache_put(tmp_path, key, p, spec.energies)
+        assert path.read_bytes()[spectra._HEADER.size:] == payload
+        path.write_bytes(old + payload)
+        assert cache_get(tmp_path, key, p) is None
+        assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
+        assert not tmp_path.exists()
+
     def test_failed_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch, capsys):
         def refuse(src, dst):
             raise OSError(28, "No space left on device")
@@ -229,6 +251,12 @@ def block_spectra(draw):
     key = SectorKey(L, draw(st.integers(0, L)))
     params = ModelParams(J=draw(COUPLINGS), Delta=draw(COUPLINGS), h=draw(COUPLINGS))
     return params, diagonalize(build_hamiltonian(key, params))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(payload=st.binary(max_size=4096))
+def test_digest_is_blake2b_256(payload):
+    assert spectra._digest(payload) == hashlib.blake2b(payload, digest_size=32).digest()
 
 
 def run_inspect(root):

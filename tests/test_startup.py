@@ -100,12 +100,24 @@ def test_sampling_loads_numpy_random():
                  "--threads", "1") == "0 ['_hashlib', 'numpy.random']"
 
 
-def test_cache_loads_openssl_and_still_refuses_a_damaged_payload(tmp_path):
-    assert loads("spectrum", "--N", "5", "--cache-dir", str(tmp_path)) == "0 ['_hashlib']"
-    entry = sorted(tmp_path.glob("v*/*.spec"))[-1]
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--N", "5"),
+    ("witten", "--N", "5", "--which", "gca"),
+    ("witten", "--N", "5", "--which", "qgca"),
+    ("sweep", "--estimator", "exact-qgca", "--N", "3,4", "--points", "3"),
+    ("cache", "inspect"),
+], ids=["spectrum", "witten-gca", "witten-qgca", "sweep", "cache-inspect"])
+def test_cache_loads_no_openssl_and_still_refuses_a_damaged_payload(tmp_path, argv):
+    cache = tmp_path / "cache"
+    if argv[0] == "cache":  # inspect a filled cache: every entry is read and checked
+        assert loads("spectrum", "--N", "5", "--cache-dir", str(cache)) == "0 []"
+    if argv[0] == "sweep":
+        argv = (*argv, "--out", str(tmp_path / "out"))
+    assert loads(*argv, "--cache-dir", str(cache)) == "0 []"
+    entry = sorted(cache.glob("v*/*.spec"))[-1]
     raw = bytearray(entry.read_bytes())
     raw[-1] ^= 0x01
     entry.write_bytes(bytes(raw))
     probe = ("import sys, susychain.spectra as s; "
              f"print(s.cache_header({str(entry)!r}), '_hashlib' in sys.modules)")
-    assert run_fresh(probe) == "None True"
+    assert run_fresh(probe) == "None False"
