@@ -23,8 +23,7 @@ _EXPORTS = {
     "susy": ("NumericalConsistencyError", "SusySpectrum", "assemble",
              "deviation_first_order", "slope_cn", "witten_regularized",
              "wtilde_gca_exact", "wtilde_qgca_exact"),
-    "dynamics": ("ProtocolConfig", "WittenTrace", "metropolis_accept", "run_protocol",
-                 "seed_stream"),
+    "dynamics": ("ProtocolConfig", "WittenTrace", "run_protocol"),
     "analysis": ("FitReport", "ProtectionRow", "SweepRecord", "SweepSpec",
                  "compare_first_order", "protection_report", "sweep"),
 }

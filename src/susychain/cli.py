@@ -65,6 +65,9 @@ _SHARED = {
     "J": dict(type=float, default=SUSY_POINT.J),
     "Delta": dict(type=float, default=SUSY_POINT.Delta),
     "h": dict(type=float, default=SUSY_POINT.h),
+    "beta": dict(type=float, default=5.0),
+    "runs": dict(type=int, default=50000),
+    "iterations": dict(type=int, default=500),
 }
 _COUPLINGS = ("J", "Delta", "h")
 
@@ -88,32 +91,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("spectrum", "sector level listing with zero modes", "out", "format", *_COUPLINGS)
     p.add_argument("--N", type=int, required=True)
 
-    p = add("witten", "exact index estimators", "out", "format", *_COUPLINGS)
+    p = add("witten", "exact index estimators", "out", "format", "beta", *_COUPLINGS)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--which", choices=("regularized", "gca", "qgca"), default="gca")
-    p.add_argument("--beta", type=float, default=5.0)
     p.add_argument("--beta0", type=float, default=1.0,
                    help="regularization beta for --which regularized")
 
-    p = add("dynamics", "Metropolis collision traces", "seed", "out", "threads", *_COUPLINGS)
+    p = add("dynamics", "Metropolis collision traces", "seed", "out", "threads",
+            "beta", "runs", "iterations", *_COUPLINGS)
     p.add_argument("--protocol", choices=(PROTOCOL_GCA, PROTOCOL_QGCA), default=PROTOCOL_GCA)
     p.add_argument("--N", type=int, default=None,
                    help="single sector; default runs all of 3..11")
-    p.add_argument("--beta", type=float, default=5.0)
-    p.add_argument("--runs", type=int, default=50000)
-    p.add_argument("--iterations", type=int, default=500)
 
-    p = add("sweep", "coupling sweeps and first-order fits", "seed", "out", "threads")
+    p = add("sweep", "coupling sweeps and first-order fits", "seed", "out", "threads",
+            "beta", "runs", "iterations")
     p.add_argument("--coupling", choices=tuple(SUSY_VALUE), default=COUPLING_DELTA)
     p.add_argument("--estimator", choices=ESTIMATORS, default="exact-gca")
     p.add_argument("--N", default="3,4,5,6,7,8,9,10,11",
                    help="comma-separated sector list")
-    p.add_argument("--beta", type=float, default=5.0)
     p.add_argument("--points", type=int, default=21)
     p.add_argument("--values", default=None,
                    help="comma-separated coupling values (overrides --points grid)")
-    p.add_argument("--runs", type=int, default=50000)
-    p.add_argument("--iterations", type=int, default=500)
 
     p = add("cache", "inspect or clear the spectrum cache")
     p.add_argument("action", choices=("inspect", "clear"))
@@ -180,12 +178,12 @@ def _environment() -> dict:
     }
 
 
-def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
-                    outputs: list[Path], started: str) -> Path:
+def _write_manifest(args: argparse.Namespace, outputs: list[Path], started: str) -> None:
+    """Write manifest.json beside the run's first output."""
     skip = {"config", *_unread(args)}
     arguments = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
     manifest = {
-        "command": command,
+        "command": args.command,
         "arguments": arguments,
         "base_seed": arguments.get("seed"),
         "version": __version__,
@@ -195,17 +193,15 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
         "cache_dir": args.cache_dir,
         "environment": _environment(),
     }
-    path = out_dir / "manifest.json"
+    path = outputs[0].parent / "manifest.json"
     path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
-    return path
 
 
 def _params(args) -> ModelParams:
     return ModelParams(J=args.J, Delta=args.Delta, h=args.h)
 
 
-def _cmd_spectrum(args) -> int:
-    started = _timestamp()
+def _cmd_spectrum(args) -> list[Path]:
     spec = assemble(args.N, _params(args), args.cache_dir)
     rows = [
         {"L": L, "n_d": spec.N - L - 1, "energy": e, "parity": p, "pair_id": pair}
@@ -223,11 +219,10 @@ def _cmd_spectrum(args) -> int:
     ]
     table.append(f"zero modes: {spec.zero_mode_count}"
                  + (f" (at L={spec.zero_mode_length})" if spec.zero_mode_count else ""))
-    return _emit(args, "spectrum", _render(args.format, rows, summary, table), started)
+    return _emit(args, _render(args.format, rows, summary, table))
 
 
-def _cmd_witten(args) -> int:
-    started = _timestamp()
+def _cmd_witten(args) -> list[Path]:
     params = _params(args)
     beta = args.beta0 if args.which == "regularized" else args.beta
     if args.which == "qgca":
@@ -236,7 +231,7 @@ def _cmd_witten(args) -> int:
         estimator = witten_regularized if args.which == "regularized" else wtilde_gca_exact
         value = estimator(assemble(args.N, params, args.cache_dir), beta)
     row = {"N": args.N, "which": args.which, "beta": beta, "value": value}
-    return _emit(args, "witten", _render(args.format, [row], row, [repr(value)]), started)
+    return _emit(args, _render(args.format, [row], row, [repr(value)]))
 
 
 def _render(fmt: str, rows: list[dict], document, table: list[str]) -> str:
@@ -248,21 +243,19 @@ def _render(fmt: str, rows: list[dict], document, table: list[str]) -> str:
     return "\n".join(table) + "\n"
 
 
-def _emit(args, command: str, text: str, started: str) -> int:
+def _emit(args, text: str) -> list[Path]:
     if args.out is None:
         sys.stdout.write(text)
-        return 0
+        return []
     # an --out with a suffix names the file; one without names its directory
     out = Path(args.out)
-    target = out if out.suffix else out / f"{command}.txt"
+    target = out if out.suffix else out / f"{args.command}.txt"
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(text)
-    _write_manifest(target.parent, command, args, [target], started)
-    return 0
+    return [target]
 
 
-def _cmd_dynamics(args) -> int:
-    started = _timestamp()
+def _cmd_dynamics(args) -> list[Path]:
     sectors = [args.N] if args.N is not None else list(DEFAULT_N_LIST)
     # every config is validated and size-checked before the first run writes anything
     configs = [ProtocolConfig(protocol=args.protocol, N=N, beta=args.beta,
@@ -287,13 +280,10 @@ def _cmd_dynamics(args) -> int:
                 path = out / f"trace_{args.protocol}_N{N}.csv"
                 write_trace_csv(trace, path, {"version": __version__})
                 outputs.append(path)
-    if out:
-        _write_manifest(out, "dynamics", args, outputs, started)
-    return 0
+    return outputs
 
 
-def _cmd_sweep(args) -> int:
-    started = _timestamp()
+def _cmd_sweep(args) -> list[Path]:
     n_list = tuple(int(s) for s in str(args.N).split(","))
     if args.values is not None:
         values = tuple(float(s) for s in args.values.split(","))
@@ -322,10 +312,9 @@ def _cmd_sweep(args) -> int:
         fit_path = out / f"fit_{spec.coupling}_{spec.estimator}.json"
         fit_path.write_text(fit_report_json(reports))
         outputs.append(fit_path)
-    _write_manifest(out, "sweep", args, outputs, started)
     for path in outputs:
         print(path)
-    return 0
+    return outputs
 
 
 def _version_dirs(root: Path) -> list[Path]:
@@ -334,7 +323,7 @@ def _version_dirs(root: Path) -> list[Path]:
             if re.fullmatch(r"v[0-9]+", path.name) and path.is_dir() and not path.is_symlink()]
 
 
-def _cmd_cache(args) -> int:
+def _cmd_cache(args) -> list[Path]:
     if args.cache_dir is None:
         raise ValueError("cache command requires --cache-dir")
     root = Path(args.cache_dir)
@@ -349,7 +338,7 @@ def _cmd_cache(args) -> int:
         elif root.exists():
             root.rmdir()
         print(f"cleared {root}")
-        return 0
+        return []
     current = f"v{CACHE_VERSION}"
     old = sum(len(list(d.glob("*.spec"))) for d in _version_dirs(root) if d.name != current)
     if old:
@@ -365,7 +354,7 @@ def _cmd_cache(args) -> int:
         print(f"{path.name}: L={L} n_d={n_d} J={J} Delta={Delta} h={h} levels={levels}")
         entries += 1
     print(f"{entries} entries")
-    return 0
+    return []
 
 
 _COMMANDS = {
@@ -395,7 +384,11 @@ def main(argv=None) -> int:
     try:
         # every block is small enough that one LAPACK thread is as fast as two
         with _one_blas_thread():
-            return _COMMANDS[args.command](args)
+            started = _timestamp()
+            outputs = _COMMANDS[args.command](args)
+            if outputs:
+                _write_manifest(args, outputs, started)
+        return 0
     except NumericalConsistencyError as exc:
         print(f"numerical consistency failure: {exc}", file=sys.stderr)
         return 3

@@ -31,7 +31,7 @@ import math
 import os
 import zlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import islice, starmap
 from pathlib import Path
 
@@ -372,13 +372,7 @@ def write_trace_csv(trace: WittenTrace, path: str | Path, extra_meta: dict | Non
     """CSV with a JSON metadata header line; floats in round-trip form."""
     cfg = trace.config
     meta = {
-        "protocol": cfg.protocol,
-        "N": cfg.N,
-        "beta": cfg.beta,
-        "params": {"J": cfg.params.J, "Delta": cfg.params.Delta, "h": cfg.params.h},
-        "base_seed": cfg.base_seed,
-        "runs": cfg.runs,
-        "iterations": cfg.iterations,
+        **asdict(cfg),
         "window_estimate": None if np.isnan(trace.window_estimate) else trace.window_estimate,
         "window_stderr": None if np.isnan(trace.window_stderr) else trace.window_stderr,
         "window_legit": trace.window_legit,

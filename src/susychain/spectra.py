@@ -65,12 +65,13 @@ def _check_block(owner: str, key: SectorKey) -> None:
             f"({MAX_BLOCK_BYTES // 2**20} MiB) per block")
 
 
-def _check_sector(N: int, full_chains: bool = False) -> None:
-    """Refuse sector N, before any basis is enumerated, if a block it needs is too large."""
-    keys = decompose_n_sector(N).members
+def _check_sector(N: int, full_chains: bool = False) -> tuple[SectorKey, ...]:
+    """Sector N's member blocks; refuses N, building no basis, if a block it needs is too large."""
+    members = keys = decompose_n_sector(N).members
     if full_chains:  # every block of each member chain: the largest is n_d = L//2
         keys = [SectorKey(key.L, key.L // 2) for key in keys]
     _check_block(f"N={N}", max(keys, key=lambda k: k.dimension))
+    return members
 
 
 def diagonalize(matrix: SectorMatrix) -> BlockEigenpairs:

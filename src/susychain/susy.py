@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import decompose_n_sector
 from .model import SUSY_POINT, ModelParams, build_hamiltonian, level_slopes
 from .spectra import _check_sector, cached_block, diagonalize, full_chain_spectrum
 
@@ -65,8 +64,7 @@ def assemble(N: int, params: ModelParams, cache_dir=None) -> SusySpectrum:
     degeneracy tolerance. Away from the supersymmetric point levels may
     remain unpaired; their pair_ids entry stays None there.
     """
-    _check_sector(N)
-    members = decompose_n_sector(N).members
+    members = _check_sector(N)
     energies, lengths, parities = _sorted_levels(
         members, [cached_block(key, params, cache_dir) for key in members])
 
@@ -115,7 +113,13 @@ def witten_regularized(spec: SusySpectrum, beta0: float) -> float:
     every positive level is parity-paired."""
     if not 0.0 <= beta0 < math.inf:
         raise ValueError(f"beta0 must be finite and >= 0, got {beta0}")
-    return float(np.sum(spec.parities * np.exp(-beta0 * spec.energies)))
+    # off the SUSY point a level can be negative: e^{-beta0 E} may overflow, and inf - inf is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.sum(spec.parities * np.exp(-beta0 * spec.energies)))
+    if not math.isfinite(value):
+        raise ValueError(f"Tr(-1)^F e^(-beta0 H) leaves the float range at beta0={beta0}: "
+                         f"sector N={spec.N} has lowest energy {float(spec.energies.min())!r}")
+    return value
 
 
 def wtilde_gca_exact(spec: SusySpectrum, beta: float) -> float:
@@ -156,10 +160,9 @@ def wtilde_qgca_exact(N: int, params: ModelParams, beta: float, cache_dir=None) 
     estimate, and it is the quantity that converges to the pooled-chain
     value at low temperature.
     """
-    _check_sector(N, full_chains=True)
+    keys = _check_sector(N, full_chains=True)
     if not 0.0 <= beta < math.inf:
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    keys = decompose_n_sector(N).members
     lw = []  # log(sum_{i in block} e^{-beta E_i} / Z_L) per member block
     for key in keys:
         chain = full_chain_spectrum(key.L, params, cache_dir)
@@ -198,28 +201,24 @@ def finite_difference_dw(N: int, beta: float, coupling: str) -> float:
     """Central finite difference of the exact pooled-chain index at the
     supersymmetric point.
 
-    The shifted spectra come from `diagonalize`, the solver of the
+    The shifted spectra come from `_eigenpairs`, the solver of the
     Hellmann-Feynman cross-check, and are summed in `assemble`'s level order.
     """
     if not 0.0 <= beta < math.inf:
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    _check_sector(N)
     c0 = SUSY_VALUE.get(coupling, 0.0)  # params_at rejects an unknown name
-    members = decompose_n_sector(N).members
     w = []
     for step in (FD_STEP, -FD_STEP):
-        params = params_at(coupling, c0 + step)
-        energies, _, parities = _sorted_levels(
-            members, [diagonalize(build_hamiltonian(key, params)).energies for key in members])
+        blocks = _eigenpairs(N, params_at(coupling, c0 + step))
+        energies, _, parities = _sorted_levels([b.key for b in blocks],
+                                               [b.energies for b in blocks])
         w.append(_parity_average(energies, parities, beta))
     return (w[0] - w[1]) / (2.0 * FD_STEP)
 
 
-def _susy_blocks(N: int) -> list:
-    """Eigenpairs of every member block of sector N at the supersymmetric point."""
-    _check_sector(N)
-    return [diagonalize(build_hamiltonian(key, SUSY_POINT))
-            for key in decompose_n_sector(N).members]
+def _eigenpairs(N: int, params: ModelParams = SUSY_POINT) -> list:
+    """`diagonalize`'s eigenpairs of every member block of sector N, in member order."""
+    return [diagonalize(build_hamiltonian(key, params)) for key in _check_sector(N)]
 
 
 def hellmann_feynman_dw(N: int, beta: float, coupling: str, blocks=None) -> float:
@@ -232,10 +231,10 @@ def hellmann_feynman_dw(N: int, beta: float, coupling: str, blocks=None) -> floa
 
     with <.> the sector Gibbs average. Smooth through degeneracies because
     only block traces of analytic functions enter. `blocks` are the
-    sector's _susy_blocks when the caller already holds them.
+    sector's _eigenpairs when the caller already holds them.
     """
     field = _coupling(coupling)
-    specs = blocks or _susy_blocks(N)
+    specs = blocks or _eigenpairs(N)
     e = np.concatenate([spec.energies for spec in specs])
     p = np.concatenate([np.full(len(spec.energies), spec.key.parity) for spec in specs])
     slopes = np.concatenate([level_slopes(spec.key, field, spec.states) for spec in specs])
@@ -274,7 +273,7 @@ def slope_cn(N: int, beta: float, coupling: str = COUPLING_DELTA) -> float:
     c_N is a property of the splitting alone and the extraction is stable
     in beta. Sectors without a zero mode have no such factor.
     """
-    blocks = _susy_blocks(N)
+    blocks = _eigenpairs(N)
     c = abs(_checked_slope(N, beta, coupling, blocks)) / beta
     # zero modes and E_1 as assemble(N, SUSY_POINT) classifies the same levels
     e = np.concatenate([spec.energies for spec in blocks])

@@ -629,6 +629,17 @@ class TestExitCodes:
             assert "must be finite" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_regularized_overflow_is_usage_error(self, capsys, tmp_path, fmt):
+        # off the special point the lowest level of N=5 is -1.372, and e^{800 * 1.372} overflows
+        code, out, err = run_cli(capsys, "witten", "--N", "5", "--which", "regularized",
+                                 "--J", "2", "--beta0", "800", "--format", fmt,
+                                 "--out", str(tmp_path / "r" / "w.txt"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Tr(-1)^F e^(-beta0 H) leaves the float range at beta0=800.0")
+        assert "lowest energy -1.372" in err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("argv,flag", [
         (["spectrum", "--N", "4"], ["--seed", "1"]),
         (["spectrum", "--N", "4"], ["--threads", "1"]),
@@ -932,7 +943,7 @@ def test_public_api_census():
         "build_hamiltonian", "cache_get", "cache_put",
         "compare_first_order", "decompose_n_sector", "deviation_first_order",
         "diagonalize", "enumerate_sector", "full_chain_spectrum",
-        "level_slopes", "metropolis_accept", "protection_report", "run_protocol", "seed_stream",
+        "level_slopes", "protection_report", "run_protocol",
         "slope_cn", "sweep", "witten_regularized", "wtilde_gca_exact",
         "wtilde_qgca_exact",
     ]

@@ -193,6 +193,21 @@ def test_regularized_index_rejects_negative_beta0():
         witten_regularized(spec, -1.0)
 
 
+# off the special point a level lies below zero, and e^{-beta0 E} can pass float64's range;
+# at N=6 two levels of opposite parity overflow, and inf - inf is nan
+@pytest.mark.parametrize("N,beta0,lowest", [(5, 800.0, "-1.372"), (6, 2000.0, "-0.99999")])
+def test_regularized_index_refuses_to_overflow(N, beta0, lowest):
+    spec = assemble(N, ModelParams(J=2.0))
+    message = rf"beta0={beta0}: sector N={N} has lowest energy {lowest}"
+    with pytest.raises(ValueError, match=message):
+        witten_regularized(spec, beta0)
+
+
+def test_regularized_index_below_overflow_is_unchanged():
+    spec = assemble(5, ModelParams(J=2.0))
+    assert witten_regularized(spec, 400.0) == pytest.approx(-2.45291515157591e238, rel=1e-12)
+
+
 @pytest.mark.parametrize("N", range(3, 12))
 def test_gca_exact_reference_beta5(N):
     spec = assemble(N, SUSY)

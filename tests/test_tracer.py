@@ -1,8 +1,9 @@
 """The traced benchmark's span recorder runs against the package as it is.
 
 perfbench/tracer.py wraps the package's public functions and annotates
-`spectra.diagonalize` and `dynamics.run_protocol` spans from what those
-calls take and return, so it breaks silently when either contract moves.
+`spectra.diagonalize`, `spectra.cache_get` and `dynamics.run_protocol` spans
+from what those calls take and return, so it breaks silently when any of
+those contracts moves.
 """
 
 import json
@@ -56,3 +57,13 @@ def test_dynamics_solves_each_chain_block_once_behind_the_traced_memo(tmp_path):
     # with no disk cache each cached_block solves by eigvalsh; diagonalize solves by eigh
     solves = by_name(spans, "spectra.cached_block") + by_name(spans, "spectra.diagonalize")
     assert len(solves) == 12
+
+
+def test_cache_get_spans_record_a_miss_then_a_hit(tmp_path):
+    # perfbench's spectra.cache_get.hits counts the spans whose "hit" is true
+    argv = ("witten", "--N", "4", "--which", "qgca", "--cache-dir", str(tmp_path / "cache"))
+    cold = [attrs for *_, attrs in by_name(trace(tmp_path, *argv), "spectra.cache_get")]
+    warm = [attrs for *_, attrs in by_name(trace(tmp_path, *argv), "spectra.cache_get")]
+    # sector 4 has member chains L = 2 and 3, of 3 + 4 blocks
+    assert cold == [{"hit": False}] * 7
+    assert warm == [{"hit": True}] * 7
