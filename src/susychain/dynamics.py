@@ -30,9 +30,10 @@ import json
 import math
 import os
 import zlib
+from bisect import bisect_right
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from itertools import islice, starmap
+from itertools import accumulate, islice, starmap
 from pathlib import Path
 
 import numpy as np
@@ -72,12 +73,14 @@ class ProtocolConfig:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         # Each walker task returns int64 counts and float64 sums per iteration, all
         # held by the fold of the run's ceil(runs / BLOCK_SIZE) tasks per pool; each
-        # walker also returns two window tallies, which the fold turns into one residual.
+        # walker also returns two window tallies. The 8 bytes of a float64 residual per
+        # walker over-count, so the guard is conservative: the fold sums the residual in
+        # pieces of at most BLOCK_SIZE walkers and never holds all of it.
         pools, blocks = _task_shape(self)
         tasks = pools * blocks
         per_iteration = 16 * tasks + FOLD_BYTES
         window = self.iterations - _window_start(self.iterations)
-        per_walker = 2 * _tally_dtype(window).itemsize + 8  # and a float64 residual
+        per_walker = 2 * _tally_dtype(window).itemsize + 8
         limit = f"the limit is {MAX_BLOCK_BYTES} bytes ({MAX_BLOCK_BYTES // 2**20} MiB)"
         if per_iteration * self.iterations > MAX_BLOCK_BYTES:
             raise ValueError(
@@ -275,6 +278,39 @@ def _parallel_map(fn, tasks, workers: int):
         ex.shutdown(cancel_futures=True)
 
 
+def _residual_square_sum(wsums, wcnts, ratio: float, lo: int = 0, n: int | None = None,
+                         starts=None, buf=None) -> float:
+    """Sum of (w - c * ratio)**2 over the walkers lo .. lo + n of the tasks' tallies.
+
+    Bit for bit np.square(resid).sum() of the concatenated float64 residual,
+    which is never built: the sum follows numpy's pairwise split (halves
+    rounded down to a multiple of 8) down to pieces of at most BLOCK_SIZE
+    walkers, and each piece is filled into one reused buffer and summed by
+    numpy, which carries the same split on below it. Called with the tallies
+    and the ratio alone, it sums every walker.
+    """
+    if n is None:
+        starts = list(accumulate(map(len, wsums), initial=0))
+        n = starts[-1]
+        buf = np.empty(min(BLOCK_SIZE, n))
+    if n > BLOCK_SIZE:
+        half = n // 2 - (n // 2) % 8
+        return (_residual_square_sum(wsums, wcnts, ratio, lo, half, starts, buf)
+                + _residual_square_sum(wsums, wcnts, ratio, lo + half, n - half, starts, buf))
+    piece = buf[:n]
+    task = bisect_right(starts, lo) - 1
+    done = 0
+    while done < n:  # the piece may straddle tasks
+        at = lo + done - starts[task]
+        take = min(n - done, len(wsums[task]) - at)
+        part = piece[done:done + take]
+        np.subtract(wsums[task][at:at + take],
+                    np.multiply(wcnts[task][at:at + take], ratio, out=part), out=part)
+        done += take
+        task += 1
+    return float(np.square(piece, out=piece).sum())
+
+
 def run_protocol(config: ProtocolConfig, cache_dir=None, threads: int = 1, *,
                  results=None) -> WittenTrace:
     """Drive `config.runs` walkers over each pool of the protocol and fold the results.
@@ -326,12 +362,7 @@ def run_protocol(config: ProtocolConfig, cache_dir=None, threads: int = 1, *,
     if total > 0:
         # window tallies are integers, so adding them per task is exact
         ratio = sum(float(w.sum()) for w in wsums) / total
-        # one float64 residual array, filled per task and squared in place
-        ends = np.cumsum([len(w) for w in wsums])
-        resid = np.empty(ends[-1])
-        for part, w, c in zip(np.split(resid, ends[:-1]), wsums, wcnts):
-            np.subtract(w, np.multiply(c, ratio, out=part), out=part)
-        window_stderr = float(np.sqrt(np.square(resid, out=resid).sum()) / total)
+        window_stderr = float(np.sqrt(_residual_square_sum(wsums, wcnts, ratio)) / total)
     else:
         window_stderr = float("nan")
 

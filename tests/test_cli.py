@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -417,6 +418,19 @@ class TestSweep:
         assert fits[6]["relative_discrepancy"] <= 0.02
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert len(manifest["outputs"]) == 2
+
+    def test_readme_fit_example_writes_a_fit(self, capsys, tmp_path):
+        # the README's fit-report example as written, but for its output directory
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        command = re.search(r"^# anisotropy sweep with first-order fit report.*\n(?:#.*\n)*"
+                            r"(susychain sweep (?:.*\\\n)*.*)$", readme, re.M)[1]
+        argv = shlex.split(command.replace("\\\n", " "))[1:]
+        argv[argv.index("--out") + 1] = str(tmp_path)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert "fit skipped" not in err
+        fits = json.loads((tmp_path / "fit_delta_exact-gca.json").read_text())
+        assert {f["N"] for f in fits} == {3, 6, 9}
 
     def test_too_few_points_skips_fit(self, capsys, tmp_path):
         code, _, err = run_cli(

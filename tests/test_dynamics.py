@@ -3,10 +3,11 @@ import hashlib
 import json
 import math
 import struct
+from itertools import starmap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from susychain.dynamics import (
@@ -21,7 +22,15 @@ from susychain.dynamics import (
 )
 from susychain import dynamics
 from susychain.basis import decompose_n_sector
-from susychain.dynamics import _csv_lines, _parallel_map, _pools, _walk_block, _worker_count
+from susychain.dynamics import (
+    _csv_lines,
+    _parallel_map,
+    _pools,
+    _residual_square_sum,
+    _tasks,
+    _walk_block,
+    _worker_count,
+)
 from susychain.model import ModelParams
 from susychain.spectra import full_chain_spectrum
 from susychain.susy import assemble, wtilde_gca_exact, wtilde_qgca_exact
@@ -492,6 +501,51 @@ class TestWindowTallies:
         assert trace.window_estimate == float(window.mean())
         assert trace.window_stderr == stderr
         assert trace.window_legit == total
+
+    # one 50000-run pool ends in an 848-walker task; totals under 8 and off a
+    # multiple of 8 reach the edges of numpy's 8-way unrolled loop; two such
+    # pools, 100000 walkers, split into 16 pieces
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([1, 3, 7, 8, 9, 848, BLOCK_SIZE - 1, BLOCK_SIZE])
+                    | st.integers(1, 3 * BLOCK_SIZE), min_size=1, max_size=12),
+           st.sampled_from([np.int8, np.int16]), st.floats(-1.0, 1.0), st.integers(0, 2**32))
+    @example([848], np.int8, 0.3, 0)
+    @example([3, 4], np.int8, -0.7, 1)
+    @example([BLOCK_SIZE, 9], np.int16, 0.1, 2)
+    @example(([BLOCK_SIZE] * 6 + [848]) * 2, np.int8, 1 / 3, 3)
+    def test_residual_sum_is_numpys_sum_of_the_concatenation(self, lengths, dtype, ratio,
+                                                             seed):
+        rng = np.random.default_rng(seed)
+        wsums = [rng.integers(-100, 101, n).astype(dtype) for n in lengths]
+        wcnts = [rng.integers(0, 101, n).astype(dtype) for n in lengths]
+        resid = np.concatenate([np.subtract(w, np.multiply(c, ratio))
+                                for w, c in zip(wsums, wcnts)])
+        expected = float(np.square(resid).sum())
+        got = _residual_square_sum(wsums, wcnts, ratio)
+        assert struct.pack("<d", got) == struct.pack("<d", expected)
+
+    def test_window_fold_peak_does_not_grow_with_walkers(self):
+        # run_protocol's traced peak beside the gathered results of 2 and 18
+        # blocks per chain: a concatenated residual would add 8 bytes a walker
+        import tracemalloc
+
+        peaks = {}
+        for runs in (2 * BLOCK_SIZE, 18 * BLOCK_SIZE):
+            cfg = ProtocolConfig(PROTOCOL_QGCA, 7, 2.0, iterations=5, runs=runs)
+            results = list(starmap(_walk_block, _tasks(cfg, None)))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                trace = run_protocol(cfg, results=results)
+                peaks[runs] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert trace.window_legit > 0
+        pools = len(decompose_n_sector(7).members)
+        # the fold's buffer of BLOCK_SIZE float64 and ufunc cast buffers of as many;
+        # the residual of the smaller run alone would take 8 * pools * 2 * BLOCK_SIZE
+        assert peaks[2 * BLOCK_SIZE] <= 2**18 < 8 * pools * 2 * BLOCK_SIZE
+        assert peaks[18 * BLOCK_SIZE] - peaks[2 * BLOCK_SIZE] < 2**12
 
     # several tasks, and one walker per chain, whose counts hit 0, 1 and 2
     @pytest.mark.parametrize("N,runs", [(4, 2 * BLOCK_SIZE + 100), (9, 1)])
