@@ -16,10 +16,8 @@ __version__ = "0.1.0"
 # submodule -> the public names it provides
 _EXPORTS = {
     "basis": ("NSector", "SectorKey", "decompose_n_sector", "enumerate_sector"),
-    "model": ("SUSY_POINT", "ModelParams", "SectorMatrix", "build_hamiltonian",
-              "level_slopes"),
-    "spectra": ("BlockEigenpairs", "SolverError",
-                "cache_get", "cache_put", "diagonalize", "full_chain_spectrum"),
+    "model": ("SUSY_POINT", "ModelParams", "build_hamiltonian", "level_slopes"),
+    "spectra": ("SolverError", "cache_get", "cache_put", "full_chain_spectrum"),
     "susy": ("NumericalConsistencyError", "SusySpectrum", "assemble",
              "deviation_first_order", "slope_cn", "witten_regularized",
              "wtilde_gca_exact", "wtilde_qgca_exact"),

@@ -167,7 +167,7 @@ def compare_first_order(records: list[SweepRecord]) -> list[FitReport]:
 
     Restricted to records with |shift| <= 0.05 (the first-order regime).
     The predicted slope is the same fit of the records' own
-    first_order_prediction column, so nothing is diagonalized here.
+    first_order_prediction column, so no block is solved here.
     """
     reports = []
     for N in sorted({r.N for r in records}):

@@ -60,7 +60,7 @@ _SHARED = {
     "seed": dict(type=int, default=1, help="base random seed"),
     "out": dict(default=None, help="output file or directory"),
     "format": dict(choices=("table", "json", "csv"), default="table"),
-    "threads": dict(type=int, default=os.cpu_count() or 1),
+    "threads": dict(type=int, default=_usable_cpus()),
     "config": dict(default=None, help="key = value defaults file"),
     "J": dict(type=float, default=SUSY_POINT.J),
     "Delta": dict(type=float, default=SUSY_POINT.Delta),

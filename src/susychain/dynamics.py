@@ -64,7 +64,7 @@ class ProtocolConfig:
     params: ModelParams = field(default_factory=ModelParams)
 
     def __post_init__(self):
-        _check_sector(self.N, full_chains=True)  # the pools are whole member chains
+        members = _check_sector(self.N, full_chains=True)  # the pools are whole member chains
         if self.protocol not in (PROTOCOL_GCA, PROTOCOL_QGCA):
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.iterations < 1 or self.runs < 1:
@@ -72,25 +72,31 @@ class ProtocolConfig:
         if not 0.0 <= self.beta < math.inf:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         # Each walker task returns int64 counts and float64 sums per iteration, all
-        # held by the fold of the run's ceil(runs / BLOCK_SIZE) tasks per pool; each
-        # walker also returns two window tallies. The 8 bytes of a float64 residual per
-        # walker over-count, so the guard is conservative: the fold sums the residual in
-        # pieces of at most BLOCK_SIZE walkers and never holds all of it.
+        # held by the fold of the run's ceil(runs / BLOCK_SIZE) tasks per pool. A task
+        # also returns two window tallies per walker and the final count of walkers
+        # on each state of its pool, and the fold holds those of every task too.
         pools, blocks = _task_shape(self)
         tasks = pools * blocks
         per_iteration = 16 * tasks + FOLD_BYTES
         window = self.iterations - _window_start(self.iterations)
-        per_walker = 2 * _tally_dtype(window).itemsize + 8
+        per_walker = 2 * _tally_dtype(window).itemsize
+        # every pool state is counted by each of its pool's blocks, the last one maybe short
+        states = sum(2**key.L for key in members)
+        full, rest = divmod(self.runs, BLOCK_SIZE)
+        occupancy = states * (full * np.min_scalar_type(BLOCK_SIZE).itemsize
+                              + (rest and np.min_scalar_type(rest).itemsize))
+        held = per_walker * pools * self.runs + occupancy
         limit = f"the limit is {MAX_BLOCK_BYTES} bytes ({MAX_BLOCK_BYTES // 2**20} MiB)"
         if per_iteration * self.iterations > MAX_BLOCK_BYTES:
             raise ValueError(
                 f"N={self.N} needs {per_iteration * self.iterations} bytes of walker results "
                 f"and trace, {per_iteration} per iteration: 16 from each of {tasks} tasks and "
                 f"{FOLD_BYTES} to fold them; {limit}")
-        if per_walker * pools * self.runs > MAX_BLOCK_BYTES:
+        if held > MAX_BLOCK_BYTES:
             raise ValueError(
-                f"N={self.N} needs {per_walker * pools * self.runs} bytes of window tallies "
-                f"and residuals, {per_walker} per walker of {pools * self.runs} walkers; {limit}")
+                f"N={self.N} needs {held} bytes of window tallies and occupancy counts: "
+                f"{per_walker} per walker of {pools * self.runs} walkers, and {occupancy} "
+                f"to count {states} pool states in each of {blocks} blocks; {limit}")
 
 
 @dataclass(frozen=True)

@@ -42,19 +42,6 @@ class ModelParams:
 SUSY_POINT = ModelParams()
 
 
-@dataclass(frozen=True)
-class SectorMatrix:
-    """Dense real symmetric matrix of one operator on one block."""
-
-    key: SectorKey
-    params: ModelParams | None
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.entries.shape != (self.key.dimension, self.key.dimension):
-            raise ValueError("matrix shape does not match block dimension")
-
-
 @functools.cache
 def _block_operators(key: SectorKey) -> tuple[tuple, np.ndarray, np.ndarray]:
     """((rows, cols), D, B) of one block: H = J A + Delta diag(D) - h diag(B) + const.
@@ -80,13 +67,13 @@ def _block_operators(key: SectorKey) -> tuple[tuple, np.ndarray, np.ndarray]:
     return (row, col), D, B
 
 
-def build_hamiltonian(key: SectorKey, params: ModelParams) -> SectorMatrix:
-    """Hamiltonian restricted to the (L, n_d) block."""
+def build_hamiltonian(key: SectorKey, params: ModelParams) -> np.ndarray:
+    """Hamiltonian restricted to the (L, n_d) block, a dense float64 array."""
     pairs, D, B = _block_operators(key)
     H = np.zeros((key.dimension, key.dimension))
     H[pairs] = params.J
     np.fill_diagonal(H, (params.Delta * D - params.h * B) + (3.0 * key.L - 1.0) / 4.0)
-    return SectorMatrix(key, params, H)
+    return H
 
 
 def level_slopes(key: SectorKey, field: str, states: np.ndarray) -> np.ndarray:

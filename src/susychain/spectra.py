@@ -3,9 +3,9 @@
 Spectra are the only expensive objects in the package (all else is
 arithmetic over them), so their energies get a disk cache keyed by the block
 and the exact couplings and checked by a BLAKE2b-256 digest. They are solved
-without eigenvectors (`eigvalsh`). Only the slope path calls `diagonalize`
-(`eigh`): the Hellmann-Feynman slope reads its eigenvectors, and the
-finite-difference slope reads its energies so both come from one solver.
+without eigenvectors (`eigvalsh`). Only the slope path solves by `eigh`: the
+Hellmann-Feynman slope reads its eigenvectors, and the finite-difference
+slope reads its energies so both come from one solver.
 """
 
 from __future__ import annotations
@@ -16,13 +16,12 @@ import functools
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .basis import SectorKey, decompose_n_sector
-from .model import ModelParams, SectorMatrix, build_hamiltonian
+from .model import ModelParams, build_hamiltonian
 
 CACHE_VERSION = 3  # 1 also stored the eigenvectors; 1 and 2 checked with sha256
 _MAGIC = b"SCSP"
@@ -46,15 +45,6 @@ class SolverError(RuntimeError):
         self.key = key
 
 
-@dataclass(frozen=True)
-class BlockEigenpairs:
-    """Eigenpairs of one (L, n_d) block: ascending energies, column states."""
-
-    key: SectorKey
-    energies: np.ndarray
-    states: np.ndarray
-
-
 def _check_block(owner: str, key: SectorKey) -> None:
     """Refuse block `key`, which `owner` needs, if it exceeds MAX_BLOCK_BYTES as a dense matrix."""
     size = 8 * key.dimension**2
@@ -74,17 +64,19 @@ def _check_sector(N: int, full_chains: bool = False) -> tuple[SectorKey, ...]:
     return members
 
 
-def diagonalize(matrix: SectorMatrix) -> BlockEigenpairs:
-    """Dense symmetric eigendecomposition: eigh's energies and column vectors.
+def _solve_block(key: SectorKey, params: ModelParams, vectors: bool = False):
+    """Ascending energies of block `key` at `params` by eigvalsh, or eigh's (energies, states).
 
-    A column's sign is whatever LAPACK returns; the only reader of vectors,
-    the Hellmann-Feynman slope, forms psi^T (dH/dc) psi, where it cancels.
+    The one place a LAPACK failure becomes a SolverError. The solver is read
+    from np.linalg at each call. A column's sign is whatever LAPACK returns;
+    the only reader of vectors, the Hellmann-Feynman slope, forms
+    psi^T (dH/dc) psi, where it cancels.
     """
+    H = build_hamiltonian(key, params)
     try:
-        energies, states = np.linalg.eigh(matrix.entries)
+        return np.linalg.eigh(H) if vectors else np.linalg.eigvalsh(H)
     except np.linalg.LinAlgError as exc:
-        raise SolverError(matrix.key, str(exc)) from exc
-    return BlockEigenpairs(matrix.key, energies, states)
+        raise SolverError(key, str(exc)) from exc
 
 
 def _openblas():
@@ -114,7 +106,7 @@ def _blas_threads() -> int | None:
 def _one_blas_thread():
     """Run the block with the bundled OpenBLAS on one thread, then restore its count.
 
-    The blocks the command line diagonalizes are small (dimension 252 at
+    The blocks the command line solves are small (dimension 252 at
     L=10), where a second BLAS thread spins without saving wall time.
     Without a bundled OpenBLAS this does nothing.
     """
@@ -229,11 +221,7 @@ def cached_block(
         hit = cache_get(cache_dir, key, params)
         if hit is not None:
             return hit
-    matrix = build_hamiltonian(key, params)
-    try:
-        energies = np.linalg.eigvalsh(matrix.entries)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(key, str(exc)) from exc
+    energies = _solve_block(key, params)
     if cache_dir is not None:
         cache_put(cache_dir, key, params, energies)
     return energies

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import SUSY_POINT, ModelParams, build_hamiltonian, level_slopes
-from .spectra import _check_sector, cached_block, diagonalize, full_chain_spectrum
+from .model import SUSY_POINT, ModelParams, level_slopes
+from .spectra import _check_sector, _solve_block, cached_block, full_chain_spectrum
 
 ZERO_TOL = 1e-10
 PAIR_TOL = 1e-8
@@ -210,15 +210,15 @@ def finite_difference_dw(N: int, beta: float, coupling: str) -> float:
     w = []
     for step in (FD_STEP, -FD_STEP):
         blocks = _eigenpairs(N, params_at(coupling, c0 + step))
-        energies, _, parities = _sorted_levels([b.key for b in blocks],
-                                               [b.energies for b in blocks])
+        energies, _, parities = _sorted_levels(_check_sector(N),
+                                               [energies for energies, _ in blocks])
         w.append(_parity_average(energies, parities, beta))
     return (w[0] - w[1]) / (2.0 * FD_STEP)
 
 
 def _eigenpairs(N: int, params: ModelParams = SUSY_POINT) -> list:
-    """`diagonalize`'s eigenpairs of every member block of sector N, in member order."""
-    return [diagonalize(build_hamiltonian(key, params)) for key in _check_sector(N)]
+    """eigh's (energies, states) of every member block of sector N, in member order."""
+    return [_solve_block(key, params, vectors=True) for key in _check_sector(N)]
 
 
 def hellmann_feynman_dw(N: int, beta: float, coupling: str, blocks=None) -> float:
@@ -234,10 +234,10 @@ def hellmann_feynman_dw(N: int, beta: float, coupling: str, blocks=None) -> floa
     sector's _eigenpairs when the caller already holds them.
     """
     field = _coupling(coupling)
-    specs = blocks or _eigenpairs(N)
-    e = np.concatenate([spec.energies for spec in specs])
-    p = np.concatenate([np.full(len(spec.energies), spec.key.parity) for spec in specs])
-    slopes = np.concatenate([level_slopes(spec.key, field, spec.states) for spec in specs])
+    solved = list(zip(_check_sector(N), blocks or _eigenpairs(N)))
+    e = np.concatenate([energies for _, (energies, _) in solved])
+    p = np.concatenate([np.full(len(energies), key.parity) for key, (energies, _) in solved])
+    slopes = np.concatenate([level_slopes(key, field, states) for key, (_, states) in solved])
     # W and dW/dc are ratios of sums over the same weights, so shifting them
     # by the ground energy is exact and keeps e^{-beta E} from underflowing
     w = np.exp(-beta * (e - e.min()))
@@ -276,7 +276,7 @@ def slope_cn(N: int, beta: float, coupling: str = COUPLING_DELTA) -> float:
     blocks = _eigenpairs(N)
     c = abs(_checked_slope(N, beta, coupling, blocks)) / beta
     # zero modes and E_1 as assemble(N, SUSY_POINT) classifies the same levels
-    e = np.concatenate([spec.energies for spec in blocks])
+    e = np.concatenate([energies for energies, _ in blocks])
     if (np.abs(e) < ZERO_TOL).any():
         c *= math.exp(beta * e[e > PAIR_TOL].min())
     return c

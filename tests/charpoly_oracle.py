@@ -1,8 +1,9 @@
 """Independent eigenvalue oracle for the block solver's tests.
 
 Exact rational arithmetic is slow, so this lives with the tests rather
-than in the package: criterion 8 and `test_spectra.py` compare
-`spectra.diagonalize` against it on blocks of dimension <= 8.
+than in the package: criterion 8 and `test_spectra.py` compare the
+package's block solver, `spectra._solve_block`, against it on blocks of
+dimension <= 8.
 """
 
 from fractions import Fraction

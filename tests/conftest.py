@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from susychain.model import SectorMatrix
+from susychain import spectra, susy
 from susychain.spectra import full_chain_spectrum
 
 
@@ -19,20 +18,16 @@ def fresh_chain_memo():
 def solves(monkeypatch):
     """(key, params) of every block LAPACK solves, by eigh or eigvalsh, in call order.
 
-    The package solves only SectorMatrix entries, so each SectorMatrix built
-    while the fixture is active files its block under the id of its entries.
+    The package solves blocks only through `spectra._solve_block`, so the
+    fixture wraps it in every module that binds it.
     """
-    blocks, seen = {}, []
-    post_init = SectorMatrix.__post_init__
+    seen = []
+    solve = spectra._solve_block
 
-    def register(self):
-        post_init(self)
-        blocks[id(self.entries)] = (self.key, self.params)
+    def counting(key, params, vectors=False):
+        seen.append((key, params))
+        return solve(key, params, vectors)
 
-    def counting(solve):
-        return lambda a, *args, **kwargs: seen.append(blocks[id(a)]) or solve(a, *args, **kwargs)
-
-    monkeypatch.setattr(SectorMatrix, "__post_init__", register)
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    for module in (spectra, susy):
+        monkeypatch.setattr(module, "_solve_block", counting)
     return seen

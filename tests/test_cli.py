@@ -711,7 +711,6 @@ class TestSizeGuard:
     def no_blocks(self, monkeypatch):
         import susychain.basis
         import susychain.model
-        import susychain.susy
 
         def reached(*args, **kwargs):
             raise Reached
@@ -719,7 +718,7 @@ class TestSizeGuard:
         # every module that binds the two names
         for module in (susychain.basis, susychain.model):
             monkeypatch.setattr(module, "enumerate_sector", reached)
-        for module in (susychain.model, spectra, susychain.susy):
+        for module in (susychain.model, spectra):
             monkeypatch.setattr(module, "build_hamiltonian", reached)
 
     @pytest.mark.parametrize("argv,message", [
@@ -805,14 +804,15 @@ class TestSizeGuard:
         (("sweep", "--estimator", "sampled-qgca", "--N", "3,4", "--values", "1.0,1.1",
           "--runs", "1", "--iterations", "10000000"),
          "N=3 needs 480000000 bytes of walker results and trace"),
-        # int8 window tallies at one iteration: 1 + 1 + 8 bytes per walker
-        (("dynamics", "--N", "3", "--runs", "33554432", "--iterations", "1"),
-         "N=3 needs 335544320 bytes of window tallies and residuals, 10 per walker "
-         "of 33554432 walkers"),
+        # int8 window tallies at one iteration: 1 + 1 bytes per walker, and
+        # uint16 occupancy counts of the 2 + 4 states of chains L = 1, 2 per block
+        (("dynamics", "--N", "3", "--runs", "134217728", "--iterations", "1"),
+         "N=3 needs 268632064 bytes of window tallies and occupancy counts: 2 per walker "
+         "of 134217728 walkers, and 196608 to count 6 pool states in each of 16384 blocks"),
         (("sweep", "--estimator", "sampled-qgca", "--N", "3,4", "--values", "1.0,1.1",
-          "--runs", "16777216", "--iterations", "1"),
-         "N=3 needs 335544320 bytes of window tallies and residuals, 10 per walker "
-         "of 33554432 walkers"),
+          "--runs", "67108864", "--iterations", "1"),
+         "N=3 needs 268533760 bytes of window tallies and occupancy counts: 2 per walker "
+         "of 134217728 walkers, and 98304 to count 6 pool states in each of 8192 blocks"),
     ], ids=["dynamics-iterations", "dynamics-qgca-runs", "sweep-gca", "sweep-qgca",
             "dynamics-walkers", "sweep-walkers"])
     def test_oversized_walker_results_are_refused_before_any_walker(
@@ -833,18 +833,23 @@ class TestSizeGuard:
         with pytest.raises(ValueError, match="walker results") as refused:
             ProtocolConfig("gca", 3, 2.0, iterations=iterations, runs=2**40)
         per_task = int(re.search(r"(\d+) from each", str(refused.value))[1])
+        # 2**14 full blocks and a last one of 100 walkers
         with pytest.raises(ValueError, match="window tallies") as refused:
-            ProtocolConfig("gca", 3, 2.0, iterations=iterations, runs=2**25)
+            ProtocolConfig("gca", 3, 2.0, iterations=iterations, runs=2**27 + 100)
         per_walker = int(re.search(r"(\d+) per walker", str(refused.value))[1])
+        occupancy = int(re.search(r"(\d+) to count", str(refused.value))[1])
 
         size = 100
         pool = _pools(ProtocolConfig("gca", 3, 2.0), None)[0][1]
-        counts, sums, wsum, wcnt, _ = _walk_block((1, "gca", 3, 0), pool, 2.0, iterations,
-                                                  size)
+        counts, sums, wsum, wcnt, final = _walk_block((1, "gca", 3, 0), pool, 2.0,
+                                                      iterations, size)
+        full = _walk_block((1, "gca", 3, 0), pool, 2.0, 1, BLOCK_SIZE)[-1]
         assert counts.nbytes + sums.nbytes == per_task * iterations
-        # each walker's two tallies, and the fold's float64 residual
-        assert wsum.nbytes + wcnt.nbytes + 8 * size == per_walker * size
-        assert (per_task, per_walker) == (16, 10 if iterations < 640 else 12)
+        # each walker's two tallies
+        assert wsum.nbytes + wcnt.nbytes == per_walker * size
+        # each block's count of walkers on every pool state
+        assert occupancy == 2**14 * full.nbytes + final.nbytes == 6 * (2**14 * 2 + 1)
+        assert (per_task, per_walker) == (16, 2 if iterations < 640 else 4)
 
     # 2**14 iterations keep every fold array under numpy's 256 KiB threshold
     # for reusing temporaries, 2**16 put them over it
@@ -950,13 +955,13 @@ def test_readme_flag_table_matches_the_parser():
 def test_public_api_census():
     # every public name of the package; growing the API is a deliberate edit here
     assert sorted(susychain.__all__) == [
-        "BlockEigenpairs", "FitReport", "ModelParams", "NSector",
+        "FitReport", "ModelParams", "NSector",
         "NumericalConsistencyError", "ProtectionRow", "ProtocolConfig", "SUSY_POINT",
-        "SectorKey", "SectorMatrix", "SolverError", "SusySpectrum",
+        "SectorKey", "SolverError", "SusySpectrum",
         "SweepRecord", "SweepSpec", "WittenTrace", "__version__", "assemble",
         "build_hamiltonian", "cache_get", "cache_put",
         "compare_first_order", "decompose_n_sector", "deviation_first_order",
-        "diagonalize", "enumerate_sector", "full_chain_spectrum",
+        "enumerate_sector", "full_chain_spectrum",
         "level_slopes", "protection_report", "run_protocol",
         "slope_cn", "sweep", "witten_regularized", "wtilde_gca_exact",
         "wtilde_qgca_exact",

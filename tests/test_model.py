@@ -33,33 +33,33 @@ def test_susy_point_predicate():
 
 
 def test_hand_golden_two_site_block():
-    H = build_hamiltonian(SectorKey(2, 1), SUSY).entries
+    H = build_hamiltonian(SectorKey(2, 1), SUSY)
     assert np.array_equal(H, np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 def test_hand_golden_three_site_all_up():
-    H = build_hamiltonian(SectorKey(3, 0), SUSY).entries
+    H = build_hamiltonian(SectorKey(3, 0), SUSY)
     assert np.array_equal(H, np.array([[2.0]]))
 
 
 def test_hand_golden_single_site():
     # boundary term reads the single site twice
-    H = build_hamiltonian(SectorKey(1, 1), SUSY).entries
+    H = build_hamiltonian(SectorKey(1, 1), SUSY)
     assert np.array_equal(H, np.array([[1.0]]))
-    H0 = build_hamiltonian(SectorKey(1, 0), SUSY).entries
+    H0 = build_hamiltonian(SectorKey(1, 0), SUSY)
     assert np.array_equal(H0, np.array([[0.0]]))
 
 
 @pytest.mark.parametrize("L,nd", [(3, 1), (4, 2), (5, 2), (6, 3)])
 def test_exact_symmetry(L, nd):
-    H = build_hamiltonian(SectorKey(L, nd), SUSY).entries
+    H = build_hamiltonian(SectorKey(L, nd), SUSY)
     assert np.array_equal(H, H.T)
 
 
 def test_off_diagonal_connections_are_adjacent_exchanges():
     key = SectorKey(4, 2)
     states = enumerate_sector(key).tolist()
-    H = build_hamiltonian(key, SUSY).entries
+    H = build_hamiltonian(key, SUSY)
     for i, a in enumerate(states):
         for j, b in enumerate(states):
             if i == j:
@@ -86,7 +86,7 @@ EPS = 1e-4
 def central_difference(key: SectorKey, field: str) -> np.ndarray:
     """(H(c + EPS) - H(c - EPS)) / 2 EPS at the supersymmetric point."""
     c = getattr(SUSY, field)
-    up, dn = (build_hamiltonian(key, replace(SUSY, **{field: c + s})).entries
+    up, dn = (build_hamiltonian(key, replace(SUSY, **{field: c + s}))
               for s in (EPS, -EPS))
     return (up - dn) / (2 * EPS)
 
@@ -102,7 +102,7 @@ def test_finite_difference_consistency(L, nd):
 @pytest.mark.parametrize("field", ["J", "Delta"])
 def test_level_slopes_match_central_difference(L, nd, field):
     key = SectorKey(L, nd)
-    _, states = np.linalg.eigh(build_hamiltonian(key, SUSY).entries)
+    _, states = np.linalg.eigh(build_hamiltonian(key, SUSY))
     expected = np.einsum("ij,ij->j", states, central_difference(key, field) @ states)
     assert np.allclose(level_slopes(key, field, states), expected, rtol=0, atol=1e-10)
 
@@ -123,7 +123,7 @@ def test_block_operators_are_read_only():
 @pytest.mark.parametrize("L", range(1, 9))
 def test_susy_point_spectrum_nonnegative(L):
     for nd in range(L + 1):
-        evals = np.linalg.eigvalsh(build_hamiltonian(SectorKey(L, nd), SUSY).entries)
+        evals = np.linalg.eigvalsh(build_hamiltonian(SectorKey(L, nd), SUSY))
         assert evals.min() >= -1e-10
 
 
@@ -142,8 +142,8 @@ FROZEN_DIGESTS = {
 
 
 @pytest.mark.parametrize("name,build", [
-    ("H susy", lambda key: build_hamiltonian(key, SUSY).entries),
-    ("H generic", lambda key: build_hamiltonian(key, GENERIC).entries),
+    ("H susy", lambda key: build_hamiltonian(key, SUSY)),
+    ("H generic", lambda key: build_hamiltonian(key, GENERIC)),
     ("dH/dJ", build_dh_dj),
     ("dH/dDelta", build_dh_ddelta),
 ])

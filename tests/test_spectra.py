@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 import susychain.spectra as spectra
 from susychain.basis import SectorKey
 from susychain.cli import main
-from susychain.model import ModelParams, SectorMatrix, build_hamiltonian
+from susychain.model import ModelParams, build_hamiltonian
 from susychain.spectra import (
+    _solve_block,
     cache_get,
     cache_header,
     cache_put,
-    diagonalize,
     full_chain_spectrum,
 )
 
@@ -25,47 +25,38 @@ SUSY = ModelParams()
 
 
 def test_diagonalize_two_by_two():
-    spec = diagonalize(build_hamiltonian(SectorKey(2, 1), SUSY))
-    assert np.allclose(spec.energies, [0.0, 2.0], atol=1e-12)
+    energies, _ = _solve_block(SectorKey(2, 1), SUSY, vectors=True)
+    assert np.allclose(energies, [0.0, 2.0], atol=1e-12)
 
 
 def test_diagonalize_trivial_block():
-    spec = diagonalize(build_hamiltonian(SectorKey(3, 0), SUSY))
-    assert spec.energies.tolist() == [2.0]
-
-
-def test_diagonalize_identity():
-    m = SectorMatrix(SectorKey(4, 1), None, np.eye(4))
-    spec = diagonalize(m)
-    assert np.allclose(spec.energies, np.ones(4))
-    assert np.allclose(spec.states @ spec.states.T, np.eye(4), atol=1e-12)
+    energies, _ = _solve_block(SectorKey(3, 0), SUSY, vectors=True)
+    assert energies.tolist() == [2.0]
 
 
 @pytest.mark.parametrize("L,nd", [(4, 2), (5, 2), (6, 3), (7, 3)])
 def test_residual_and_orthonormality(L, nd):
-    m = build_hamiltonian(SectorKey(L, nd), SUSY)
-    spec = diagonalize(m)
-    H = m.entries
+    H = build_hamiltonian(SectorKey(L, nd), SUSY)
+    energies, states = _solve_block(SectorKey(L, nd), SUSY, vectors=True)
     bound = 1e-9 * max(1.0, np.linalg.norm(H, "fro"))
-    for k in range(len(spec.energies)):
-        r = H @ spec.states[:, k] - spec.energies[k] * spec.states[:, k]
+    for k in range(len(energies)):
+        r = H @ states[:, k] - energies[k] * states[:, k]
         assert np.linalg.norm(r) <= bound
-    gram = spec.states.T @ spec.states
-    assert np.abs(gram - np.eye(len(spec.energies))).max() <= 1e-9
-    assert np.all(np.diff(spec.energies) >= 0)
+    gram = states.T @ states
+    assert np.abs(gram - np.eye(len(energies))).max() <= 1e-9
+    assert np.all(np.diff(energies) >= 0)
 
 
 def test_trace_preserved():
-    m = build_hamiltonian(SectorKey(6, 3), SUSY)
-    spec = diagonalize(m)
-    assert np.isclose(spec.energies.sum(), np.trace(m.entries), rtol=1e-8)
+    energies, _ = _solve_block(SectorKey(6, 3), SUSY, vectors=True)
+    assert np.isclose(energies.sum(), np.trace(build_hamiltonian(SectorKey(6, 3), SUSY)),
+                      rtol=1e-8)
 
 
 def test_sign_convention_deterministic():
-    m = build_hamiltonian(SectorKey(5, 2), SUSY)
-    a = diagonalize(m)
-    b = diagonalize(m)
-    assert np.array_equal(a.states, b.states)
+    _, a = _solve_block(SectorKey(5, 2), SUSY, vectors=True)
+    _, b = _solve_block(SectorKey(5, 2), SUSY, vectors=True)
+    assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("params", [SUSY, ModelParams(J=-0.73, Delta=1.37, h=0.29)])
@@ -73,18 +64,18 @@ def test_energies_are_the_bytes_eigh_returns(params):
     blocks = [SectorKey(L, nd) for L in range(1, 11) for nd in range(L + 1)]
     assert len(blocks) == 65
     for key in blocks:
-        m = build_hamiltonian(key, params)
-        assert diagonalize(m).energies.tobytes() == np.linalg.eigh(m.entries)[0].tobytes()
+        energies, _ = _solve_block(key, params, vectors=True)
+        assert energies.tobytes() == np.linalg.eigh(build_hamiltonian(key, params))[0].tobytes()
 
 
 @pytest.mark.parametrize("L,nd", [(2, 1), (3, 1), (4, 2), (4, 1), (8, 1)])
 def test_charpoly_oracle_agrees(L, nd):
-    m = build_hamiltonian(SectorKey(L, nd), SUSY)
-    if m.entries.shape[0] > 8:
+    H = build_hamiltonian(SectorKey(L, nd), SUSY)
+    if H.shape[0] > 8:
         pytest.skip("oracle restricted to small blocks")
-    spec = diagonalize(m)
-    roots = charpoly_eigenvalues(m.entries)
-    assert np.abs(roots - spec.energies).max() <= 1e-8
+    energies, _ = _solve_block(SectorKey(L, nd), SUSY, vectors=True)
+    roots = charpoly_eigenvalues(H)
+    assert np.abs(roots - energies).max() <= 1e-8
 
 
 def test_full_chain_level_counts_and_zero_modes():
@@ -114,57 +105,58 @@ def test_full_chain_spectrum_is_memoized_and_read_only(solves):
 
 class TestCache:
     def _spec(self):
-        return diagonalize(build_hamiltonian(SectorKey(2, 1), SUSY))
+        """(key, energies, states) of a two-level block."""
+        return (SectorKey(2, 1), *_solve_block(SectorKey(2, 1), SUSY, vectors=True))
 
     def test_roundtrip_bit_exact(self, tmp_path):
-        spec = self._spec()
-        cache_put(tmp_path, spec.key, SUSY, spec.energies)
-        loaded = cache_get(tmp_path, spec.key, SUSY)
+        key, energies, _ = self._spec()
+        cache_put(tmp_path, key, SUSY, energies)
+        loaded = cache_get(tmp_path, key, SUSY)
         assert loaded is not None
-        assert np.array_equal(loaded, spec.energies)
+        assert np.array_equal(loaded, energies)
 
     def test_key_exactness(self, tmp_path):
-        spec = self._spec()
-        cache_put(tmp_path, spec.key, SUSY, spec.energies)
+        key, energies, _ = self._spec()
+        cache_put(tmp_path, key, SUSY, energies)
         near = ModelParams(Delta=1.000001)
-        assert cache_get(tmp_path, spec.key, near) is None
+        assert cache_get(tmp_path, key, near) is None
 
     def test_corruption_is_a_miss(self, tmp_path):
-        spec = self._spec()
-        path = cache_put(tmp_path, spec.key, SUSY, spec.energies)
+        key, energies, _ = self._spec()
+        path = cache_put(tmp_path, key, SUSY, energies)
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 0xFF
         path.write_bytes(bytes(raw))
-        assert cache_get(tmp_path, spec.key, SUSY) is None
+        assert cache_get(tmp_path, key, SUSY) is None
 
     def test_truncation_is_a_miss(self, tmp_path):
-        spec = self._spec()
-        path = cache_put(tmp_path, spec.key, SUSY, spec.energies)
+        key, energies, _ = self._spec()
+        path = cache_put(tmp_path, key, SUSY, energies)
         path.write_bytes(path.read_bytes()[:10])
-        assert cache_get(tmp_path, spec.key, SUSY) is None
+        assert cache_get(tmp_path, key, SUSY) is None
 
     def test_every_flipped_byte_and_truncation_is_a_miss(self, tmp_path):
-        spec = self._spec()
-        path = cache_put(tmp_path, spec.key, SUSY, spec.energies)
+        key, energies, _ = self._spec()
+        path = cache_put(tmp_path, key, SUSY, energies)
         raw = path.read_bytes()
         damaged = [raw[:n] for n in range(len(raw))]
         damaged += [raw[:i] + bytes([raw[i] ^ 0xFF]) + raw[i + 1:] for i in range(len(raw))]
         for bad in damaged:
             path.write_bytes(bad)
-            assert cache_get(tmp_path, spec.key, SUSY) is None
+            assert cache_get(tmp_path, key, SUSY) is None
             assert cache_header(path) is None
 
     def test_version_bump_is_a_miss(self, tmp_path, monkeypatch):
-        spec = self._spec()
-        cache_put(tmp_path, spec.key, SUSY, spec.energies)
+        key, energies, _ = self._spec()
+        cache_put(tmp_path, key, SUSY, energies)
         monkeypatch.setattr(spectra, "CACHE_VERSION", spectra.CACHE_VERSION + 1)
-        assert cache_get(tmp_path, spec.key, SUSY) is None
+        assert cache_get(tmp_path, key, SUSY) is None
 
     def test_payload_is_the_energies_alone(self, tmp_path):
-        spec = diagonalize(build_hamiltonian(SectorKey(6, 3), SUSY))
-        path = cache_put(tmp_path, spec.key, SUSY, spec.energies)
+        key, energies = SectorKey(6, 3), _solve_block(SectorKey(6, 3), SUSY)
+        path = cache_put(tmp_path, key, SUSY, energies)
         assert path.stat().st_size == spectra._HEADER.size + 8 * 20
-        assert path.read_bytes()[spectra._HEADER.size:] == spec.energies.tobytes()
+        assert path.read_bytes()[spectra._HEADER.size:] == energies.tobytes()
 
     def test_hit_and_miss_return_the_same_energies_and_type(self, tmp_path):
         plain = full_chain_spectrum(6, SUSY)
@@ -180,11 +172,11 @@ class TestCache:
 
     def test_version_1_entry_is_a_miss_and_not_counted(self, tmp_path):
         # a block as version 1 stored it: energies, then the eigenvector matrix
-        spec = self._spec()
-        key, p = spec.key, SUSY
-        payload = spec.energies.tobytes() + spec.states.tobytes()
+        key, energies, states = self._spec()
+        p = SUSY
+        payload = energies.tobytes() + states.tobytes()
         old = spectra._HEADER.pack(spectra._MAGIC, 1, key.L, key.n_d, p.J, p.Delta, p.h,
-                                   len(spec.energies), hashlib.sha256(payload).digest())
+                                   len(energies), hashlib.sha256(payload).digest())
         name = spectra._entry_name(key.L, key.n_d, p.J, p.Delta, p.h)
         (tmp_path / "v1").mkdir()
         (tmp_path / "v1" / name).write_bytes(old + payload)
@@ -193,23 +185,23 @@ class TestCache:
         assert (code, out) == (0, "0 entries\n")
         assert err == "1 entries of other cache versions not listed; `cache clear` removes them\n"
         # the same bytes under the current version's directory are still a miss
-        path = cache_put(tmp_path, key, p, spec.energies)
+        path = cache_put(tmp_path, key, p, energies)
         path.write_bytes(old + payload)
         assert cache_get(tmp_path, key, p) is None
         code, out, err = run_inspect(tmp_path)
         assert out == "0 entries\n" and f"{name}: damaged or foreign entry, skipped" in err
-        cache_put(tmp_path, key, p, spec.energies)
+        cache_put(tmp_path, key, p, energies)
         code, out, err = run_inspect(tmp_path)
         assert out.splitlines()[-1] == "1 entries" and "skipped" not in err
         assert err.count("other cache versions") == 1
 
     def test_version_2_entry_is_a_miss_counted_and_cleared(self, tmp_path):
         # a block as version 2 stored it: the energies alone, checked by sha256
-        spec = self._spec()
-        key, p = spec.key, SUSY
-        payload = spec.energies.tobytes()
+        key, energies, _ = self._spec()
+        p = SUSY
+        payload = energies.tobytes()
         old = spectra._HEADER.pack(spectra._MAGIC, 2, key.L, key.n_d, p.J, p.Delta, p.h,
-                                   len(spec.energies), hashlib.sha256(payload).digest())
+                                   len(energies), hashlib.sha256(payload).digest())
         name = spectra._entry_name(key.L, key.n_d, p.J, p.Delta, p.h)
         (tmp_path / "v2").mkdir()
         (tmp_path / "v2" / name).write_bytes(old + payload)
@@ -218,7 +210,7 @@ class TestCache:
         assert (code, out) == (0, "0 entries\n")
         assert err == "1 entries of other cache versions not listed; `cache clear` removes them\n"
         # the same bytes under the current version's directory are still a miss
-        path = cache_put(tmp_path, key, p, spec.energies)
+        path = cache_put(tmp_path, key, p, energies)
         assert path.read_bytes()[spectra._HEADER.size:] == payload
         path.write_bytes(old + payload)
         assert cache_get(tmp_path, key, p) is None
@@ -230,9 +222,9 @@ class TestCache:
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(spectra.os, "replace", refuse)
-        spec = self._spec()
+        key, energies, _ = self._spec()
         with pytest.raises(OSError, match="No space left"):
-            cache_put(tmp_path, spec.key, SUSY, spec.energies)
+            cache_put(tmp_path, key, SUSY, energies)
         assert list(tmp_path.rglob("*.tmp")) == []
         root = tmp_path / "cli"
         assert main(["spectrum", "--N", "4", "--cache-dir", str(root)]) == 4
@@ -250,7 +242,7 @@ def block_spectra(draw):
     L = draw(st.integers(1, 6))
     key = SectorKey(L, draw(st.integers(0, L)))
     params = ModelParams(J=draw(COUPLINGS), Delta=draw(COUPLINGS), h=draw(COUPLINGS))
-    return params, diagonalize(build_hamiltonian(key, params))
+    return params, key, _solve_block(key, params)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -269,22 +261,22 @@ def run_inspect(root):
 @settings(max_examples=40, deadline=None, database=None)
 @given(block=block_spectra())
 def test_cache_roundtrip_of_random_blocks_is_bit_exact(tmp_path_factory, block):
-    p, spec = block
+    p, key, energies = block
     root = tmp_path_factory.mktemp("cache")
-    path = cache_put(root, spec.key, p, spec.energies)
-    loaded = cache_get(root, spec.key, p)
-    assert loaded.tobytes() == spec.energies.tobytes()
-    assert cache_header(path) == (spec.key.L, spec.key.n_d, p.J, p.Delta, p.h,
-                                  len(spec.energies))
+    path = cache_put(root, key, p, energies)
+    loaded = cache_get(root, key, p)
+    assert loaded.tobytes() == energies.tobytes()
+    assert cache_header(path) == (key.L, key.n_d, p.J, p.Delta, p.h,
+                                  len(energies))
     assert [q.name for q in root.rglob("*") if q.is_file()] == [path.name]
 
 
 @settings(max_examples=80, deadline=None, database=None)
 @given(block=block_spectra(), flip=st.booleans(), data=st.data())
 def test_damaged_cache_entry_is_a_miss_and_skipped(tmp_path_factory, block, flip, data):
-    params, spec = block
+    params, key, energies = block
     root = tmp_path_factory.mktemp("cache")
-    path = cache_put(root, spec.key, params, spec.energies)
+    path = cache_put(root, key, params, energies)
     raw = path.read_bytes()
     # half the draws land in the header, whose key fields no checksum covers
     header = st.integers(0, spectra._HEADER.size - 1)
@@ -295,7 +287,7 @@ def test_damaged_cache_entry_is_a_miss_and_skipped(tmp_path_factory, block, flip
     else:
         raw = raw[:at]
     path.write_bytes(raw)
-    assert cache_get(root, spec.key, params) is None
+    assert cache_get(root, key, params) is None
     assert cache_header(path) is None
     code, out, err = run_inspect(root)
     assert (code, out) == (0, "0 entries\n")

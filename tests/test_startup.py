@@ -62,6 +62,19 @@ def test_cli_keeps_a_thread_count_set_in_the_environment():
     assert threads == "2"
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="the platform has no sched_setaffinity")
+def test_threads_default_is_the_usable_cpu_count():
+    # pinned to one CPU before the command line loads, every --threads
+    # default follows the affinity, whatever os.cpu_count() reads
+    defaults = run_fresh(
+        "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+        "from susychain.cli import build_parser; "
+        "print({a.default for p in build_parser().subcommands.values() "
+        "for a in p._actions if a.dest == 'threads'})")
+    assert defaults == "{1}"
+
+
 # Runs `main(argv)` in a new interpreter; prints the exit code and which of
 # OpenSSL's binding, numpy.random and multiprocessing the run loaded.
 _LOADS = ("import sys; from susychain.cli import main; code = main({argv!r}); "

@@ -21,7 +21,7 @@ def test_xxz_block_is_the_m1_block(key):
     # block (L, n_d) of sector N = L + n_d + 1 holds f = n_d fermions on M = N - 2 sites
     M, f = key.L + key.n_d - 1, key.n_d
     m1 = hamiltonian(M, f)
-    xxz = build_hamiltonian(key, SUSY_POINT).entries
+    xxz = build_hamiltonian(key, SUSY_POINT)
     assert np.abs(np.linalg.eigvalsh(m1) - np.linalg.eigvalsh(xxz)).max() <= 1e-12
     # the basis map is a bijection onto the block, and |H| agrees entry by entry
     bits = enumerate_sector(key)

@@ -1,6 +1,5 @@
 import hashlib
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -308,18 +307,15 @@ def test_hellmann_feynman_matches_finite_difference(N, coupling):
 
 
 def test_hellmann_feynman_ignores_eigenvector_signs(monkeypatch):
-    import susychain.spectra as spectra_mod
+    solve = susy_mod._solve_block
 
-    diagonalize = spectra_mod.diagonalize
-
-    def negated(m):
-        pairs = diagonalize(m)
-        return replace(pairs, states=-pairs.states)
+    def negated(key, params, vectors=False):
+        energies, states = solve(key, params, vectors)
+        return energies, -states
 
     cases = [(N, c) for N in range(3, 12) for c in (COUPLING_DELTA, COUPLING_J)]
     plain = [hellmann_feynman_dw(N, 5.0, c) for N, c in cases]
-    monkeypatch.setattr(spectra_mod, "diagonalize", negated)
-    monkeypatch.setattr(susy_mod, "diagonalize", negated)
+    monkeypatch.setattr(susy_mod, "_solve_block", negated)
     flipped = [hellmann_feynman_dw(N, 5.0, c) for N, c in cases]
     assert np.array(flipped).tobytes() == np.array(plain).tobytes()
 
@@ -387,7 +383,7 @@ def zero_mode_limit(N: int) -> float:
     """2|E'_opp - E'_0| from Hellmann-Feynman slopes d<H>/dDelta at the SUSY point."""
     levels = []  # (energy, parity, slope)
     for key in decompose_n_sector(N).members:
-        energies, states = np.linalg.eigh(build_hamiltonian(key, SUSY).entries)
+        energies, states = np.linalg.eigh(build_hamiltonian(key, SUSY))
         slopes = level_slopes(key, "Delta", states)
         levels += [(e, key.parity, s) for e, s in zip(energies, slopes)]
     [(_, parity, zero_slope)] = [lv for lv in levels if abs(lv[0]) < 1e-10]
