@@ -20,8 +20,8 @@ block consumes its own counter-based random stream seeded by (base seed,
 protocol tag, N, first run index of the block). Blocks run as tasks of
 one process map and are folded in task order, so outputs are
 bit-identical for any worker count. run_protocols streams the blocks of
-many runs through one map: its workers are forked once, and they walk the
-next run's blocks while the caller handles the last run's trace.
+many runs through one map: its workers are forked once onto pipes, and
+they walk the next run's blocks while the caller handles the last run's trace.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
 import zlib
 from bisect import bisect_right
-from collections import deque
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate, islice, starmap
 from pathlib import Path
@@ -180,7 +180,7 @@ def _task_shape(config: ProtocolConfig) -> tuple[int, int]:
 def _tasks(config: ProtocolConfig, cache_dir):
     """_walk_block's arguments, one task per (pool, block), pool-major.
 
-    Lazy: a map that draws tasks ahead builds the next run's pools when it reaches them.
+    Lazy; a forked map lists every task, and so builds every pool, before it forks.
     """
     for tag, pool in _pools(config, cache_dir):
         for start in range(0, config.runs, BLOCK_SIZE):
@@ -253,35 +253,80 @@ def _usable_cpus() -> int:
 
 
 def _parallel_map(fn, tasks, workers: int):
-    """fn(*task) for each task, lazily and in task order, over `workers` processes.
+    """fn(*task) for each task, lazily and in task order, over `workers` forked processes.
 
-    The workers are forked once, when the first task is submitted, and at
-    most 2 * workers tasks are submitted ahead of the consumer, which bounds
-    the results the coordinator holds. Using the iterator up or closing it
-    cancels what has not started and shuts the workers down.
-
-    Workers are forked where the platform offers it: pools are built in the
-    parent and workers never call LAPACK. `fn` is module-level and the
-    tasks pickle, so the default start method works elsewhere.
+    The tasks are listed before the fork. The consumer hands out task numbers
+    on one pipe, at most 2 * workers past the last result it took; a free
+    worker takes the next, notes (task, worker) on a second pipe and pickles
+    (ok, result or exception) to its own pipe, read when that task is next.
+    A worker that ends early raises ChildProcessError. Using the iterator up
+    or closing it kills and reaps every worker. At one worker, or without
+    os.fork, the tasks run in this process.
     """
-    if workers == 1:
+    if workers == 1 or not hasattr(os, "fork"):
         yield from starmap(fn, tasks)
         return
-    import multiprocessing as mp
-    from concurrent.futures.process import ProcessPoolExecutor
-
-    method = "fork" if "fork" in mp.get_all_start_methods() else None
-    ex = ProcessPoolExecutor(workers, mp_context=mp.get_context(method))
+    from signal import SIGKILL
+    tasks = list(tasks)
+    todo_r, todo_w = os.pipe()  # task numbers, 4 bytes: writes this small are atomic
+    notes_r, notes_w = os.pipe()  # (task, worker) as each task is taken, 8 bytes
+    todo, notes = open(todo_w, "wb", buffering=0), open(notes_r, "rb")
+    pids, pipes = [], []
     try:
-        pending = deque()
-        for task in tasks:
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-            pending.append(ex.submit(fn, *task))
-        while pending:
-            yield pending.popleft().result()
+        for k in range(workers):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            pid = os.fork()
+            if pid == 0:  # the worker only writes, and never returns into the caller
+                try:
+                    for f in (todo, notes, *pipes):  # a dead coordinator means EOF or EPIPE
+                        f.close()
+                    with open(w, "wb") as out:
+                        while number := os.read(todo_r, 4):
+                            os.write(notes_w, number + k.to_bytes(4, "little"))
+                            try:
+                                reply = True, fn(*tasks[int.from_bytes(number, "little")])
+                            except Exception as exc:
+                                reply = False, exc
+                            pickle.dump(reply, out)
+                            out.flush()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
+            os.close(w)
+        os.close(todo_r)
+        os.close(notes_w)
+        owner, sent = {}, 0
+        for i in range(len(tasks)):
+            while sent < min(len(tasks), i + 2 * workers):
+                todo.write(sent.to_bytes(4, "little"))
+                sent += 1
+            if sent == len(tasks):
+                todo.close()  # idle workers leave
+            while i not in owner:
+                note = notes.read(8)
+                if not note:  # every worker has ended; the first one's pipe says how
+                    owner[i] = 0
+                else:
+                    owner[int.from_bytes(note[:4], "little")] = int.from_bytes(note[4:], "little")
+            k = owner.pop(i)
+            try:
+                ok, result = pickle.load(pipes[k])
+            except (EOFError, pickle.UnpicklingError):
+                pid = pids.pop(k)
+                status = os.waitpid(pid, 0)[1]
+                raise ChildProcessError(f"worker process {pid} ended before its result "
+                                        f"(wait status {status})") from None
+            if not ok:
+                raise result
+            yield result
     finally:
-        ex.shutdown(cancel_futures=True)
+        for pid in pids:
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+        for f in (todo, notes, *pipes):
+            f.close()
 
 
 def _residual_square_sum(wsums, wcnts, ratio: float, lo: int = 0, n: int | None = None,
@@ -387,11 +432,11 @@ def run_protocol(config: ProtocolConfig, cache_dir=None, threads: int = 1, *,
 def run_protocols(configs, cache_dir=None, threads: int = 1):
     """Yield run_protocol(config) for each config in order, all their tasks in one map.
 
-    The workers are forked once for every run, and they walk the next
-    run's blocks while the caller handles the trace just yielded. Each
-    block keeps its own seed stream and each run folds its blocks in task
-    order, so every trace equals the one run_protocol makes alone. Close
-    the generator (or use it up) to shut the workers down.
+    The workers are forked once for every run, once all pools are built, and
+    walk the next run's blocks while the caller handles the trace just
+    yielded. Each block keeps its own seed stream and each run folds its
+    blocks in task order, so every trace equals the one run_protocol makes
+    alone. Close the generator (or use it up) to shut the workers down.
     """
     configs = list(configs)
     counts = [math.prod(_task_shape(config)) for config in configs]

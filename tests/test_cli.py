@@ -1,5 +1,4 @@
 import json
-import multiprocessing
 import os
 import re
 import shlex
@@ -31,6 +30,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_no_child():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def assert_parser_refuses(capsys, *argv):
@@ -355,27 +360,26 @@ class TestDynamics:
 
     @pytest.mark.parametrize("threads,pools", [("2", 1), ("1", 0)])
     def test_one_worker_pool_per_command(self, capsys, tmp_path, monkeypatch, threads, pools):
-        # every sector's blocks stream through one pool, forked once; with a
-        # pool per run, the nine sectors of two or more member chains made nine
-        from concurrent.futures import process
-
+        # every sector's blocks stream through one pool of two workers, forked
+        # once; with a pool per run, the nine sectors of two or more member
+        # chains forked eighteen
         from susychain import dynamics
 
-        made = []
+        forks = []
+        fork = os.fork
 
-        class Counting(process.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                made.append(args)
-                super().__init__(*args, **kwargs)
+        def counting():
+            forks.append(None)
+            return fork()
 
-        monkeypatch.setattr(process, "ProcessPoolExecutor", Counting)
+        monkeypatch.setattr(os, "fork", counting)
         monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
         argv = ["dynamics", "--protocol", "qgca", "--runs", "20", "--iterations", "5",
                 "--threads", threads]
         code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "pooled"))
         assert code == 0
-        assert len(made) == pools
-        assert multiprocessing.active_children() == []
+        assert len(forks) == 2 * pools
+        assert_no_child()
         # the same bytes as one run_protocol per sector, each on one thread
         for N in range(3, 12):
             config = ProtocolConfig("qgca", N, 5.0, iterations=5, runs=20)
@@ -395,7 +399,27 @@ class TestDynamics:
         assert code == 4
         assert "I/O error" in err
         assert (tmp_path / "trace_qgca_N3.csv").is_file()
-        assert multiprocessing.active_children() == []
+        assert_no_child()
+
+    def test_a_lost_worker_is_an_io_error(self, capsys, tmp_path, monkeypatch):
+        from susychain import dynamics
+
+        parent = os.getpid()
+
+        def dies(*task):  # as an out-of-memory kill would end the worker
+            assert os.getpid() != parent, "a walker block ran in the test process"
+            os._exit(9)
+
+        monkeypatch.setattr(dynamics, "_walk_block", dies)
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+        code, out, err = run_cli(capsys, "dynamics", "--protocol", "qgca", "--N", "4",
+                                 "--runs", "20", "--iterations", "5", "--threads", "2",
+                                 "--out", str(tmp_path))
+        assert code == 4
+        assert re.fullmatch(r"I/O error: worker process \d+ ended before its result "
+                            r"\(wait status 2304\)\n", err)
+        assert not (tmp_path / "trace_qgca_N4.csv").exists()
+        assert_no_child()
 
 
 class TestSweep:

@@ -2,8 +2,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import struct
-from itertools import starmap
+import time
+from itertools import islice, starmap
 
 import numpy as np
 import pytest
@@ -230,41 +232,67 @@ class TestParallelMap:
         assert list(_parallel_map(pow, [], 3)) == []
 
     @pytest.mark.parametrize("stop", [None, 5])
-    def test_at_most_two_tasks_per_worker_run_ahead(self, monkeypatch, stop):
-        # a fake pool that runs each task as it is submitted and counts the
-        # futures whose results the consumer has not taken yet
-        from concurrent.futures import Future, process
+    def test_at_most_two_tasks_per_worker_run_ahead(self, tmp_path, stop):
+        # every task marks its start. Small results: the consumer hands out task
+        # numbers at most 2 * workers past the last result taken, the one it is
+        # about to read included. Results that outgrow a pipe's buffer: a worker
+        # waits on each, so it holds at most one the consumer has not taken.
+        workers, n = 3, 20
+        for size, ahead in ((8, 2 * workers - 1), (2**20, workers)):
+            marks = tmp_path / str(size)
+            marks.mkdir()
 
-        ahead, seen, shutdowns = [0], [], []
+            def task(k):
+                (marks / str(k)).touch()
+                return k, bytes(size)
 
-        class Taken(Future):
-            def result(self, timeout=None):
-                ahead[0] -= 1
-                return super().result(timeout)
+            def started():
+                return len(list(marks.iterdir()))
 
-        class Counting:
-            def __init__(self, workers, mp_context):
-                pass
+            results = _parallel_map(task, [(k,) for k in range(n)], workers)
+            taken = 0
+            for k, payload in islice(results, stop):
+                assert (k, len(payload)) == (taken, size)
+                taken += 1
+                bound = min(taken + ahead, n)
+                deadline = time.monotonic() + 30
+                while started() < bound:  # the workers run ahead as far as they may
+                    assert time.monotonic() < deadline, f"{started()} of {bound} tasks started"
+                    time.sleep(0.005)
+                time.sleep(0.02)
+                assert started() == bound  # and no further
+            results.close()
+            assert taken == (n if stop is None else stop)
+            assert_no_child()
 
-            def submit(self, fn, *args):
-                ahead[0] += 1
-                seen.append(ahead[0])
-                future = Taken()
-                future.set_result(fn(*args))
-                return future
+    def test_a_worker_error_comes_back_as_raised(self):
+        results = _parallel_map(int, [("1",), ("2",), ("x",), ("4",)], 2)
+        assert [next(results), next(results)] == [1, 2]
+        with pytest.raises(ValueError, match="invalid literal for int.* 'x'"):
+            next(results)
+        assert_no_child()
 
-            def shutdown(self, wait=True, *, cancel_futures=False):
-                shutdowns.append(cancel_futures)
+    def test_a_lost_worker_is_a_child_process_error(self):
+        parent = os.getpid()
 
-        monkeypatch.setattr(process, "ProcessPoolExecutor", Counting)
-        results = _parallel_map(pow, [(2, k) for k in range(20)], 3)
-        # used up, or closed after `stop` results
-        got = list(results) if stop is None else [next(results) for _ in range(stop)]
-        results.close()
-        assert got == [2**k for k in range(len(got))]
-        assert max(seen) == 2 * 3  # the bound is reached and never passed
-        assert len(got) + 2 * 3 >= len(seen)  # nothing submitted past the bound
-        assert shutdowns == [True]
+        def task(k):
+            if k == 4:
+                assert os.getpid() != parent, "the task ran in the test process"
+                os._exit(3)
+            return k
+
+        results = _parallel_map(task, [(k,) for k in range(9)], 3)
+        assert list(islice(results, 4)) == [0, 1, 2, 3]
+        with pytest.raises(ChildProcessError,
+                           match=r"^worker process \d+ ended before its result \(wait status 768\)$"):
+            next(results)
+        assert_no_child()
+
+
+def assert_no_child():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _same_trace(a, b):

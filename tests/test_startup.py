@@ -76,10 +76,11 @@ def test_threads_default_is_the_usable_cpu_count():
 
 
 # Runs `main(argv)` in a new interpreter; prints the exit code and which of
-# OpenSSL's binding, numpy.random and multiprocessing the run loaded.
+# OpenSSL's binding, numpy.random, multiprocessing and concurrent.futures the
+# run loaded.
 _LOADS = ("import sys; from susychain.cli import main; code = main({argv!r}); "
-          "print(code, sorted(m for m in ('_hashlib', 'multiprocessing', 'numpy.random') "
-          "if m in sys.modules))")
+          "print(code, sorted(m for m in ('_hashlib', 'concurrent.futures', 'multiprocessing', "
+          "'numpy.random') if m in sys.modules))")
 
 
 def loads(*argv: str) -> str:
@@ -101,7 +102,7 @@ def test_cli_import_loads_neither_openssl_nor_numpy_random():
     ("sweep", "--estimator", "exact-gca", "--N", "3,4", "--points", "3"),
 ])
 def test_exact_commands_load_neither_openssl_nor_numpy_random(tmp_path, argv):
-    # nor multiprocessing: only sampled runs map tasks over worker processes
+    # nor multiprocessing or concurrent.futures, which no command loads
     if argv[0] == "sweep":
         argv = (*argv, "--out", str(tmp_path))
     assert loads(*argv) == "0 []"
@@ -111,6 +112,15 @@ def test_sampling_loads_numpy_random():
     # numpy.random imports secrets, and with it OpenSSL
     assert loads("dynamics", "--N", "4", "--runs", "50", "--iterations", "5",
                  "--threads", "1") == "0 ['_hashlib', 'numpy.random']"
+
+
+def test_sampling_forks_its_workers_without_multiprocessing():
+    # two workers for the two chains of N = 4 on any host, forked onto pipes
+    # directly; only the workers draw, so the coordinator loads no numpy.random
+    probe = "import susychain.dynamics as d; d._usable_cpus = lambda: 2; " + _LOADS.format(
+        argv=["dynamics", "--protocol", "qgca", "--N", "4", "--runs", "50", "--iterations", "5",
+              "--threads", "2"])
+    assert run_fresh(probe).splitlines()[-1] == "0 []"
 
 
 @pytest.mark.parametrize("argv", [
