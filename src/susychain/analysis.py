@@ -55,7 +55,7 @@ class SweepSpec:
                 _check_sector(N, full_chains=self.estimator == "exact-qgca")
             else:
                 ProtocolConfig(self.estimator.removeprefix("sampled-"), N, self.beta,
-                               self.iterations, self.runs)
+                               self.iterations, self.runs, self.base_seed)
 
 
 @dataclass(frozen=True)

@@ -47,11 +47,6 @@ PROTOCOL_QGCA = "qgca"
 
 BLOCK_SIZE = 8192
 
-# Bytes per iteration that run_protocol's fold holds beside the gathered
-# results: the summed counts and sums. The trace it builds once they are
-# freed (counts, estimate, stderr and one temporary) takes no more.
-FOLD_BYTES = 16
-
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -64,39 +59,32 @@ class ProtocolConfig:
     params: ModelParams = field(default_factory=ModelParams)
 
     def __post_init__(self):
-        members = _check_sector(self.N, full_chains=True)  # the pools are whole member chains
+        _check_sector(self.N, full_chains=True)  # the pools are whole member chains
         if self.protocol not in (PROTOCOL_GCA, PROTOCOL_QGCA):
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.iterations < 1 or self.runs < 1:
             raise ValueError("iterations and runs must be >= 1")
         if not 0.0 <= self.beta < math.inf:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
-        # Each walker task returns int64 counts and float64 sums per iteration, all
-        # held by the fold of the run's ceil(runs / BLOCK_SIZE) tasks per pool. A task
-        # also returns two window tallies per walker and the final count of walkers
-        # on each state of its pool, and the fold holds those of every task too.
-        pools, blocks = _task_shape(self)
-        tasks = pools * blocks
-        per_iteration = 16 * tasks + FOLD_BYTES
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        # run_protocol folds one walker task at a time into int64 counts and float64
+        # sums per iteration, so it holds 16 bytes per iteration of totals and 16 of
+        # the task being added; the trace it then builds in place takes no more. It
+        # keeps every walker's two window tallies until the run's window stderr is done.
+        pools = _task_shape(self)[0]
         window = self.iterations - _window_start(self.iterations)
         per_walker = 2 * _tally_dtype(window).itemsize
-        # every pool state is counted by each of its pool's blocks, the last one maybe short
-        states = sum(2**key.L for key in members)
-        full, rest = divmod(self.runs, BLOCK_SIZE)
-        occupancy = states * (full * np.min_scalar_type(BLOCK_SIZE).itemsize
-                              + (rest and np.min_scalar_type(rest).itemsize))
-        held = per_walker * pools * self.runs + occupancy
+        walkers = pools * self.runs
         limit = f"the limit is {MAX_BLOCK_BYTES} bytes ({MAX_BLOCK_BYTES // 2**20} MiB)"
-        if per_iteration * self.iterations > MAX_BLOCK_BYTES:
+        if 32 * self.iterations > MAX_BLOCK_BYTES:
             raise ValueError(
-                f"N={self.N} needs {per_iteration * self.iterations} bytes of walker results "
-                f"and trace, {per_iteration} per iteration: 16 from each of {tasks} tasks and "
-                f"{FOLD_BYTES} to fold them; {limit}")
-        if held > MAX_BLOCK_BYTES:
+                f"N={self.N} needs {32 * self.iterations} bytes of walker results and trace, "
+                f"32 per iteration: 16 from the task being added and 16 for the totals; {limit}")
+        if per_walker * walkers > MAX_BLOCK_BYTES:
             raise ValueError(
-                f"N={self.N} needs {held} bytes of window tallies and occupancy counts: "
-                f"{per_walker} per walker of {pools * self.runs} walkers, and {occupancy} "
-                f"to count {states} pool states in each of {blocks} blocks; {limit}")
+                f"N={self.N} needs {per_walker * walkers} bytes of window tallies: "
+                f"{per_walker} per walker of {walkers} walkers; {limit}")
 
 
 @dataclass(frozen=True)
@@ -321,6 +309,7 @@ def _parallel_map(fn, tasks, workers: int):
             if not ok:
                 raise result
             yield result
+            del result  # the consumer has it: hold no result while the next one loads
     finally:
         for pid in pids:
             os.kill(pid, SIGKILL)
@@ -373,24 +362,28 @@ def run_protocol(config: ProtocolConfig, cache_dir=None, threads: int = 1, *,
 
     `results` are this run's walker results in task order, drawn from a
     map that other runs share (run_protocols); without them the run maps
-    its own tasks over up to `threads` worker processes.
+    its own tasks over up to `threads` worker processes. The results are
+    folded in one pass as they arrive: each task's counts and sums are added
+    to the run's totals, and its occupancy to its pool's, before the next
+    task is taken; only the window tallies are kept, for the window stderr.
     """
     pools, blocks = _task_shape(config)
     if results is None:
         workers = _worker_count(threads, pools * blocks, _usable_cpus())
         results = _parallel_map(_walk_block, _tasks(config, cache_dir), workers)
-    cnts, task_sums, wsums, wcnts, finals = zip(*results)
     counts, sums = np.zeros(config.iterations, dtype=np.int64), np.zeros(config.iterations)
-    for c, s in zip(cnts, task_sums):  # task order: deterministic fold
+    wsums, wcnts, occupancy = [], [], []
+    # task order: deterministic fold; no enumerate, which would keep the last task alive
+    for c, s, wsum, wcnt, final in results:
         counts += c
         sums += s
-    # the gathered trace arrays (and a map's list of them), freed before the trace is built
-    del results, cnts, task_sums, c, s
-    # each pool's compact per-task counts, added as int64, pools in order
-    occupancy = np.concatenate([
-        sum(finals[i:i + blocks], np.zeros(len(finals[i]), dtype=np.int64))
-        for i in range(0, len(finals), blocks)
-    ])
+        wsums.append(wsum)
+        wcnts.append(wcnt)
+        if (len(wsums) - 1) % blocks == 0:  # a pool's first block starts its total
+            occupancy.append(np.zeros(len(final), dtype=np.int64))
+        occupancy[-1] += final
+        del c, s  # this task's trace arrays go before the next one arrives
+    occupancy = np.concatenate(occupancy)
 
     # in place; entries with counts <= 1 divide by zero here and are set after
     with np.errstate(invalid="ignore", divide="ignore"):

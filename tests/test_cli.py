@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import warnings
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -667,6 +668,21 @@ class TestExitCodes:
             assert "must be finite" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["dynamics", "--N", "4", "--runs", "10", "--iterations", "2", "--threads", "2"],
+        ["sweep", "--N", "3,4", "--values", "1.0", "--estimator", "sampled-gca"],
+        ["sweep", "--N", "3,4", "--values", "1.0", "--estimator", "sampled-qgca"],
+    ], ids=["dynamics", "sampled-gca", "sampled-qgca"])
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        # refused with the config, before any pool is built or worker forked
+        import susychain.dynamics
+
+        monkeypatch.setattr(susychain.dynamics, "_pools", None)
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1", "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == "error: base_seed must be >= 0, got -1\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
     def test_regularized_overflow_is_usage_error(self, capsys, tmp_path, fmt):
         # off the special point the lowest level of N=5 is -1.372, and e^{800 * 1.372} overflows
@@ -728,6 +744,12 @@ class TestExitCodes:
 
 class Reached(Exception):
     """Raised where a command would enumerate a basis or build a block."""
+
+
+def walker_arrays(key, pool, beta, iterations, size):
+    """Arrays of the shapes and dtypes _walk_block returns for these arguments."""
+    return (np.ones(iterations, dtype=np.int64), np.ones(iterations), np.ones(size, np.int8),
+            np.ones(size, np.int8), np.zeros(len(pool.energies), np.uint16))
 
 
 class TestSizeGuard:
@@ -817,26 +839,24 @@ class TestSizeGuard:
     @pytest.mark.parametrize("argv,message", [
         (("dynamics", "--N", "3", "--runs", "1", "--iterations", "100000000000"),
          "N=3 needs 3200000000000 bytes of walker results and trace, 32 per iteration: "
-         "16 from each of 1 tasks and 16 to fold them"),
+         "16 from the task being added and 16 for the totals"),
+        # 6 member chains at N=11, each walked by every run
         (("dynamics", "--protocol", "qgca", "--N", "11", "--runs", "50000000",
           "--iterations", "500"),
-         "N=11 needs 293000000 bytes of walker results and trace, 586000 per "
-         "iteration: 16 from each of 36624 tasks and 16 to fold them"),
+         "N=11 needs 600000000 bytes of window tallies: 2 per walker of 300000000 walkers"),
         (("sweep", "--estimator", "sampled-gca", "--N", "3,4", "--values", "1.0,1.1",
           "--runs", "1", "--iterations", "20000000"),
-         "N=3 needs 640000000 bytes of walker results and trace"),
+         "N=3 needs 640000000 bytes of walker results and trace, 32 per iteration"),
         (("sweep", "--estimator", "sampled-qgca", "--N", "3,4", "--values", "1.0,1.1",
           "--runs", "1", "--iterations", "10000000"),
-         "N=3 needs 480000000 bytes of walker results and trace"),
-        # int8 window tallies at one iteration: 1 + 1 bytes per walker, and
-        # uint16 occupancy counts of the 2 + 4 states of chains L = 1, 2 per block
-        (("dynamics", "--N", "3", "--runs", "134217728", "--iterations", "1"),
-         "N=3 needs 268632064 bytes of window tallies and occupancy counts: 2 per walker "
-         "of 134217728 walkers, and 196608 to count 6 pool states in each of 16384 blocks"),
+         "N=3 needs 320000000 bytes of walker results and trace, 32 per iteration"),
+        # int8 window tallies at one iteration: 1 + 1 bytes per walker, one past the limit
+        (("dynamics", "--N", "3", "--runs", "134217729", "--iterations", "1"),
+         "N=3 needs 268435458 bytes of window tallies: 2 per walker of 134217729 walkers"),
+        # the 2 member chains of N=3 double the walkers
         (("sweep", "--estimator", "sampled-qgca", "--N", "3,4", "--values", "1.0,1.1",
-          "--runs", "67108864", "--iterations", "1"),
-         "N=3 needs 268533760 bytes of window tallies and occupancy counts: 2 per walker "
-         "of 134217728 walkers, and 98304 to count 6 pool states in each of 8192 blocks"),
+          "--runs", "67108865", "--iterations", "1"),
+         "N=3 needs 268435460 bytes of window tallies: 2 per walker of 134217730 walkers"),
     ], ids=["dynamics-iterations", "dynamics-qgca-runs", "sweep-gca", "sweep-qgca",
             "dynamics-walkers", "sweep-walkers"])
     def test_oversized_walker_results_are_refused_before_any_walker(
@@ -855,33 +875,30 @@ class TestSizeGuard:
         from susychain.dynamics import _pools, _walk_block
 
         with pytest.raises(ValueError, match="walker results") as refused:
-            ProtocolConfig("gca", 3, 2.0, iterations=iterations, runs=2**40)
-        per_task = int(re.search(r"(\d+) from each", str(refused.value))[1])
-        # 2**14 full blocks and a last one of 100 walkers
+            ProtocolConfig("gca", 3, 2.0, iterations=2**40)
+        per_task = int(re.search(r"(\d+) from the task being added", str(refused.value))[1])
+        totals = int(re.search(r"(\d+) for the totals", str(refused.value))[1])
         with pytest.raises(ValueError, match="window tallies") as refused:
             ProtocolConfig("gca", 3, 2.0, iterations=iterations, runs=2**27 + 100)
         per_walker = int(re.search(r"(\d+) per walker", str(refused.value))[1])
-        occupancy = int(re.search(r"(\d+) to count", str(refused.value))[1])
 
         size = 100
         pool = _pools(ProtocolConfig("gca", 3, 2.0), None)[0][1]
-        counts, sums, wsum, wcnt, final = _walk_block((1, "gca", 3, 0), pool, 2.0,
-                                                      iterations, size)
-        full = _walk_block((1, "gca", 3, 0), pool, 2.0, 1, BLOCK_SIZE)[-1]
-        assert counts.nbytes + sums.nbytes == per_task * iterations
+        counts, sums, wsum, wcnt, _ = _walk_block((1, "gca", 3, 0), pool, 2.0,
+                                                  iterations, size)
+        # one task's counts and sums, and the totals they are added to
+        assert counts.nbytes + sums.nbytes == per_task * iterations == totals * iterations
         # each walker's two tallies
         assert wsum.nbytes + wcnt.nbytes == per_walker * size
-        # each block's count of walkers on every pool state
-        assert occupancy == 2**14 * full.nbytes + final.nbytes == 6 * (2**14 * 2 + 1)
         assert (per_task, per_walker) == (16, 2 if iterations < 640 else 4)
 
     # 2**14 iterations keep every fold array under numpy's 256 KiB threshold
     # for reusing temporaries, 2**16 put them over it
     @pytest.mark.parametrize("iterations", [2**14, 2**16])
-    @pytest.mark.parametrize("runs", [1, BLOCK_SIZE + 1])
+    @pytest.mark.parametrize("runs", [1, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 1])  # 1, 2, 3 tasks
     def test_trace_figure_bounds_the_fold(self, monkeypatch, iterations, runs):
         # the guard's bytes per iteration against the peak traced allocation
-        # of run_protocol, from the gathered results to the finished trace
+        # of run_protocol, from the first walker result to the finished trace
         import tracemalloc
 
         from susychain import dynamics
@@ -891,10 +908,8 @@ class TestSizeGuard:
         per_iteration = int(re.search(r"(\d+) per iteration", str(refused.value))[1])
 
         def results(fn, tasks, workers):
-            # arrays of the shapes and dtypes each walker task returns
-            return [(np.ones(steps, dtype=np.int64), np.ones(steps), np.ones(size, np.int8),
-                     np.ones(size, np.int8), np.zeros(len(pool.energies), np.uint16))
-                    for _, pool, _, steps, size in tasks]
+            # lazily, as _parallel_map yields them
+            return starmap(walker_arrays, tasks)
 
         monkeypatch.setattr(dynamics, "_parallel_map", results)
         config = dynamics.ProtocolConfig("gca", 3, 2.0, iterations=iterations, runs=runs)
@@ -911,6 +926,44 @@ class TestSizeGuard:
         # beside the per-iteration arrays, ufuncs that cast take fixed
         # buffers of 8192 elements: at most 128 KiB
         assert (per_iteration - 16) * iterations < peak <= per_iteration * iterations + 2**17
+
+    # the same bound over two forked workers, whose results are unpickled
+    # by the map: it holds none of them past the one the fold takes
+    @pytest.mark.parametrize("runs", [BLOCK_SIZE + 1, 4 * BLOCK_SIZE + 1])  # 2, 5 tasks
+    def test_trace_figure_bounds_the_fold_over_forked_workers(self, runs):
+        import tracemalloc
+
+        from susychain import dynamics
+
+        iterations = 2**16
+        with pytest.raises(ValueError, match="walker results") as refused:
+            ProtocolConfig("gca", 3, 2.0, iterations=2**40, runs=runs)
+        per_iteration = int(re.search(r"(\d+) per iteration", str(refused.value))[1])
+        config = dynamics.ProtocolConfig("gca", 3, 2.0, iterations=iterations, runs=runs)
+        dynamics._pools(config, None)  # chain spectra memoized before tracing
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            results = dynamics._parallel_map(walker_arrays, dynamics._tasks(config, None), 2)
+            dynamics.run_protocol(config, results=results)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # beside the int8 window tallies, 2 bytes a walker, which the guard charges apart
+        assert (per_iteration - 16) * iterations < peak - 2 * runs \
+            <= per_iteration * iterations + 2**17
+
+    # the guard charges no term per task or block: 128 tasks' counts and sums
+    # at once, 16 bytes per iteration each, would pass the limit, but the fold
+    # holds one task at a time (32 bytes per iteration) beside 4 bytes (two
+    # int16 tallies) per walker, 8 MiB in all; and 2**28 bytes of int8 tallies
+    # reach the limit with 16384 blocks' occupancy counts uncharged
+    @pytest.mark.parametrize("runs,iterations", [(1048576, 131072), (134217728, 1)],
+                             ids=["many-tasks", "tallies-at-the-limit"])
+    def test_task_count_is_not_charged(self, no_walkers, runs, iterations):
+        with pytest.raises(Reached):
+            main(["dynamics", "--N", "3", "--runs", str(runs), "--iterations",
+                  str(iterations), "--threads", "1"])
 
     # one task and 32 bytes per iteration: 256 MiB holds 8388608 iterations
     @pytest.mark.parametrize("iterations,refused", [(8388608, False), (8388609, True)])
