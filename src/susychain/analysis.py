@@ -19,6 +19,7 @@ from .spectra import _check_sector
 from .susy import (
     COUPLING_DELTA,
     SUSY_VALUE,
+    _coupling,
     assemble,
     deviation_first_order,
     params_at,
@@ -41,8 +42,7 @@ class SweepSpec:
     base_seed: int = 1
 
     def __post_init__(self):
-        if self.coupling not in SUSY_VALUE:
-            raise ValueError(f"unknown coupling {self.coupling!r}")
+        _coupling(self.coupling)
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if not self.values:
@@ -124,15 +124,13 @@ def sweep(spec: SweepSpec, cache_dir=None, threads: int = 1) -> list[SweepRecord
     """
     susy_value = SUSY_VALUE[spec.coupling]
     if spec.estimator.startswith("exact-"):
-        ref = {N: _exact(spec, N, susy_value, cache_dir) for N in spec.n_list}
-        done = {susy_value: ref}
+        done = {value: {N: _exact(spec, N, value, cache_dir) for N in spec.n_list}
+                for value in dict.fromkeys([susy_value, *spec.values])}
+        ref = done[susy_value]
     else:
         ref, done = _sampled(spec, cache_dir, threads)
     # first-order deviation per unit |shift|, |dW/dc|
     rate = {N: deviation_first_order(N, spec.beta, spec.coupling, 1.0) for N in spec.n_list}
-    for value in spec.values:
-        if value not in done:  # exact only: every sampled value is done
-            done[value] = {N: _exact(spec, N, value, cache_dir) for N in spec.n_list}
     points = [done[value] for value in spec.values]
     records = []
     for N in spec.n_list:

@@ -9,6 +9,7 @@ eigensolver failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import datetime
 import json
 import os
@@ -16,7 +17,7 @@ import platform
 import re
 import shutil
 import sys
-from contextlib import closing
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 # numpy's bundled OpenBLAS reads this once, as numpy loads, and starts that
@@ -39,7 +40,7 @@ from .analysis import (
 from .dynamics import PROTOCOL_GCA, PROTOCOL_QGCA, ProtocolConfig, run_protocols, write_trace_csv
 from .dynamics import _csv_lines, _usable_cpus
 from .model import SUSY_POINT, ModelParams
-from .spectra import CACHE_VERSION, SolverError, _blas_threads, _one_blas_thread, cache_header
+from .spectra import CACHE_VERSION, SolverError, cache_header
 from .susy import (
     COUPLING_DELTA,
     SUSY_VALUE,
@@ -52,6 +53,49 @@ from .susy import (
 )
 
 DEFAULT_N_LIST = tuple(range(3, 12))
+
+# thread-count symbols of numpy's bundled OpenBLAS, by symbol prefix and suffix
+_OPENBLAS_NAMES = (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", ""))
+
+
+def _openblas():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix, suffix in _OPENBLAS_NAMES:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _blas_threads() -> int | None:
+    """Thread count the bundled OpenBLAS uses now, or None if there is none."""
+    calls = _openblas()
+    return None if calls is None else calls[0]()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with the bundled OpenBLAS on one thread, then restore its count.
+
+    The blocks the command line solves are small (dimension 252 at
+    L=10), where a second BLAS thread spins without saving wall time.
+    Without a bundled OpenBLAS this does nothing.
+    """
+    get, put = _openblas() or (lambda: None, lambda n: None)
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 # every shared flag is defined once; each subcommand names the ones it reads
@@ -107,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
             "beta", "runs", "iterations")
     p.add_argument("--coupling", choices=tuple(SUSY_VALUE), default=COUPLING_DELTA)
     p.add_argument("--estimator", choices=ESTIMATORS, default="exact-gca")
-    p.add_argument("--N", default="3,4,5,6,7,8,9,10,11",
+    p.add_argument("--N", default=",".join(map(str, DEFAULT_N_LIST)),
                    help="comma-separated sector list")
     p.add_argument("--points", type=int, default=21)
     p.add_argument("--values", default=None,
@@ -217,8 +261,8 @@ def _cmd_spectrum(args) -> list[Path]:
         + ("  *zero" if abs(r["energy"]) < ZERO_TOL else "")
         for r in rows
     ]
-    table.append(f"zero modes: {spec.zero_mode_count}"
-                 + (f" (at L={spec.zero_mode_length})" if spec.zero_mode_count else ""))
+    where = "" if spec.zero_mode_length is None else f" (at L={spec.zero_mode_length})"
+    table.append(f"zero modes: {spec.zero_mode_count}{where}")
     return _emit(args, _render(args.format, rows, summary, table))
 
 

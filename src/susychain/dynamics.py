@@ -38,7 +38,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import decompose_n_sector
 from .model import ModelParams
 from .spectra import MAX_BLOCK_BYTES, _check_sector, full_chain_spectrum
 
@@ -137,32 +136,25 @@ def seed_stream(base_seed: int, tag: str, N: int, run_index: int) -> np.random.G
     return np.random.Generator(np.random.Philox(ss))
 
 
-@dataclass(frozen=True)
-class _Pool:
-    """Pool states: energies, and int8 codes: parity (-1)**n_d in the sector, 0 outside."""
-
-    energies: np.ndarray
-    signed: np.ndarray
-
-
-def _pools(config: ProtocolConfig, cache_dir) -> list[tuple[str, _Pool]]:
-    """Tagged pools of one run: one per member chain, or their union for GCA."""
+def _pools(config: ProtocolConfig, cache_dir) -> list[tuple[str, tuple]]:
+    """Tagged pools of one run: one per member chain, or their union for GCA. A pool is
+    (energies, int8 codes) of its states, a code the parity (-1)**n_d in the sector, 0 outside."""
     pools = []
-    for key in decompose_n_sector(config.N).members:
+    for key in _check_sector(config.N, full_chains=True):
         chain = full_chain_spectrum(key.L, config.params, cache_dir)
-        signed = [np.full(len(e), key.parity if nd == key.n_d else 0, dtype=np.int8)
-                  for nd, e in enumerate(chain)]
-        pools.append((f"qgca:L{key.L}", _Pool(np.concatenate(chain), np.concatenate(signed))))
+        codes = [np.full(len(e), key.parity if nd == key.n_d else 0, dtype=np.int8)
+                 for nd, e in enumerate(chain)]
+        pools.append((f"qgca:L{key.L}", (np.concatenate(chain), np.concatenate(codes))))
     if config.protocol == PROTOCOL_QGCA:
         return pools
-    return [("gca", _Pool(np.concatenate([p.energies for _, p in pools]),
-                          np.concatenate([p.signed for _, p in pools])))]
+    energies, codes = zip(*(pool for _, pool in pools))
+    return [("gca", (np.concatenate(energies), np.concatenate(codes)))]
 
 
 def _task_shape(config: ProtocolConfig) -> tuple[int, int]:
     """(pools, blocks per pool) of one run: the union pool for GCA, one per chain for QGCA."""
-    pools = 1 if config.protocol == PROTOCOL_GCA else len(decompose_n_sector(config.N).members)
-    return pools, -(-config.runs // BLOCK_SIZE)
+    chains = len(_check_sector(config.N, full_chains=True))
+    return (1 if config.protocol == PROTOCOL_GCA else chains), -(-config.runs // BLOCK_SIZE)
 
 
 def _tasks(config: ProtocolConfig, cache_dir):
@@ -187,11 +179,12 @@ def _tally_dtype(window: int) -> np.dtype:
     return np.min_scalar_type(-window - 1)
 
 
-def _walk_block(key: tuple, pool: _Pool, beta: float, iterations: int, size: int):
+def _walk_block(key: tuple, pool: tuple, beta: float, iterations: int, size: int):
     """One block of walkers, full trajectory, deterministic draw order.
 
-    `key` is the block's seed_stream key. The stream draws `size` start
-    states, then each iteration `size` proposals and `size` uniforms. Only
+    `key` is the block's seed_stream key and `pool` is (energies, codes) of
+    its states, as _pools builds it. The stream draws `size` start states,
+    then each iteration `size` proposals and `size` uniforms. Only
     accepted walkers are updated; `n` and `s` stay the in-sector count and
     parity sum of the current states. The window tallies come in
     _tally_dtype of the window length, which keeps the results the
@@ -199,7 +192,7 @@ def _walk_block(key: tuple, pool: _Pool, beta: float, iterations: int, size: int
     state after the last iteration, in the smallest dtype that holds `size`.
     """
     rng = seed_stream(*key)
-    energies, codes = pool.energies, pool.signed
+    energies, codes = pool
     dim = len(energies)
     cur = rng.integers(0, dim, size)
     ecur, scur = energies[cur], codes[cur]

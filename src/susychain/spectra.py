@@ -1,17 +1,17 @@
 """Eigendecomposition of block matrices, full-chain spectra, and a disk cache.
 
-Spectra are the only expensive objects in the package (all else is
-arithmetic over them), so their energies get a disk cache keyed by the block
-and the exact couplings and checked by a BLAKE2b-256 digest. They are solved
-without eigenvectors (`eigvalsh`). Only the slope path solves by `eigh`: the
-Hellmann-Feynman slope reads its eigenvectors, and the finite-difference
-slope reads its energies so both come from one solver.
+Every block solve of the package goes through `_solve_block`, and every
+question of which blocks make a sector through `_check_sector`. Spectra
+are the only expensive objects in the package (all else is arithmetic over
+them), so their energies get a disk cache keyed by the block and the exact
+couplings and checked by a BLAKE2b-256 digest. They are solved without
+eigenvectors (`eigvalsh`). Only the slope path solves by `eigh`
+(`_eigenpairs`): the Hellmann-Feynman slope reads its eigenvectors, and the
+finite-difference slope reads its energies so both come from one solver.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import functools
 import os
 import struct
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import SectorKey, decompose_n_sector
-from .model import ModelParams, build_hamiltonian
+from .model import SUSY_POINT, ModelParams, build_hamiltonian
 
 CACHE_VERSION = 3  # 1 also stored the eigenvectors; 1 and 2 checked with sha256
 _MAGIC = b"SCSP"
@@ -32,9 +32,6 @@ _HEADER = struct.Struct("<4sIII3dI32s")
 # blocks pass N <= 22 (C(15,6) = 5005, 191 MiB); paths over whole member
 # chains pass N <= 15 (C(14,7) = 3432, 90 MiB).
 MAX_BLOCK_BYTES = 256 * 2**20
-
-# thread-count symbols of numpy's bundled OpenBLAS, by symbol prefix and suffix
-_OPENBLAS_NAMES = (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", ""))
 
 
 class SolverError(RuntimeError):
@@ -79,44 +76,9 @@ def _solve_block(key: SectorKey, params: ModelParams, vectors: bool = False):
         raise SolverError(key, str(exc)) from exc
 
 
-def _openblas():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for prefix, suffix in _OPENBLAS_NAMES:
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-def _blas_threads() -> int | None:
-    """Thread count the bundled OpenBLAS uses now, or None if there is none."""
-    calls = _openblas()
-    return None if calls is None else calls[0]()
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with the bundled OpenBLAS on one thread, then restore its count.
-
-    The blocks the command line solves are small (dimension 252 at
-    L=10), where a second BLAS thread spins without saving wall time.
-    Without a bundled OpenBLAS this does nothing.
-    """
-    get, put = _openblas() or (lambda: None, lambda n: None)
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
+def _eigenpairs(N: int, params: ModelParams = SUSY_POINT) -> list:
+    """eigh's (energies, states) of every member block of sector N, in member order."""
+    return [_solve_block(key, params, vectors=True) for key in _check_sector(N)]
 
 
 # ---------------------------------------------------------------------------

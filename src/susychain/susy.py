@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import SUSY_POINT, ModelParams, level_slopes
-from .spectra import _check_sector, _solve_block, cached_block, full_chain_spectrum
+from .spectra import _check_sector, _eigenpairs, cached_block, full_chain_spectrum
 
 ZERO_TOL = 1e-10
 PAIR_TOL = 1e-8
@@ -59,28 +59,32 @@ class SusySpectrum:
 def assemble(N: int, params: ModelParams, cache_dir=None) -> SusySpectrum:
     """Diagonalize all member blocks and classify zero modes and pairs.
 
-    Pairing is greedy over levels sorted by (energy, L): each unpaired
-    level takes the next unpaired level of opposite parity within the
-    degeneracy tolerance. Away from the supersymmetric point levels may
-    remain unpaired; their pair_ids entry stays None there.
+    Pairs follow the exactness of the supercharge, which joins length L to
+    L - 1 (n_d to n_d + 1). Levels above PAIR_TOL are grouped where sorted
+    neighbours agree within PAIR_TOL. Inside a group, taken by descending L
+    and in energy order within a block, each unpaired level takes the first
+    unpaired level of length L - 1. Pairs are numbered by their first
+    member. Away from the supersymmetric point levels may remain unpaired;
+    their pair_ids entry stays None there.
     """
     members = _check_sector(N)
     energies, lengths, parities = _sorted_levels(
         members, [cached_block(key, params, cache_dir) for key in members])
 
-    e, p = energies.tolist(), parities.tolist()
-    pair_of: list[int | None] = [None] * len(e)
-    next_pair = 0
-    for i, (ei, pi) in enumerate(zip(e, p)):
-        if pair_of[i] is not None or ei <= PAIR_TOL:
-            continue
-        for j in range(i + 1, len(e)):
-            if e[j] - ei > PAIR_TOL:
-                break
-            if pair_of[j] is None and p[j] == -pi:
-                pair_of[i] = pair_of[j] = next_pair
-                next_pair += 1
-                break
+    first = int(np.searchsorted(energies, PAIR_TOL, side="right"))
+    ends = [*(np.flatnonzero(np.diff(energies[first:]) > PAIR_TOL) + first + 1), len(energies)]
+    mate: list[int | None] = [None] * len(energies)
+    for lo, hi in zip([first, *ends], ends):
+        group: dict[int, list[int]] = {}  # chain length -> its levels, in energy order
+        for i in range(lo, hi):
+            group.setdefault(int(lengths[i]), []).append(i)
+        for L in sorted(group, reverse=True):
+            free = [i for i in group[L] if mate[i] is None]
+            for i, j in zip(free, group.get(L - 1, ())):
+                mate[i], mate[j] = j, i
+    pair_of: list[int | None] = [None] * len(mate)
+    for pair, i in enumerate(i for i, j in enumerate(mate) if j is not None and i < j):
+        pair_of[i] = pair_of[mate[i]] = pair
 
     zeros = np.flatnonzero(np.abs(energies) < ZERO_TOL)
     return SusySpectrum(
@@ -214,11 +218,6 @@ def finite_difference_dw(N: int, beta: float, coupling: str) -> float:
                                                [energies for energies, _ in blocks])
         w.append(_parity_average(energies, parities, beta))
     return (w[0] - w[1]) / (2.0 * FD_STEP)
-
-
-def _eigenpairs(N: int, params: ModelParams = SUSY_POINT) -> list:
-    """eigh's (energies, states) of every member block of sector N, in member order."""
-    return [_solve_block(key, params, vectors=True) for key in _check_sector(N)]
 
 
 def hellmann_feynman_dw(N: int, beta: float, coupling: str, blocks=None) -> float:

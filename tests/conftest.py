@@ -1,6 +1,6 @@
 import pytest
 
-from susychain import spectra, susy
+from susychain import spectra
 from susychain.spectra import full_chain_spectrum
 
 
@@ -18,8 +18,8 @@ def fresh_chain_memo():
 def solves(monkeypatch):
     """(key, params) of every block LAPACK solves, by eigh or eigvalsh, in call order.
 
-    The package solves blocks only through `spectra._solve_block`, so the
-    fixture wraps it in every module that binds it.
+    The package solves blocks only through `spectra._solve_block`, and only
+    `spectra` calls it, so the fixture wraps it there alone.
     """
     seen = []
     solve = spectra._solve_block
@@ -28,6 +28,5 @@ def solves(monkeypatch):
         seen.append((key, params))
         return solve(key, params, vectors)
 
-    for module in (spectra, susy):
-        monkeypatch.setattr(module, "_solve_block", counting)
+    monkeypatch.setattr(spectra, "_solve_block", counting)
     return seen

@@ -174,7 +174,7 @@ def test_sweep_csv_frozen_digests(tmp_path, estimator, budget, digest):
 
 @pytest.mark.parametrize("estimator,budget,digest", FROZEN_SWEEPS)
 def test_sweep_csv_frozen_digests_on_one_blas_thread(tmp_path, estimator, budget, digest):
-    from susychain.spectra import _one_blas_thread
+    from susychain.cli import _one_blas_thread
 
     with _one_blas_thread():
         test_sweep_csv_frozen_digests(tmp_path, estimator, budget, digest)

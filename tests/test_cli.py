@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import susychain
+import susychain.cli as cli
 import susychain.spectra as spectra
 from susychain.analysis import SweepSpec
 from susychain.cli import build_parser, main
@@ -80,6 +81,13 @@ class TestSpectrum:
         assert code == 0
         assert "*zero" in out
         assert "zero modes: 1 (at L=2)" in out
+
+    def test_table_places_only_a_single_zero_mode(self, capsys):
+        # both levels of N=3 are exactly 0 here, on chains L=1 and L=2
+        code, out, _ = run_cli(capsys, "spectrum", "--N", "3", "--Delta", "-7", "--h", "-0.5")
+        assert code == 0
+        assert out.count("*zero") == 2
+        assert out.endswith("\nzero modes: 2\n")
 
     def test_csv_is_parseable(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--N", "5", "--format", "csv")
@@ -160,8 +168,6 @@ class TestWitten:
     (("witten", "--N", "6", "--which", "qgca"), "wtilde_qgca_exact"),
 ], ids=["spectrum", "witten-regularized", "witten-gca", "witten-qgca"])
 def test_manifest_started_precedes_the_work(capsys, tmp_path, monkeypatch, argv, work):
-    import susychain.cli as cli
-
     ticks = iter(range(1000))
     monkeypatch.setattr(cli, "_timestamp", lambda: f"{next(ticks):03d}")
     marks = []
@@ -499,29 +505,29 @@ class TestOneBlasThread:
     """main runs its command on one OpenBLAS thread and restores the count."""
 
     def test_count_is_restored_after_main(self, capsys):
-        before = spectra._blas_threads()
+        before = cli._blas_threads()
         assert run_cli(capsys, "witten", "--N", "4")[0] == 0
-        assert spectra._blas_threads() == before
+        assert cli._blas_threads() == before
 
     def test_no_openblas_is_not_an_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(spectra, "_openblas", lambda: None)
-        with spectra._one_blas_thread():
+        monkeypatch.setattr(cli, "_openblas", lambda: None)
+        with cli._one_blas_thread():
             pass
-        assert spectra._blas_threads() is None
+        assert cli._blas_threads() is None
         assert run_cli(capsys, "witten", "--N", "4")[:2] == (0, "-0.9999092083843409\n")
 
     @pytest.mark.parametrize("found", [True, False])
     def test_manifest_records_the_numeric_environment(self, capsys, tmp_path,
                                                       monkeypatch, found):
         if not found:
-            monkeypatch.setattr(spectra, "_openblas", lambda: None)
+            monkeypatch.setattr(cli, "_openblas", lambda: None)
         code, _, _ = run_cli(capsys, "sweep", "--N", "4", "--values", "0.99,1.0,1.01",
                              "--out", str(tmp_path))
         assert code == 0
         env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
         assert set(env) == {"python", "numpy", "blas", "blas_version", "blas_threads", "cpus"}
         assert env["numpy"] == np.__version__ and env["cpus"] >= 1
-        if found and spectra._openblas() is not None:
+        if found and cli._openblas() is not None:
             assert env["blas_threads"] == 1
         if not found:
             assert env["blas_threads"] is None
@@ -749,7 +755,7 @@ class Reached(Exception):
 def walker_arrays(key, pool, beta, iterations, size):
     """Arrays of the shapes and dtypes _walk_block returns for these arguments."""
     return (np.ones(iterations, dtype=np.int64), np.ones(iterations), np.ones(size, np.int8),
-            np.ones(size, np.int8), np.zeros(len(pool.energies), np.uint16))
+            np.ones(size, np.int8), np.zeros(len(pool[0]), np.uint16))
 
 
 class TestSizeGuard:

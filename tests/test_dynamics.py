@@ -288,6 +288,23 @@ class TestParallelMap:
             next(results)
         assert_no_child()
 
+    def test_workers_that_all_end_before_noting_a_task(self, monkeypatch):
+        # every worker ends at its first note, so the notes pipe ends before
+        # any task has an owner, and the first worker's pipe says how
+        parent, write = os.getpid(), os.write
+
+        def dying(fd, data):
+            if os.getpid() != parent:
+                os._exit(5)
+            return write(fd, data)
+
+        monkeypatch.setattr(os, "write", dying)
+        results = _parallel_map(int, [("1",), ("2",), ("3",)], 2)
+        lost = r"^worker process \d+ ended before its result \(wait status 1280\)$"
+        with pytest.raises(ChildProcessError, match=lost):
+            next(results)
+        assert_no_child()
+
 
 def assert_no_child():
     """This process has no child left, running or unreaped."""
@@ -415,9 +432,10 @@ def _reference_walk(key, pool, beta, iterations, size):
     It reads the parities as the float64 array the pools once held, and
     returns _walk_block's five results.
     """
-    signed_parity = pool.signed.astype(np.float64)
+    energies, codes = pool
+    signed_parity = codes.astype(np.float64)
     rng = seed_stream(*key)
-    dim = len(pool.energies)
+    dim = len(energies)
     cur = rng.integers(0, dim, size)
     counts = np.zeros(iterations, dtype=np.int64)
     sums = np.zeros(iterations)
@@ -428,7 +446,7 @@ def _reference_walk(key, pool, beta, iterations, size):
     for t in range(iterations):
         prop = rng.integers(0, dim, size)
         u = rng.random(size)
-        accept = metropolis_accept(pool.energies[prop] - pool.energies[cur], beta, u)
+        accept = metropolis_accept(energies[prop] - energies[cur], beta, u)
         cur = np.where(accept, prop, cur)
         signed = signed_parity[cur]
         n = np.count_nonzero(signed)
@@ -460,9 +478,9 @@ class TestKernel:
 
     def test_parities_are_int8_codes(self):
         for protocol in (PROTOCOL_GCA, PROTOCOL_QGCA):
-            for _, pool in _pools(ProtocolConfig(protocol, 5, 1.0), None):
-                assert pool.signed.dtype == np.int8
-                assert set(np.unique(pool.signed)) <= {-1, 0, 1}
+            for _, (_, codes) in _pools(ProtocolConfig(protocol, 5, 1.0), None):
+                assert codes.dtype == np.int8
+                assert set(np.unique(codes)) <= {-1, 0, 1}
 
     @pytest.mark.parametrize("iterations", [1, 17])
     def test_one_acceptance_rule_call_per_iteration(self, monkeypatch, iterations):

@@ -1,5 +1,6 @@
-"""The package's own source: every module reads each name it imports, and every
-module-level private name is read somewhere in the package."""
+"""The package's own source: every module reads each name it imports, every
+module-level private name is read somewhere in the package, and each owned
+decision is read in its owner module alone."""
 
 import ast
 from pathlib import Path
@@ -69,3 +70,42 @@ def test_the_check_finds_an_unread_private_name():
 def test_every_private_name_is_read():
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert unread_privates(sources) == []
+
+
+# name or module -> the one module that may read or import it: spectra makes
+# every block solve and answers which blocks make a sector; only the command
+# line sets LAPACK's thread count
+OWNERS = {"_solve_block": "spectra.py", "decompose_n_sector": "spectra.py", "ctypes": "cli.py"}
+
+
+def strays(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) of each OWNERS entry that a module other than its owner
+    reads, imports by name or imports as a module."""
+    found = []
+    for path, source in sources.items():
+        used = read_names(source)
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                used |= {a.name.split(".")[0] for a in node.names}
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                used.add(node.module.split(".")[0])
+        found += [(path, name) for name, owner in OWNERS.items()
+                  if name in used and path != owner]
+    return found
+
+
+def test_the_check_finds_a_decision_outside_its_owner():
+    sources = {
+        "spectra.py": "from .basis import decompose_n_sector\n\n"
+                      "def _solve_block():\n    return decompose_n_sector\n",
+        "susy.py": "from .spectra import _solve_block\n",
+        "dynamics.py": "from . import basis\n\nmembers = basis.decompose_n_sector\n",
+        "model.py": "from ctypes import CDLL\n",
+        "cli.py": "import ctypes\n",
+    }
+    assert strays(sources) == [("susy.py", "_solve_block"), ("dynamics.py", "decompose_n_sector"),
+                               ("model.py", "ctypes")]
+
+
+def test_each_decision_has_one_owner():
+    assert strays({path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}) == []

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import susychain
-import susychain.spectra as spectra
+import susychain.cli as cli
 from susychain.dynamics import _usable_cpus
 
 SRC = str(Path(susychain.__file__).parents[1])
@@ -44,20 +44,20 @@ def test_every_public_name_resolves_and_is_listed():
         susychain.no_such_name  # noqa: B018
 
 
-needs_openblas = pytest.mark.skipif(spectra._openblas() is None,
+needs_openblas = pytest.mark.skipif(cli._openblas() is None,
                                     reason="numpy has no bundled OpenBLAS")
 
 
 @needs_openblas
 def test_cli_loads_openblas_on_one_thread():
-    threads = run_fresh("import susychain.cli, susychain.spectra as s; print(s._blas_threads())")
+    threads = run_fresh("import susychain.cli as c; print(c._blas_threads())")
     assert threads == "1"
 
 
 @needs_openblas
 @pytest.mark.skipif(_usable_cpus() < 2, reason="OpenBLAS caps its threads at the usable CPUs")
 def test_cli_keeps_a_thread_count_set_in_the_environment():
-    threads = run_fresh("import susychain.cli, susychain.spectra as s; print(s._blas_threads())",
+    threads = run_fresh("import susychain.cli as c; print(c._blas_threads())",
                         OPENBLAS_NUM_THREADS="2")
     assert threads == "2"
 

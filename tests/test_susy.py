@@ -1,11 +1,14 @@
+import contextlib
 import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import susychain.spectra as spectra
 import susychain.susy as susy_mod
 from susychain.basis import decompose_n_sector
+from susychain.cli import _one_blas_thread
 from susychain.model import ModelParams, build_hamiltonian, level_slopes
 from susychain.spectra import cached_block
 from susychain.susy import (
@@ -100,6 +103,15 @@ def test_assemble_sector_three():
     assert spec.pair_ids[0] == spec.pair_ids[1]
 
 
+def test_sector_without_positive_levels():
+    # both levels of N=3 sit exactly at 0 here: two zero modes on different chains
+    spec = assemble(3, ModelParams(Delta=-7.0, h=-0.5))
+    assert spec.energies.tolist() == [0.0, 0.0]
+    assert (spec.zero_mode_count, spec.zero_mode_length) == (2, None)
+    with pytest.raises(ValueError, match="^sector N=3 has no positive levels$"):
+        spec.first_excited  # noqa: B018
+
+
 def test_assemble_sector_four():
     spec = assemble(4, SUSY)
     assert spec.zero_mode_count == 1
@@ -146,30 +158,30 @@ def test_positive_levels_fully_paired(N):
         assert spec.lengths[a] != spec.lengths[b]
 
 
-def pair_nd_gaps(N: int) -> set[int]:
-    """The |n_d differences| of the two blocks each pair_id joins at the SUSY point."""
+def pair_nd_gaps(spec) -> set[int]:
+    """The |n_d differences| of the two blocks each pair_id of `spec` joins."""
     members = {}
-    spec = assemble(N, SUSY)
     for L, pair in zip(spec.lengths.tolist(), spec.pair_ids):
         if pair is not None:
-            members.setdefault(pair, []).append(N - L - 1)
+            members.setdefault(pair, []).append(spec.N - L - 1)
     return {abs(a - b) for a, b in members.values()}
 
 
 @pytest.mark.parametrize("N", [*range(3, 14), 16])
 def test_pairs_join_supercharge_neighbours(N):
-    assert pair_nd_gaps(N) == {1}
+    assert pair_nd_gaps(assemble(N, SUSY)) == {1}
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="greedy pairing by (energy, L) can split an exact multi-block degeneracy "
-           "into pairs with |dn_d| = 3, depending on the order of tied levels: one "
-           "at E = 9 for N = 14, two at E = 9 and 12 for N = 17 (ROADMAP direction 2)",
-)
-@pytest.mark.parametrize("N", [14, 17])
-def test_pairs_join_supercharge_neighbours_at_large_n(N):
-    assert pair_nd_gaps(N) == {1}
+# exact degeneracies across three or more blocks at E = 9 and 12; the order in
+# which the solver returns tied levels follows the BLAS thread count, and
+# greedy pairing by (energy, L) once joined blocks with |dn_d| = 3 here
+@pytest.mark.parametrize("threads", ["ambient", "one"])
+@pytest.mark.parametrize("N", [14, 16, 17, 19, 20])
+def test_pairs_join_supercharge_neighbours_at_large_n(N, threads):
+    with _one_blas_thread() if threads == "one" else contextlib.nullcontext():
+        spec = assemble(N, SUSY)
+    assert pair_nd_gaps(spec) == {1}
+    assert None not in [pair for e, pair in zip(spec.energies, spec.pair_ids) if e > 1e-8]
 
 
 def test_pairing_splits_off_the_special_point():
@@ -307,7 +319,7 @@ def test_hellmann_feynman_matches_finite_difference(N, coupling):
 
 
 def test_hellmann_feynman_ignores_eigenvector_signs(monkeypatch):
-    solve = susy_mod._solve_block
+    solve = spectra._solve_block
 
     def negated(key, params, vectors=False):
         energies, states = solve(key, params, vectors)
@@ -315,7 +327,7 @@ def test_hellmann_feynman_ignores_eigenvector_signs(monkeypatch):
 
     cases = [(N, c) for N in range(3, 12) for c in (COUPLING_DELTA, COUPLING_J)]
     plain = [hellmann_feynman_dw(N, 5.0, c) for N, c in cases]
-    monkeypatch.setattr(susy_mod, "_solve_block", negated)
+    monkeypatch.setattr(spectra, "_solve_block", negated)
     flipped = [hellmann_feynman_dw(N, 5.0, c) for N, c in cases]
     assert np.array(flipped).tobytes() == np.array(plain).tobytes()
 
