@@ -193,6 +193,20 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     return [argv[0], *tokens, *argv[1:]]
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each token that starts with '-' and a digit or '.' joined to the flag
+    before it as `--flag=value`, the form config files take. argparse reads such a
+    token as a value only in plain integer or decimal form (not -1e-3 or -1.05,-1.0),
+    and no flag of this parser starts that way."""
+    joined = []
+    for token in argv:
+        if re.match(r"-[\d.]", token) and joined and re.fullmatch(r"--[^=]+", joined[-1]):
+            joined[-1] += f"={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
@@ -411,7 +425,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         argv = _apply_config_file(parser, argv)

@@ -32,6 +32,7 @@ import os
 import pickle
 import zlib
 from bisect import bisect_right
+from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate, islice, starmap
 from pathlib import Path
@@ -239,10 +240,10 @@ def _parallel_map(fn, tasks, workers: int):
     The tasks are listed before the fork. The consumer hands out task numbers
     on one pipe, at most 2 * workers past the last result it took; a free
     worker takes the next, notes (task, worker) on a second pipe and pickles
-    (ok, result or exception) to its own pipe, read when that task is next.
-    A worker that ends early raises ChildProcessError. Using the iterator up
-    or closing it kills and reaps every worker. At one worker, or without
-    os.fork, the tasks run in this process.
+    [ok, result or exception] to its own pipe, read when that task is next and
+    popped as it is yielded. A worker that ends early raises ChildProcessError.
+    Using the iterator up or closing it kills and reaps every worker. At one
+    worker, or without os.fork, the tasks run in this process.
     """
     if workers == 1 or not hasattr(os, "fork"):
         yield from starmap(fn, tasks)
@@ -266,9 +267,9 @@ def _parallel_map(fn, tasks, workers: int):
                         while number := os.read(todo_r, 4):
                             os.write(notes_w, number + k.to_bytes(4, "little"))
                             try:
-                                reply = True, fn(*tasks[int.from_bytes(number, "little")])
+                                reply = [True, fn(*tasks[int.from_bytes(number, "little")])]
                             except Exception as exc:
-                                reply = False, exc
+                                reply = [False, exc]
                             pickle.dump(reply, out)
                             out.flush()
                     os._exit(0)
@@ -293,16 +294,15 @@ def _parallel_map(fn, tasks, workers: int):
                     owner[int.from_bytes(note[:4], "little")] = int.from_bytes(note[4:], "little")
             k = owner.pop(i)
             try:
-                ok, result = pickle.load(pipes[k])
+                reply = pickle.load(pipes[k])
             except (EOFError, pickle.UnpicklingError):
                 pid = pids.pop(k)
                 status = os.waitpid(pid, 0)[1]
                 raise ChildProcessError(f"worker process {pid} ended before its result "
                                         f"(wait status {status})") from None
-            if not ok:
-                raise result
-            yield result
-            del result  # the consumer has it: hold no result while the next one loads
+            if not reply[0]:
+                raise reply[1]
+            yield reply.pop()
     finally:
         for pid in pids:
             os.kill(pid, SIGKILL)
@@ -353,17 +353,17 @@ def run_protocol(config: ProtocolConfig, cache_dir=None, threads: int = 1, *,
     pools in-sector walkers across all chains, so it tracks the parity
     histogram a per-chain measurement protocol accumulates.
 
-    `results` are this run's walker results in task order, drawn from a
-    map that other runs share (run_protocols); without them the run maps
-    its own tasks over up to `threads` worker processes. The results are
+    `results` are this run's walker results in task order, drawn from the
+    map of run_protocols; without them the run is run_protocols of this
+    config alone, over up to `threads` worker processes. The results are
     folded in one pass as they arrive: each task's counts and sums are added
     to the run's totals, and its occupancy to its pool's, before the next
     task is taken; only the window tallies are kept, for the window stderr.
     """
-    pools, blocks = _task_shape(config)
     if results is None:
-        workers = _worker_count(threads, pools * blocks, _usable_cpus())
-        results = _parallel_map(_walk_block, _tasks(config, cache_dir), workers)
+        with closing(run_protocols([config], cache_dir, threads)) as traces:
+            return next(traces)
+    blocks = _task_shape(config)[1]
     counts, sums = np.zeros(config.iterations, dtype=np.int64), np.zeros(config.iterations)
     wsums, wcnts, occupancy = [], [], []
     # task order: deterministic fold; no enumerate, which would keep the last task alive
@@ -421,7 +421,7 @@ def run_protocols(configs, cache_dir=None, threads: int = 1):
     The workers are forked once for every run, once all pools are built, and
     walk the next run's blocks while the caller handles the trace just
     yielded. Each block keeps its own seed stream and each run folds its
-    blocks in task order, so every trace equals the one run_protocol makes
+    blocks in task order, so every trace equals the one its config makes
     alone. Close the generator (or use it up) to shut the workers down.
     """
     configs = list(configs)

@@ -64,16 +64,20 @@ def _check_sector(N: int, full_chains: bool = False) -> tuple[SectorKey, ...]:
 def _solve_block(key: SectorKey, params: ModelParams, vectors: bool = False):
     """Ascending energies of block `key` at `params` by eigvalsh, or eigh's (energies, states).
 
-    The one place a LAPACK failure becomes a SolverError. The solver is read
-    from np.linalg at each call. A column's sign is whatever LAPACK returns;
-    the only reader of vectors, the Hellmann-Feynman slope, forms
-    psi^T (dH/dc) psi, where it cancels.
+    The one place a LAPACK failure, or a level that is not finite, becomes a
+    SolverError. The solver is read from np.linalg at each call. A column's
+    sign is whatever LAPACK returns; the only reader of vectors, the
+    Hellmann-Feynman slope, forms psi^T (dH/dc) psi, where it cancels.
     """
     H = build_hamiltonian(key, params)
     try:
-        return np.linalg.eigh(H) if vectors else np.linalg.eigvalsh(H)
+        solved = np.linalg.eigh(H) if vectors else np.linalg.eigvalsh(H)
     except np.linalg.LinAlgError as exc:
         raise SolverError(key, str(exc)) from exc
+    # couplings near the float64 limit overflow the matrix, or LAPACK's scaling of it
+    if not np.isfinite(solved[0] if vectors else solved).all():
+        raise SolverError(key, "a level is not finite; the couplings overflow float64")
+    return solved
 
 
 def _eigenpairs(N: int, params: ModelParams = SUSY_POINT) -> list:

@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import warnings
+from contextlib import closing
 from itertools import starmap
 from pathlib import Path
 
@@ -182,6 +183,23 @@ def test_manifest_started_precedes_the_work(capsys, tmp_path, monkeypatch, argv,
     assert code == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["started"] < marks[0] < manifest["finished"]
+
+
+# argparse alone reads a value after its flag only in plain negative integer or
+# decimal form; every other value that starts with '-' must read as `--flag=value`
+@pytest.mark.parametrize("argv,flag,value", [
+    (("witten", "--N", "4"), "--h", "-1e-3"),
+    (("sweep", "--coupling", "j", "--N", "3,4"), "--values", "-1.05,-1.0,-0.95"),
+], ids=["exponent", "list"])
+def test_negative_value_reads_as_its_equals_form(capsys, tmp_path, argv, flag, value):
+    runs = []
+    for name, tail in (("split", (flag, value)), ("joined", (f"{flag}={value}",))):
+        out = tmp_path / name
+        code, stdout, err = run_cli(capsys, *argv, *tail, "--out", str(out))
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        runs.append((code, stdout.replace(str(out), "OUT"), err, files))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][3]
 
 
 class TestConfigFile:
@@ -739,6 +757,42 @@ class TestExitCodes:
         assert err.startswith("numerical failure: eigensolver failed on block (L=")
         assert "Traceback" not in err
 
+    # the same when a solve returns a level that is not finite
+    @pytest.mark.parametrize("solver", ["eigh", "eigvalsh"])
+    def test_non_finite_level_maps_to_3(self, capsys, monkeypatch, tmp_path, solver):
+        solve = getattr(np.linalg, solver)
+
+        def last_level_nan(a):
+            result = solve(a)
+            (result[0] if solver == "eigh" else result)[-1] = np.nan
+            return result
+
+        monkeypatch.setattr(np.linalg, solver, last_level_nan)
+        code, out, err = run_cli(capsys, "sweep", "--N", "4", "--points", "3",
+                                 "--out", str(tmp_path))
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure: eigensolver failed on block (L=")
+        assert err.endswith("a level is not finite; the couplings overflow float64\n")
+
+    # at 1e308, Delta overflows the diagonal of block (10, 0) to inf, and LAPACK
+    # overflows on the finite block (6, 4) at that J; no inf level is printed or stored
+    @pytest.mark.parametrize("coupling,block", [("Delta", (10, 0)), ("J", (6, 4))])
+    def test_overflowing_coupling_maps_to_3(self, capsys, tmp_path, coupling, block):
+        cache = tmp_path / "cache"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warning
+            code, out, err = run_cli(capsys, "spectrum", "--N", "11", f"--{coupling}", "1e308",
+                                     "--format", "csv", "--cache-dir", str(cache))
+        assert (code, out) == (3, "")
+        assert err == (f"numerical failure: eigensolver failed on block (L={block[0]}, "
+                       f"n_d={block[1]}): a level is not finite; the couplings overflow "
+                       "float64\n")
+        # blocks solved before the failing one keep their finite energies
+        stored = {path.name: np.frombuffer(spectra._read_entry(path)[1])
+                  for path in cache.glob("v*/*.spec")}
+        assert not any(name.startswith("L{}_nd{}_".format(*block)) for name in stored)
+        assert all(np.isfinite(energies).all() for energies in stored.values())
+
     def test_unwritable_out_is_io_error(self, capsys, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -915,7 +969,7 @@ class TestSizeGuard:
 
         def results(fn, tasks, workers):
             # lazily, as _parallel_map yields them
-            return starmap(walker_arrays, tasks)
+            yield from starmap(walker_arrays, tasks)
 
         monkeypatch.setattr(dynamics, "_parallel_map", results)
         config = dynamics.ProtocolConfig("gca", 3, 2.0, iterations=iterations, runs=runs)
@@ -956,6 +1010,34 @@ class TestSizeGuard:
         finally:
             tracemalloc.stop()
         # beside the int8 window tallies, 2 bytes a walker, which the guard charges apart
+        assert (per_iteration - 16) * iterations < peak - 2 * runs \
+            <= per_iteration * iterations + 2**17
+
+    # the same bound on the path the command line runs: run_protocols streams
+    # two runs through one map, whose last result for a run must not outlive
+    # the fold while that run's trace is built
+    @pytest.mark.parametrize("runs", [BLOCK_SIZE + 1, 4 * BLOCK_SIZE + 1])  # 2, 5 tasks a run
+    def test_trace_figure_bounds_the_streamed_fold(self, monkeypatch, runs):
+        import tracemalloc
+
+        from susychain import dynamics
+
+        iterations = 2**16
+        with pytest.raises(ValueError, match="walker results") as refused:
+            ProtocolConfig("gca", 3, 2.0, iterations=2**40, runs=runs)
+        per_iteration = int(re.search(r"(\d+) per iteration", str(refused.value))[1])
+        monkeypatch.setattr(dynamics, "_walk_block", walker_arrays)
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)  # two forked workers
+        config = dynamics.ProtocolConfig("gca", 3, 2.0, iterations=iterations, runs=runs)
+        dynamics._pools(config, None)  # chain spectra memoized before tracing
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with closing(dynamics.run_protocols([config, config], threads=2)) as traces:
+                next(traces)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
         assert (per_iteration - 16) * iterations < peak - 2 * runs \
             <= per_iteration * iterations + 2**17
 

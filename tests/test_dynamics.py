@@ -528,7 +528,7 @@ class TestWindowTallies:
 
         def recording_map(*args):
             results.extend(parallel_map(*args))
-            return results
+            yield from results
 
         monkeypatch.setattr(dynamics, "_parallel_map", recording_map)
         trace = run_protocol(cfg)
@@ -602,7 +602,7 @@ class TestWindowTallies:
 
         def recording_map(*args):
             results.extend(parallel_map(*args))
-            return results
+            yield from results
 
         monkeypatch.setattr(dynamics, "_parallel_map", recording_map)
         trace = run_protocol(cfg)

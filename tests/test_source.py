@@ -1,6 +1,7 @@
 """The package's own source: every module reads each name it imports, every
-module-level private name is read somewhere in the package, and each owned
-decision is read in its owner module alone."""
+module-level private name is read somewhere in the package, each owned
+decision is read in its owner module alone, and only run_protocols builds the
+Monte Carlo worker map."""
 
 import ast
 from pathlib import Path
@@ -109,3 +110,32 @@ def test_the_check_finds_a_decision_outside_its_owner():
 
 def test_each_decision_has_one_owner():
     assert strays({path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}) == []
+
+
+def map_callers(source: str) -> list[str]:
+    """The module-level function (or `<module>`) around each call of `_parallel_map`,
+    by bare name or as an attribute, one entry per call."""
+    callers = []
+    for node in ast.parse(source).body:
+        caller = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+            else "<module>"
+        callers += [caller for call in ast.walk(node) if isinstance(call, ast.Call)
+                    and "_parallel_map" in (getattr(call.func, "id", None),
+                                            getattr(call.func, "attr", None))]
+    return callers
+
+
+def test_the_check_finds_each_map_caller():
+    source = ("def _parallel_map(fn, tasks, workers):\n    yield from map(fn, tasks)\n\n"
+              "def run_protocol(config):\n    return list(_parallel_map(f, [], 1))\n\n"
+              "def run_protocols(configs):\n    yield from _parallel_map(f, configs, 2)\n\n"
+              "results = dynamics._parallel_map(f, [], 1)\n")
+    assert map_callers(source) == ["run_protocol", "run_protocols", "<module>"]
+
+
+def test_only_run_protocols_builds_a_worker_map():
+    # one path builds and reads the Monte Carlo map, so the walker guard's
+    # memory figure holds on every path that samples
+    callers = [(path.name, caller) for path in sorted(PACKAGE.glob("*.py"))
+               for caller in map_callers(path.read_text())]
+    assert callers == [("dynamics.py", "run_protocols")]
