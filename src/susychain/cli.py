@@ -194,13 +194,15 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
-    """argv with each token that starts with '-' and a digit or '.' joined to the flag
-    before it as `--flag=value`, the form config files take. argparse reads such a
-    token as a value only in plain integer or decimal form (not -1e-3 or -1.05,-1.0),
-    and no flag of this parser starts that way."""
+    """argv with each token that starts with '-' and a number (a digit, '.', 'inf' or
+    'nan' in any case, as float() reads them) joined to the flag before it as
+    `--flag=value`, the form config files take. argparse reads such a token as a value
+    only in plain integer or decimal form (not -1e-3, -inf or -1.05,-1.0), and no flag
+    of this parser starts that way."""
     joined = []
     for token in argv:
-        if re.match(r"-[\d.]", token) and joined and re.fullmatch(r"--[^=]+", joined[-1]):
+        if re.match(r"-([\d.]|inf|nan)", token, re.I) and joined \
+                and re.fullmatch(r"--[^=]+", joined[-1]):
             joined[-1] += f"={token}"
         else:
             joined.append(token)

@@ -20,8 +20,9 @@ block consumes its own counter-based random stream seeded by (base seed,
 protocol tag, N, first run index of the block). Blocks run as tasks of
 one process map and are folded in task order, so outputs are
 bit-identical for any worker count. run_protocols streams the blocks of
-many runs through one map: its workers are forked once onto pipes, and
-they walk the next run's blocks while the caller handles the last run's trace.
+many runs through one map: its workers are forked once onto pipes, each
+worker builds the tasks it takes, pools and all, and they walk the next
+run's blocks while the caller handles the last run's trace.
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ import json
 import math
 import os
 import pickle
+import sys
 import zlib
 from bisect import bisect_right
+from collections.abc import Sequence
 from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate, islice, starmap
@@ -158,15 +161,35 @@ def _task_shape(config: ProtocolConfig) -> tuple[int, int]:
     return (1 if config.protocol == PROTOCOL_GCA else chains), -(-config.runs // BLOCK_SIZE)
 
 
-def _tasks(config: ProtocolConfig, cache_dir):
-    """_walk_block's arguments, one task per (pool, block), pool-major.
+class _Tasks(Sequence):
+    """_walk_block's arguments for every run of `configs`, one task per (pool, block),
+    run-major, then pool-major.
 
-    Lazy; a forked map lists every task, and so builds every pool, before it forks.
+    Lazy: task i builds its run's pools (through the full_chain_spectrum memo)
+    when it is read, so each worker of a forked map builds the tasks it takes.
+    The last run's pools are kept for its next task. `starts` holds each run's
+    first task number, then the task count.
     """
-    for tag, pool in _pools(config, cache_dir):
-        for start in range(0, config.runs, BLOCK_SIZE):
-            yield ((config.base_seed, tag, config.N, start), pool, config.beta,
-                   config.iterations, min(BLOCK_SIZE, config.runs - start))
+
+    def __init__(self, configs, cache_dir):
+        self.configs, self.cache_dir = configs, cache_dir
+        self.starts = list(accumulate((math.prod(_task_shape(c)) for c in configs), initial=0))
+        self._run, self._built = None, None
+
+    def __len__(self):
+        return self.starts[-1]
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]  # IndexError past the end, which ends iteration
+        run = bisect_right(self.starts, i) - 1
+        config = self.configs[run]
+        if run != self._run:
+            self._run, self._built = run, _pools(config, self.cache_dir)
+        pool, block = divmod(i - self.starts[run], _task_shape(config)[1])
+        tag, pool = self._built[pool]
+        start = block * BLOCK_SIZE
+        return ((config.base_seed, tag, config.N, start), pool, config.beta,
+                config.iterations, min(BLOCK_SIZE, config.runs - start))
 
 
 def _window_start(iterations: int) -> int:
@@ -235,21 +258,24 @@ def _usable_cpus() -> int:
 
 
 def _parallel_map(fn, tasks, workers: int):
-    """fn(*task) for each task, lazily and in task order, over `workers` forked processes.
+    """fn(*task) for each task of the sequence `tasks`, lazily and in task order,
+    over `workers` forked processes.
 
-    The tasks are listed before the fork. The consumer hands out task numbers
+    Each worker builds the tasks it takes: the consumer hands out task numbers
     on one pipe, at most 2 * workers past the last result it took; a free
-    worker takes the next, notes (task, worker) on a second pipe and pickles
-    [ok, result or exception] to its own pipe, read when that task is next and
-    popped as it is yielded. A worker that ends early raises ChildProcessError.
-    Using the iterator up or closing it kills and reaps every worker. At one
-    worker, or without os.fork, the tasks run in this process.
+    worker takes the next, notes (task, worker) on a second pipe, reads
+    tasks[number] and pickles [ok, result or exception] to its own pipe, read
+    when that task is next and popped as it is yielded. A worker that ends
+    early raises ChildProcessError. Using the iterator up or closing it kills
+    and reaps every worker. Workers load no OpenSSL: none of them hashes
+    through it, and numpy.random imports hashlib, which then takes CPython's
+    built-in hashes. At one worker, or without os.fork, the tasks run in this
+    process, which is left as it is.
     """
     if workers == 1 or not hasattr(os, "fork"):
         yield from starmap(fn, tasks)
         return
     from signal import SIGKILL
-    tasks = list(tasks)
     todo_r, todo_w = os.pipe()  # task numbers, 4 bytes: writes this small are atomic
     notes_r, notes_w = os.pipe()  # (task, worker) as each task is taken, 8 bytes
     todo, notes = open(todo_w, "wb", buffering=0), open(notes_r, "rb")
@@ -261,6 +287,7 @@ def _parallel_map(fn, tasks, workers: int):
             pid = os.fork()
             if pid == 0:  # the worker only writes, and never returns into the caller
                 try:
+                    sys.modules.setdefault("_hashlib", None)  # the caller's own stays loaded
                     for f in (todo, notes, *pipes):  # a dead coordinator means EOF or EPIPE
                         f.close()
                     with open(w, "wb") as out:
@@ -418,20 +445,20 @@ def run_protocol(config: ProtocolConfig, cache_dir=None, threads: int = 1, *,
 def run_protocols(configs, cache_dir=None, threads: int = 1):
     """Yield run_protocol(config) for each config in order, all their tasks in one map.
 
-    The workers are forked once for every run, once all pools are built, and
-    walk the next run's blocks while the caller handles the trace just
-    yielded. Each block keeps its own seed stream and each run folds its
-    blocks in task order, so every trace equals the one its config makes
-    alone. Close the generator (or use it up) to shut the workers down.
+    The workers are forked once for every run, before any pool is built: each
+    worker builds the tasks it takes, and they walk the next run's blocks
+    while the caller handles the trace just yielded. Each block keeps its own
+    seed stream and each run folds its blocks in task order, so every trace
+    equals the one its config makes alone. Close the generator (or use it up)
+    to shut the workers down.
     """
     configs = list(configs)
-    counts = [math.prod(_task_shape(config)) for config in configs]
-    workers = _worker_count(threads, sum(counts), _usable_cpus())
-    tasks = (task for config in configs for task in _tasks(config, cache_dir))
+    tasks = _Tasks(configs, cache_dir)
+    workers = _worker_count(threads, len(tasks), _usable_cpus())
     results = _parallel_map(_walk_block, tasks, workers)
     try:
-        for config, count in zip(configs, counts):
-            yield run_protocol(config, results=islice(results, count))
+        for config, start, end in zip(configs, tasks.starts, tasks.starts[1:]):
+            yield run_protocol(config, results=islice(results, end - start))
     finally:
         results.close()
 

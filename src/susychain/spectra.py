@@ -39,7 +39,10 @@ class SolverError(RuntimeError):
 
     def __init__(self, key: SectorKey, detail: str):
         super().__init__(f"eigensolver failed on block (L={key.L}, n_d={key.n_d}): {detail}")
-        self.key = key
+        self.key, self.detail = key, detail
+
+    def __reduce__(self):  # rebuilt from (key, detail) when a worker process sends it back
+        return type(self), (self.key, self.detail)
 
 
 def _check_block(owner: str, key: SectorKey) -> None:
@@ -68,12 +71,14 @@ def _solve_block(key: SectorKey, params: ModelParams, vectors: bool = False):
     SolverError. The solver is read from np.linalg at each call. A column's
     sign is whatever LAPACK returns; the only reader of vectors, the
     Hellmann-Feynman slope, forms psi^T (dH/dc) psi, where it cancels.
+    Overflow warnings are not raised: the check on the levels refuses the block.
     """
-    H = build_hamiltonian(key, params)
-    try:
-        solved = np.linalg.eigh(H) if vectors else np.linalg.eigvalsh(H)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(key, str(exc)) from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = build_hamiltonian(key, params)
+        try:
+            solved = np.linalg.eigh(H) if vectors else np.linalg.eigvalsh(H)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(key, str(exc)) from exc
     # couplings near the float64 limit overflow the matrix, or LAPACK's scaling of it
     if not np.isfinite(solved[0] if vectors else solved).all():
         raise SolverError(key, "a level is not finite; the couplings overflow float64")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -190,16 +191,25 @@ def test_manifest_started_precedes_the_work(capsys, tmp_path, monkeypatch, argv,
 @pytest.mark.parametrize("argv,flag,value", [
     (("witten", "--N", "4"), "--h", "-1e-3"),
     (("sweep", "--coupling", "j", "--N", "3,4"), "--values", "-1.05,-1.0,-0.95"),
-], ids=["exponent", "list"])
+    (("witten", "--N", "4"), "--Delta", "-inf"),
+    (("witten", "--N", "4"), "--J", "-Infinity"),
+    (("witten", "--N", "4"), "--h", "-nan"),
+    (("sweep", "--coupling", "j", "--N", "3,4"), "--values", "-inf,-1.0"),
+], ids=["exponent", "list", "-inf", "-Infinity", "-nan", "list-inf"])
 def test_negative_value_reads_as_its_equals_form(capsys, tmp_path, argv, flag, value):
     runs = []
     for name, tail in (("split", (flag, value)), ("joined", (f"{flag}={value}",))):
         out = tmp_path / name
         code, stdout, err = run_cli(capsys, *argv, *tail, "--out", str(out))
-        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"} \
+            if out.exists() else None
         runs.append((code, stdout.replace(str(out), "OUT"), err, files))
     assert runs[0] == runs[1]
-    assert runs[0][0] == 0 and runs[0][3]
+    if math.isfinite(float(value.split(",")[0])):
+        assert runs[0][0] == 0 and runs[0][3]
+    else:  # the value's own check refuses it, as for any non-finite value
+        assert runs[0][:2] == (2, "") and "must be finite" in runs[0][2]
+        assert runs[0][3] is None
 
 
 class TestConfigFile:
@@ -425,6 +435,54 @@ class TestDynamics:
         assert "I/O error" in err
         assert (tmp_path / "trace_qgca_N3.csv").is_file()
         assert_no_child()
+
+    def test_the_coordinator_solves_no_block(self, capsys, tmp_path, monkeypatch):
+        # each block solve notes its process: the forked workers build the pools
+        from susychain import dynamics
+
+        noted = tmp_path / "solvers"
+        solve = spectra._solve_block
+
+        def noting(key, params, vectors=False):
+            with noted.open("a") as f:  # appends this short are atomic
+                f.write(f"{os.getpid()}\n")
+            return solve(key, params, vectors)
+
+        monkeypatch.setattr(spectra, "_solve_block", noting)
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+        code, _, _ = run_cli(capsys, "dynamics", "--protocol", "qgca", "--runs", "20",
+                             "--iterations", "5", "--threads", "2")
+        assert code == 0
+        assert_no_child()
+        solvers = noted.read_text().split()
+        assert solvers and str(os.getpid()) not in solvers
+
+    # two workers may solve and store the same block; each entry is written to
+    # a temporary file and renamed into place, so the cache ends as it would
+    # from one process. The digest was recorded when the coordinator built
+    # every pool before the fork.
+    @pytest.mark.parametrize("protocol", ["gca", "qgca"])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_worker_built_pools_fill_the_cache_as_one_process(
+            self, capsys, tmp_path, monkeypatch, protocol, threads):
+        import hashlib
+
+        from susychain import dynamics
+
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+        cache = tmp_path / "cache"
+        code, _, _ = run_cli(capsys, "dynamics", "--protocol", protocol, "--N", "6",
+                             "--runs", "100", "--iterations", "5", "--threads", threads,
+                             "--cache-dir", str(cache))
+        assert code == 0
+        files = sorted(p for p in cache.rglob("*") if p.is_file())
+        assert all(p.suffix == ".spec" for p in files)  # no temporary file is left
+        digest = hashlib.sha256()
+        for path in files:
+            digest.update(path.relative_to(cache).as_posix().encode() + b"\0"
+                          + path.read_bytes())
+        assert (len(files), digest.hexdigest()) == (
+            15, "99b6fbf64a54f05752f2459f5bf0d8ee6d872ac03a88225c3efa388768ad10e6")
 
     def test_a_lost_worker_is_an_io_error(self, capsys, tmp_path, monkeypatch):
         from susychain import dynamics
@@ -675,6 +733,7 @@ class TestExitCodes:
         )
         for bad in (
             ["--J", "nan"], ["--Delta", "inf"], ["--h=-inf"],
+            ["--Delta", "-inf"], ["--J", "-Infinity"], ["--h", "-nan"],
             ["--beta", "inf"], ["--beta", "nan"], ["--beta", "-2"],
         )
         if argv[0] != "spectrum" or bad[0] != "--beta"  # spectrum has no --beta
@@ -778,11 +837,10 @@ class TestExitCodes:
     # overflows on the finite block (6, 4) at that J; no inf level is printed or stored
     @pytest.mark.parametrize("coupling,block", [("Delta", (10, 0)), ("J", (6, 4))])
     def test_overflowing_coupling_maps_to_3(self, capsys, tmp_path, coupling, block):
+        # numpy's overflow warning, which the test run makes an error, is not raised
         cache = tmp_path / "cache"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warning
-            code, out, err = run_cli(capsys, "spectrum", "--N", "11", f"--{coupling}", "1e308",
-                                     "--format", "csv", "--cache-dir", str(cache))
+        code, out, err = run_cli(capsys, "spectrum", "--N", "11", f"--{coupling}", "1e308",
+                                 "--format", "csv", "--cache-dir", str(cache))
         assert (code, out) == (3, "")
         assert err == (f"numerical failure: eigensolver failed on block (L={block[0]}, "
                        f"n_d={block[1]}): a level is not finite; the couplings overflow "
@@ -792,6 +850,36 @@ class TestExitCodes:
                   for path in cache.glob("v*/*.spec")}
         assert not any(name.startswith("L{}_nd{}_".format(*block)) for name in stored)
         assert all(np.isfinite(energies).all() for energies in stored.values())
+
+    # the same refusal from a forked worker, whose exception is pickled back:
+    # chain L=9 is the first of N=11 that overflows
+    def test_overflow_in_a_worker_maps_to_3(self, capsys, monkeypatch):
+        from susychain import dynamics
+
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+        argv = ("dynamics", "--protocol", "qgca", "--N", "11", "--Delta", "1e308",
+                "--runs", "100", "--iterations", "5")
+        refused = (3, "", "numerical failure: eigensolver failed on block (L=9, n_d=0): "
+                          "a level is not finite; the couplings overflow float64\n")
+        for threads in ("2", "1"):  # the workers start from an empty chain memo
+            assert run_cli(capsys, *argv, "--threads", threads) == refused
+            assert_no_child()
+
+    # in a fresh interpreter, which shows numpy's warnings: stderr is the refusal alone
+    @pytest.mark.parametrize("argv,block", [
+        (("spectrum", "--N", "11"), (10, 0)),
+        (("dynamics", "--protocol", "qgca", "--N", "11", "--runs", "100", "--iterations", "5",
+          "--threads", "2"), (9, 0)),
+    ], ids=["spectrum", "dynamics-workers"])
+    def test_overflow_refusal_is_all_of_stderr(self, argv, block):
+        code = ("import sys, susychain.dynamics as d; d._usable_cpus = lambda: 2; "
+                f"from susychain.cli import main; sys.exit(main({[*argv, '--Delta', '1e308']!r}))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_child_env())
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == ("numerical failure: eigensolver failed on block "
+                               f"(L={block[0]}, n_d={block[1]}): a level is not finite; "
+                               "the couplings overflow float64\n")
 
     def test_unwritable_out_is_io_error(self, capsys, tmp_path):
         blocker = tmp_path / "blocker"
@@ -1004,7 +1092,7 @@ class TestSizeGuard:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            results = dynamics._parallel_map(walker_arrays, dynamics._tasks(config, None), 2)
+            results = dynamics._parallel_map(walker_arrays, dynamics._Tasks([config], None), 2)
             dynamics.run_protocol(config, results=results)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
@@ -1066,14 +1154,18 @@ class TestSizeGuard:
                 main(argv)
 
 
-def test_console_script_help_runs():
-    # the child imports the same package as this process, installed or not
+def _child_env() -> dict:
+    """This environment, with this process's package first on the child's path,
+    so a child imports the same package, installed or not."""
     src = str(Path(susychain.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_script_help_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "susychain.cli", "--help"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     for name in ("spectrum", "witten", "dynamics", "sweep", "cache"):

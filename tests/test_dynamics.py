@@ -5,6 +5,7 @@ import math
 import os
 import struct
 import time
+from collections.abc import Sequence
 from itertools import islice, starmap
 
 import numpy as np
@@ -29,7 +30,7 @@ from susychain.dynamics import (
     _parallel_map,
     _pools,
     _residual_square_sum,
-    _tasks,
+    _Tasks,
     _walk_block,
     _worker_count,
 )
@@ -233,23 +234,31 @@ class TestParallelMap:
 
     @pytest.mark.parametrize("stop", [None, 5])
     def test_at_most_two_tasks_per_worker_run_ahead(self, tmp_path, stop):
-        # every task marks its start. Small results: the consumer hands out task
-        # numbers at most 2 * workers past the last result taken, the one it is
-        # about to read included. Results that outgrow a pipe's buffer: a worker
-        # waits on each, so it holds at most one the consumer has not taken.
+        # every task marks its start as it is built. Small results: the consumer
+        # hands out task numbers at most 2 * workers past the last result taken,
+        # the one it is about to read included. Results that outgrow a pipe's
+        # buffer: a worker waits on each, so it holds at most one the consumer
+        # has not taken.
         workers, n = 3, 20
         for size, ahead in ((8, 2 * workers - 1), (2**20, workers)):
             marks = tmp_path / str(size)
             marks.mkdir()
 
+            class Marked(Sequence):
+                def __len__(self):
+                    return n
+
+                def __getitem__(self, k):
+                    (marks / str(range(n)[k])).touch()
+                    return (k,)
+
             def task(k):
-                (marks / str(k)).touch()
                 return k, bytes(size)
 
             def started():
                 return len(list(marks.iterdir()))
 
-            results = _parallel_map(task, [(k,) for k in range(n)], workers)
+            results = _parallel_map(task, Marked(), workers)
             taken = 0
             for k, payload in islice(results, stop):
                 assert (k, len(payload)) == (taken, size)
@@ -264,6 +273,41 @@ class TestParallelMap:
             results.close()
             assert taken == (n if stop is None else stop)
             assert_no_child()
+
+    def test_workers_build_the_tasks_they_take(self):
+        # each task names the process that built it; building task 4 fails
+        parent = os.getpid()
+
+        class Built(Sequence):
+            def __len__(self):
+                return 6
+
+            def __getitem__(self, k):
+                if k == 4:
+                    raise LookupError("task 4 cannot be built")
+                return range(6)[k], os.getpid()
+
+        results = _parallel_map(lambda k, builder: (k, builder, os.getpid()), Built(), 2)
+        taken = list(islice(results, 4))
+        assert [k for k, _, _ in taken] == [0, 1, 2, 3]
+        assert all(builder == worker != parent for _, builder, worker in taken)
+        with pytest.raises(LookupError, match="task 4 cannot be built"):
+            next(results)
+        assert_no_child()
+
+    def test_tasks_name_each_run_s_blocks_in_order(self):
+        # run-major, then pool-major; each run starts at its first task number
+        configs = [ProtocolConfig(PROTOCOL_QGCA, 5, 1.0, runs=BLOCK_SIZE + 1),
+                   ProtocolConfig(PROTOCOL_GCA, 4, 2.0, runs=3, base_seed=7)]
+        tasks = _Tasks(configs, None)
+        assert (len(tasks), tasks.starts) == (7, [0, 6, 7])
+        built = [(key, len(pool[0]), size) for key, pool, _, _, size in tasks]
+        qgca = [((1, f"qgca:L{L}", 5, start), 2**L, size)
+                for L in (2, 3, 4) for start, size in ((0, BLOCK_SIZE), (BLOCK_SIZE, 1))]
+        assert built == qgca + [((7, "gca", 4, 0), 12, 3)]
+        assert tasks[-1][0] == tasks[6][0]
+        with pytest.raises(IndexError):
+            tasks[7]
 
     def test_a_worker_error_comes_back_as_raised(self):
         results = _parallel_map(int, [("1",), ("2",), ("x",), ("4",)], 2)
@@ -578,7 +622,7 @@ class TestWindowTallies:
         peaks = {}
         for runs in (2 * BLOCK_SIZE, 18 * BLOCK_SIZE):
             cfg = ProtocolConfig(PROTOCOL_QGCA, 7, 2.0, iterations=5, runs=runs)
-            results = list(starmap(_walk_block, _tasks(cfg, None)))
+            results = list(starmap(_walk_block, _Tasks([cfg], None)))
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]

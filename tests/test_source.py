@@ -1,7 +1,7 @@
 """The package's own source: every module reads each name it imports, every
 module-level private name is read somewhere in the package, each owned
-decision is read in its owner module alone, and only run_protocols builds the
-Monte Carlo worker map."""
+decision is read in its owner module alone, only run_protocols builds the
+Monte Carlo worker map, and only the map's forked workers touch sys.modules."""
 
 import ast
 from pathlib import Path
@@ -139,3 +139,41 @@ def test_only_run_protocols_builds_a_worker_map():
     callers = [(path.name, caller) for path in sorted(PACKAGE.glob("*.py"))
                for caller in map_callers(path.read_text())]
     assert callers == [("dynamics.py", "run_protocols")]
+
+
+def module_table_uses(source: str) -> list[str]:
+    """Where each `sys.modules` of a module sits, one entry per use: "worker" in the
+    `if pid == 0:` branch of `_parallel_map`, else the module-level function (or
+    `<module>`) around it."""
+    found = []
+    for node in ast.parse(source).body:
+        caller = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+            else "<module>"
+        worker = set()
+        if caller == "_parallel_map":
+            worker = {id(n) for branch in ast.walk(node) if isinstance(branch, ast.If)
+                      and ast.unparse(branch.test) == "pid == 0"
+                      for statement in branch.body for n in ast.walk(statement)}
+        uses = sorted((n for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                       and n.attr == "modules" and getattr(n.value, "id", None) == "sys"),
+                      key=lambda n: (n.lineno, n.col_offset))
+        found += ["worker" if id(n) in worker else caller for n in uses]
+    return found
+
+
+def test_the_check_finds_each_module_table_use():
+    source = ("import sys\nsys.modules.pop('x', None)\n\n"
+              "def _parallel_map(fn, tasks, workers):\n"
+              "    pid = fork()\n"
+              "    if pid == 0:\n        sys.modules.setdefault('_hashlib', None)\n"
+              "    else:\n        sys.modules['y'] = None\n\n"
+              "def run_protocols(configs):\n    return 'numpy' in sys.modules\n")
+    assert module_table_uses(source) == ["<module>", "worker", "_parallel_map",
+                                         "run_protocols"]
+
+
+def test_only_the_map_s_workers_touch_the_module_table():
+    # the workers block OpenSSL there; a library caller's process keeps its modules
+    uses = [(path.name, where) for path in sorted(PACKAGE.glob("*.py"))
+            for where in module_table_uses(path.read_text())]
+    assert uses == [("dynamics.py", "worker")]

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import pickle
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -12,6 +13,7 @@ from susychain.basis import SectorKey
 from susychain.cli import main
 from susychain.model import ModelParams, build_hamiltonian
 from susychain.spectra import (
+    SolverError,
     _solve_block,
     cache_get,
     cache_header,
@@ -32,6 +34,14 @@ def test_diagonalize_two_by_two():
 def test_diagonalize_trivial_block():
     energies, _ = _solve_block(SectorKey(3, 0), SUSY, vectors=True)
     assert energies.tolist() == [2.0]
+
+
+def test_solver_error_survives_a_pickle_round_trip():
+    # a forked worker pickles it back to the process that reports it
+    error = pickle.loads(pickle.dumps(SolverError(SectorKey(9, 0), "did not converge")))
+    assert (type(error), error.key, error.detail, str(error)) == (
+        SolverError, SectorKey(9, 0), "did not converge",
+        "eigensolver failed on block (L=9, n_d=0): did not converge")
 
 
 @pytest.mark.parametrize("L,nd", [(4, 2), (5, 2), (6, 3), (7, 3)])

@@ -1,6 +1,7 @@
 """The start-up path: `import susychain` loads nothing, so the command line
 sets OpenBLAS's thread count before numpy starts it; OpenSSL and
-numpy.random load only in the runs that use them."""
+numpy.random load only in the runs that use them, and a sampling command's
+forked workers load numpy.random without OpenSSL."""
 
 import os
 import subprocess
@@ -121,6 +122,29 @@ def test_sampling_forks_its_workers_without_multiprocessing():
         argv=["dynamics", "--protocol", "qgca", "--N", "4", "--runs", "50", "--iterations", "5",
               "--threads", "2"])
     assert run_fresh(probe).splitlines()[-1] == "0 []"
+
+
+def test_sampling_workers_load_numpy_random_without_openssl():
+    # each worker reports after every task it walks (a blocked module is None
+    # in sys.modules); the coordinator, which samples nothing, loads neither
+    probe = (
+        "import os, sys, susychain.dynamics as d; d._usable_cpus = lambda: 2\n"
+        "walk = d._walk_block\n"
+        "def reporting(*task):\n"
+        "    result = walk(*task)\n"
+        "    loaded = [sys.modules.get(m) is not None for m in ('_hashlib', 'numpy.random')]\n"
+        "    os.write(1, f'worker {os.getpid()} {loaded}\\n'.encode())\n"
+        "    return result\n"
+        "d._walk_block = reporting\n"
+        "print('coordinator', os.getpid(), flush=True)\n"
+        + _LOADS.format(argv=["dynamics", "--protocol", "qgca", "--N", "6", "--runs", "50",
+                              "--iterations", "5", "--threads", "2"]))
+    lines = run_fresh(probe).splitlines()
+    coordinator = next(line.split()[1] for line in lines if line.startswith("coordinator"))
+    reports = [line.split(maxsplit=2)[1:] for line in lines if line.startswith("worker")]
+    assert len(reports) == 3  # one task for each chain of N = 6
+    assert all(pid != coordinator and loaded == "[False, True]" for pid, loaded in reports)
+    assert lines[-1] == "0 []"
 
 
 @pytest.mark.parametrize("argv", [
