@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ProtocolConfig, _csv_lines, run_protocols
+from ._common import _csv_lines
 from .spectra import _check_sector
 from .susy import (
     COUPLING_DELTA,
@@ -50,10 +50,13 @@ class SweepSpec:
         # the first-order rate needs beta > 0; reject it before any point runs
         if not 0.0 < self.beta < math.inf:
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
-        for N in self.n_list:
-            if self.estimator.startswith("exact-"):
+        if self.estimator.startswith("exact-"):
+            for N in self.n_list:
                 _check_sector(N, full_chains=self.estimator == "exact-qgca")
-            else:
+        else:
+            from .dynamics import ProtocolConfig  # only sampled sweeps load the sampler
+
+            for N in self.n_list:
                 ProtocolConfig(self.estimator.removeprefix("sampled-"), N, self.beta,
                                self.iterations, self.runs, self.base_seed)
 
@@ -90,6 +93,8 @@ def _sampled(spec: SweepSpec, cache_dir, threads: int) -> tuple[dict, dict]:
     The reference and then each distinct value, every sector of a point in
     turn, run as one stream of protocol runs over one map of workers.
     """
+    from .dynamics import ProtocolConfig, run_protocols  # exact sweeps never load it
+
     # SeedSequence loads numpy.random (and OpenSSL), which exact sweeps never use
     ref_seed = int(np.random.SeedSequence(
         entropy=spec.base_seed, spawn_key=(0x5EED,)

@@ -28,6 +28,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
+from ._common import PROTOCOL_GCA, PROTOCOL_QGCA, _csv_lines, _usable_cpus
 from .analysis import (
     ESTIMATORS,
     SweepSpec,
@@ -37,8 +38,6 @@ from .analysis import (
     sweep,
     write_sweep_csv,
 )
-from .dynamics import PROTOCOL_GCA, PROTOCOL_QGCA, ProtocolConfig, run_protocols, write_trace_csv
-from .dynamics import _csv_lines, _usable_cpus
 from .model import SUSY_POINT, ModelParams
 from .spectra import CACHE_VERSION, SolverError, cache_header
 from .susy import (
@@ -316,6 +315,9 @@ def _emit(args, text: str) -> list[Path]:
 
 
 def _cmd_dynamics(args) -> list[Path]:
+    # the sampler loads only here: no other command walks
+    from .dynamics import ProtocolConfig, run_protocols, write_trace_csv
+
     sectors = [args.N] if args.N is not None else list(DEFAULT_N_LIST)
     # every config is validated and size-checked before the first run writes anything
     configs = [ProtocolConfig(protocol=args.protocol, N=N, beta=args.beta,

@@ -27,7 +27,6 @@ run's blocks while the caller handles the last run's trace.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import pickle
@@ -42,11 +41,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ._common import PROTOCOL_GCA, PROTOCOL_QGCA, _csv_lines, _usable_cpus
 from .model import ModelParams
 from .spectra import MAX_BLOCK_BYTES, _check_sector, full_chain_spectrum
-
-PROTOCOL_GCA = "gca"
-PROTOCOL_QGCA = "qgca"
 
 BLOCK_SIZE = 8192
 
@@ -249,12 +246,6 @@ def _worker_count(threads: int, tasks: int, cpus: int) -> int:
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     return max(1, min(threads, tasks, cpus))
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
 
 
 def _parallel_map(fn, tasks, workers: int):
@@ -480,15 +471,3 @@ def write_trace_csv(trace: WittenTrace, path: str | Path, extra_meta: dict | Non
     with Path(path).open("w") as f:
         f.writelines(_csv_lines(("iteration", "estimate", "stderr", "legitimate_count"),
                                 rows, meta))
-
-
-def _csv_lines(columns, rows, meta: dict | None = None):
-    """The package's one CSV dialect, a line at a time: an optional `# {json}` line of
-    `meta`, the column names, then one line per row. Floats (numpy's float64 too) are
-    written in round-trip form, None as an empty cell, anything else as str, unquoted."""
-    if meta is not None:
-        yield "# " + json.dumps(meta, sort_keys=True) + "\n"
-    yield ",".join(columns) + "\n"
-    for row in rows:
-        yield ",".join(repr(float(v)) if isinstance(v, float) else "" if v is None else str(v)
-                       for v in row) + "\n"

@@ -1,7 +1,8 @@
 """The package's own source: every module reads each name it imports, every
 module-level private name is read somewhere in the package, each owned
 decision is read in its owner module alone, only run_protocols builds the
-Monte Carlo worker map, and only the map's forked workers touch sys.modules."""
+Monte Carlo worker map, only the map's forked workers touch sys.modules, and
+only the sampling paths import the sampler, inside the function."""
 
 import ast
 from pathlib import Path
@@ -177,3 +178,54 @@ def test_only_the_map_s_workers_touch_the_module_table():
     uses = [(path.name, where) for path in sorted(PACKAGE.glob("*.py"))
             for where in module_table_uses(path.read_text())]
     assert uses == [("dynamics.py", "worker")]
+
+
+def imports_sampler(node: ast.AST) -> bool:
+    """Whether `node` is an import statement that loads `dynamics`: relatively
+    (`from .dynamics import x`, `from . import dynamics`) or by its full name."""
+    if isinstance(node, ast.Import):
+        paths = [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        paths = [f"{node.module or ''}.{a.name}" for a in node.names]
+    else:
+        return False
+    return any(parts[parts[0] in ("", "susychain")] == "dynamics"
+               for parts in (path.split(".") for path in paths))
+
+
+def sampler_imports(source: str) -> list[str]:
+    """Where each statement that imports `dynamics` sits, one entry per statement:
+    the function or class around it (`Class.method` for a method), else `<module>`."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
+                continue
+            if imports_sampler(child):
+                found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_check_finds_each_sampler_import():
+    source = ("from .dynamics import ProtocolConfig\nfrom .spectra import cache_get\n"
+              "if True:\n    from . import dynamics\n\n"
+              "def _cmd_dynamics(args):\n    import susychain.dynamics as d\n\n"
+              "class SweepSpec:\n    def __post_init__(self):\n"
+              "        if self.sampled:\n            from susychain.dynamics import run_protocols\n\n"
+              "def _exact():\n    from ._common import _csv_lines\n")
+    assert sampler_imports(source) == ["<module>", "<module>", "_cmd_dynamics",
+                                       "SweepSpec.__post_init__"]
+
+
+def test_only_the_sampling_paths_import_the_sampler():
+    # an exact or cache command never loads the sampler; each sampling path
+    # imports it when it runs, and reads the attributes the module then holds
+    imports = [(path.name, where) for path in sorted(PACKAGE.glob("*.py"))
+               for where in sampler_imports(path.read_text())]
+    assert imports == [("analysis.py", "SweepSpec.__post_init__"), ("analysis.py", "_sampled"),
+                       ("cli.py", "_cmd_dynamics")]

@@ -1,7 +1,8 @@
 """The start-up path: `import susychain` loads nothing, so the command line
-sets OpenBLAS's thread count before numpy starts it; OpenSSL and
-numpy.random load only in the runs that use them, and a sampling command's
-forked workers load numpy.random without OpenSSL."""
+sets OpenBLAS's thread count before numpy starts it; the sampler
+(`susychain.dynamics`), OpenSSL and numpy.random load only in the runs that
+use them, and a sampling command's forked workers load numpy.random without
+OpenSSL."""
 
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import susychain
 import susychain.cli as cli
-from susychain.dynamics import _usable_cpus
+from susychain._common import _usable_cpus
 
 SRC = str(Path(susychain.__file__).parents[1])
 
@@ -77,11 +78,11 @@ def test_threads_default_is_the_usable_cpu_count():
 
 
 # Runs `main(argv)` in a new interpreter; prints the exit code and which of
-# OpenSSL's binding, numpy.random, multiprocessing and concurrent.futures the
-# run loaded.
+# OpenSSL's binding, numpy.random, multiprocessing, concurrent.futures and the
+# sampler the run loaded.
 _LOADS = ("import sys; from susychain.cli import main; code = main({argv!r}); "
           "print(code, sorted(m for m in ('_hashlib', 'concurrent.futures', 'multiprocessing', "
-          "'numpy.random') if m in sys.modules))")
+          "'numpy.random', 'susychain.dynamics') if m in sys.modules))")
 
 
 def loads(*argv: str) -> str:
@@ -89,9 +90,10 @@ def loads(*argv: str) -> str:
 
 
 def test_cli_import_loads_neither_openssl_nor_numpy_random():
-    loaded = run_fresh("import sys, susychain.cli; "
-                       "print('_hashlib' in sys.modules, 'numpy.random' in sys.modules)")
-    assert loaded == "False False"
+    # nor the sampler
+    loaded = run_fresh("import sys, susychain.cli; print(['_hashlib' in sys.modules, "
+                       "'numpy.random' in sys.modules, 'susychain.dynamics' in sys.modules])")
+    assert loaded == "[False, False, False]"
 
 
 @pytest.mark.parametrize("argv", [
@@ -103,7 +105,7 @@ def test_cli_import_loads_neither_openssl_nor_numpy_random():
     ("sweep", "--estimator", "exact-gca", "--N", "3,4", "--points", "3"),
 ])
 def test_exact_commands_load_neither_openssl_nor_numpy_random(tmp_path, argv):
-    # nor multiprocessing or concurrent.futures, which no command loads
+    # nor the sampler, nor multiprocessing or concurrent.futures, which no command loads
     if argv[0] == "sweep":
         argv = (*argv, "--out", str(tmp_path))
     assert loads(*argv) == "0 []"
@@ -112,7 +114,14 @@ def test_exact_commands_load_neither_openssl_nor_numpy_random(tmp_path, argv):
 def test_sampling_loads_numpy_random():
     # numpy.random imports secrets, and with it OpenSSL
     assert loads("dynamics", "--N", "4", "--runs", "50", "--iterations", "5",
-                 "--threads", "1") == "0 ['_hashlib', 'numpy.random']"
+                 "--threads", "1") == "0 ['_hashlib', 'numpy.random', 'susychain.dynamics']"
+
+
+def test_sampled_sweep_loads_the_sampler(tmp_path):
+    # the reference seed's SeedSequence loads numpy.random in the sweeping process
+    assert loads("sweep", "--estimator", "sampled-qgca", "--N", "3,4", "--values", "1.0",
+                 "--runs", "50", "--iterations", "5", "--threads", "1",
+                 "--out", str(tmp_path)) == "0 ['_hashlib', 'numpy.random', 'susychain.dynamics']"
 
 
 def test_sampling_forks_its_workers_without_multiprocessing():
@@ -121,7 +130,7 @@ def test_sampling_forks_its_workers_without_multiprocessing():
     probe = "import susychain.dynamics as d; d._usable_cpus = lambda: 2; " + _LOADS.format(
         argv=["dynamics", "--protocol", "qgca", "--N", "4", "--runs", "50", "--iterations", "5",
               "--threads", "2"])
-    assert run_fresh(probe).splitlines()[-1] == "0 []"
+    assert run_fresh(probe).splitlines()[-1] == "0 ['susychain.dynamics']"
 
 
 def test_sampling_workers_load_numpy_random_without_openssl():
@@ -144,7 +153,7 @@ def test_sampling_workers_load_numpy_random_without_openssl():
     reports = [line.split(maxsplit=2)[1:] for line in lines if line.startswith("worker")]
     assert len(reports) == 3  # one task for each chain of N = 6
     assert all(pid != coordinator and loaded == "[False, True]" for pid, loaded in reports)
-    assert lines[-1] == "0 []"
+    assert lines[-1] == "0 ['susychain.dynamics']"
 
 
 @pytest.mark.parametrize("argv", [
@@ -168,3 +177,10 @@ def test_cache_loads_no_openssl_and_still_refuses_a_damaged_payload(tmp_path, ar
     probe = ("import sys, susychain.spectra as s; "
              f"print(s.cache_header({str(entry)!r}), '_hashlib' in sys.modules)")
     assert run_fresh(probe) == "None False"
+
+
+def test_cache_clear_loads_no_openssl_and_no_sampler(tmp_path):
+    cache = tmp_path / "cache"
+    assert loads("spectrum", "--N", "5", "--cache-dir", str(cache)) == "0 []"
+    assert loads("cache", "clear", "--cache-dir", str(cache)) == "0 []"
+    assert not cache.exists()

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from susychain.basis import SectorKey, enumerate_sector
 from susychain.model import SUSY_POINT, build_hamiltonian
 from susychain.susy import assemble
 
-BLOCKS = [SectorKey(L, n_d) for L in range(1, 11) for n_d in range(L + 1)]
+BLOCKS = [SectorKey(L, n_d) for L in range(1, 12) for n_d in range(L + 1)]
 
 
 @pytest.mark.parametrize("key", BLOCKS, ids=str)
@@ -29,6 +31,43 @@ def test_xxz_block_is_the_m1_block(key):
     assert sorted(spins) == bits.tolist()
     order = np.searchsorted(bits, spins)
     assert np.array_equal(np.abs(xxz[np.ix_(order, order)]), np.abs(m1))
+
+
+def pair_counts(spec, levels) -> dict[int, int]:
+    """f -> the pairs `assemble` formed among `levels` between blocks n_d = f and f + 1."""
+    blocks = {}  # pair -> the n_d of its members
+    for i in levels:
+        if spec.pair_ids[i] is not None:
+            blocks.setdefault(spec.pair_ids[i], []).append(spec.N - spec.lengths[i] - 1)
+    return dict(Counter(int(min(pair)) for pair in blocks.values()))
+
+
+def supercharge_ranks(M: int, eigen, E: float) -> dict[int, int]:
+    """f -> the rank of Q from the f- to the (f + 1)-fermion eigenspace at energy E > 0,
+    where it is not 0; eigen[f] is the eigh of the f-fermion block of M sites. On such an
+    eigenspace (Q^dagger Q)^2 = E Q^dagger Q, so each singular value is sqrt(E) or 0."""
+    spaces = [vectors[:, np.abs(values - E) < 1e-8] for values, vectors in eigen]
+    ranks = {}
+    for f, (below, above) in enumerate(zip(spaces, spaces[1:])):
+        if below.shape[1] and above.shape[1]:
+            s = np.linalg.svd(above.T @ supercharge(M, f) @ below, compute_uv=False)
+            if rank := int((s > np.sqrt(E) / 2).sum()):
+                ranks[f] = rank
+    return ranks
+
+
+@pytest.mark.parametrize("N", range(3, 13))
+def test_supercharge_rank_is_the_pair_count(N):
+    # at each positive energy, Q joins as many states of adjacent blocks as
+    # assemble pairs between them: the multiplets are Q's, not a tolerance's
+    spec = assemble(N, SUSY_POINT)
+    M = N - 2
+    eigen = [np.linalg.eigh(hamiltonian(M, f)) for f in range((N - 1) // 2 + 1)]
+    positive = np.flatnonzero(spec.energies > 1e-8)
+    groups = np.split(positive, np.flatnonzero(np.diff(spec.energies[positive]) > 1e-8) + 1)
+    for levels in groups:
+        E = spec.energies[levels].mean()
+        assert supercharge_ranks(M, eigen, E) == pair_counts(spec, levels), f"E = {E}"
 
 
 @pytest.mark.parametrize("M", range(1, 13))

@@ -304,6 +304,27 @@ def test_first_excited_reference(N):
     assert assemble(N, ModelParams()).first_excited == pytest.approx(E1[N], abs=1e-12)
 
 
+@pytest.fixture(scope="module")
+def gaps() -> dict[int, float]:
+    """E1 at the supersymmetric point for N = 3..17."""
+    return {N: assemble(N, SUSY).first_excited for N in range(3, 18)}
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_zero_mode_sectors_share_their_gap(gaps, k):
+    # finite-size law: N = 3k+1 and 3k+2 have one gap (|dE1| <= 1.1e-14 measured)
+    assert abs(gaps[3 * k + 1] - gaps[3 * k + 2]) <= 1e-12
+
+
+@pytest.mark.parametrize("residue", range(3))
+def test_scaled_gap_rises_within_each_residue_class(gaps, residue):
+    # N E1 climbs toward its conformal limit: 3.0 -> 3.8589 (N = 3j),
+    # 8.0 -> 11.1374 (3j+1) and 10.0 -> 11.8335 (3j+2) over N = 3..17
+    scaled = [N * gaps[N] for N in range(3, 18) if N % 3 == residue]
+    assert len(scaled) == 5
+    assert all(a < b for a, b in zip(scaled, scaled[1:]))
+
+
 @pytest.mark.parametrize("N,expected", [(3, -0.625), (6, 0.1829034514), (9, 1.670438878e-2)])
 def test_index_slope_reference(N, expected):
     fd = finite_difference_dw(N, 5.0, COUPLING_DELTA)
