@@ -1,8 +1,9 @@
-"""Names the command line, the sweeps and the sampler share: the protocol
-names, the usable CPU count and the package's one CSV dialect.
+"""Names the command line, the sweeps and the sampler share: the protocol and
+sweep estimator names, the usable CPU count and the package's one CSV dialect.
 
-They live apart from `dynamics` so that a command that samples nothing
-never loads the sampler, and this module imports no numpy.
+They live apart from `dynamics` and `analysis` so that a command that samples
+nothing never loads the sampler, one that sweeps nothing never loads the
+sweeps, and this module imports no numpy.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import os
 
 PROTOCOL_GCA = "gca"
 PROTOCOL_QGCA = "qgca"
+ESTIMATORS = ("exact-gca", "exact-qgca", "sampled-gca", "sampled-qgca")
 
 
 def _usable_cpus() -> int:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._common import _csv_lines
+from ._common import ESTIMATORS, _csv_lines
 from .spectra import _check_sector
 from .susy import (
     COUPLING_DELTA,
@@ -26,8 +26,6 @@ from .susy import (
     wtilde_gca_exact,
     wtilde_qgca_exact,
 )
-
-ESTIMATORS = ("exact-gca", "exact-qgca", "sampled-gca", "sampled-qgca")
 
 
 @dataclass(frozen=True)
@@ -47,6 +45,10 @@ class SweepSpec:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if not self.values:
             raise ValueError("values must be non-empty")
+        for name, items in (("n_list", self.n_list), ("values", self.values)):
+            repeated = [v for i, v in enumerate(items) if v in items[:i]]
+            if repeated:  # each would be one more row and fit point of the same result
+                raise ValueError(f"{name} holds {repeated[0]!r} more than once")
         # the first-order rate needs beta > 0; reject it before any point runs
         if not 0.0 < self.beta < math.inf:
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
@@ -90,7 +92,7 @@ def _exact(spec: SweepSpec, N: int, value: float, cache_dir) -> tuple[float, flo
 def _sampled(spec: SweepSpec, cache_dir, threads: int) -> tuple[dict, dict]:
     """Sampled (wtilde, stderr) per sector at the special point, and at each grid value.
 
-    The reference and then each distinct value, every sector of a point in
+    The reference and then each value, every sector of a point in
     turn, run as one stream of protocol runs over one map of workers.
     """
     from .dynamics import ProtocolConfig, run_protocols  # exact sweeps never load it
@@ -99,19 +101,18 @@ def _sampled(spec: SweepSpec, cache_dir, threads: int) -> tuple[dict, dict]:
     ref_seed = int(np.random.SeedSequence(
         entropy=spec.base_seed, spawn_key=(0x5EED,)
     ).generate_state(1)[0])
-    values = list(dict.fromkeys(spec.values))
-    seeds = [ref_seed] + [spec.base_seed] * len(values)
+    seeds = [ref_seed] + [spec.base_seed] * len(spec.values)
     configs = [ProtocolConfig(spec.estimator.removeprefix("sampled-"), N, spec.beta,
                               spec.iterations, spec.runs, base_seed=seed,
                               params=params_at(spec.coupling, value))
-               for value, seed in zip([SUSY_VALUE[spec.coupling], *values], seeds)
+               for value, seed in zip([SUSY_VALUE[spec.coupling], *spec.values], seeds)
                for N in spec.n_list]
     windows = [(t.window_estimate, t.window_stderr)
                for t in run_protocols(configs, cache_dir, threads)]
     n = len(spec.n_list)
     ref, *points = (dict(zip(spec.n_list, windows[i:i + n]))
                     for i in range(0, len(windows), n))
-    return ref, dict(zip(values, points))
+    return ref, dict(zip(spec.values, points))
 
 
 def sweep(spec: SweepSpec, cache_dir=None, threads: int = 1) -> list[SweepRecord]:

@@ -28,16 +28,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
-from ._common import PROTOCOL_GCA, PROTOCOL_QGCA, _csv_lines, _usable_cpus
-from .analysis import (
-    ESTIMATORS,
-    SweepSpec,
-    compare_first_order,
-    default_grid,
-    fit_report_json,
-    sweep,
-    write_sweep_csv,
-)
+from ._common import ESTIMATORS, PROTOCOL_GCA, PROTOCOL_QGCA, _csv_lines, _usable_cpus
 from .model import SUSY_POINT, ModelParams
 from .spectra import CACHE_VERSION, SolverError, cache_header
 from .susy import (
@@ -346,6 +337,10 @@ def _cmd_dynamics(args) -> list[Path]:
 
 
 def _cmd_sweep(args) -> list[Path]:
+    # the sweep module loads only here: no other command sweeps
+    from .analysis import (SweepSpec, compare_first_order, default_grid, fit_report_json,
+                           sweep, write_sweep_csv)
+
     n_list = tuple(int(s) for s in str(args.N).split(","))
     if args.values is not None:
         values = tuple(float(s) for s in args.values.split(","))

@@ -71,7 +71,7 @@ class ProtocolConfig:
         # run_protocol folds one walker task at a time into int64 counts and float64
         # sums per iteration, so it holds 16 bytes per iteration of totals and 16 of
         # the task being added; the trace it then builds in place takes no more. It
-        # keeps every walker's two window tallies until the run's window stderr is done.
+        # copies every walker's two window tallies into one pair of arrays per run.
         pools = _task_shape(self)[0]
         window = self.iterations - _window_start(self.iterations)
         per_walker = 2 * _tally_dtype(window).itemsize
@@ -329,37 +329,21 @@ def _parallel_map(fn, tasks, workers: int):
             f.close()
 
 
-def _residual_square_sum(wsums, wcnts, ratio: float, lo: int = 0, n: int | None = None,
-                         starts=None, buf=None) -> float:
-    """Sum of (w - c * ratio)**2 over the walkers lo .. lo + n of the tasks' tallies.
+def _residual_square_sum(wsum, wcnt, ratio: float) -> float:
+    """Sum of (w - c * ratio)**2 over the walkers' window tallies.
 
-    Bit for bit np.square(resid).sum() of the concatenated float64 residual,
-    which is never built: the sum follows numpy's pairwise split (halves
-    rounded down to a multiple of 8) down to pieces of at most BLOCK_SIZE
-    walkers, and each piece is filled into one reused buffer and summed by
-    numpy, which carries the same split on below it. Called with the tallies
-    and the ratio alone, it sums every walker.
+    Bit for bit np.square(resid).sum() of the whole float64 residual, which is
+    never built: the sum follows numpy's pairwise split (halves rounded down to
+    a multiple of 8) down to pieces of at most BLOCK_SIZE walkers, and numpy
+    sums each piece with the same split below it.
     """
-    if n is None:
-        starts = list(accumulate(map(len, wsums), initial=0))
-        n = starts[-1]
-        buf = np.empty(min(BLOCK_SIZE, n))
+    n = len(wsum)
     if n > BLOCK_SIZE:
         half = n // 2 - (n // 2) % 8
-        return (_residual_square_sum(wsums, wcnts, ratio, lo, half, starts, buf)
-                + _residual_square_sum(wsums, wcnts, ratio, lo + half, n - half, starts, buf))
-    piece = buf[:n]
-    task = bisect_right(starts, lo) - 1
-    done = 0
-    while done < n:  # the piece may straddle tasks
-        at = lo + done - starts[task]
-        take = min(n - done, len(wsums[task]) - at)
-        part = piece[done:done + take]
-        np.subtract(wsums[task][at:at + take],
-                    np.multiply(wcnts[task][at:at + take], ratio, out=part), out=part)
-        done += take
-        task += 1
-    return float(np.square(piece, out=piece).sum())
+        return (_residual_square_sum(wsum[:half], wcnt[:half], ratio)
+                + _residual_square_sum(wsum[half:], wcnt[half:], ratio))
+    piece = np.multiply(wcnt, ratio)
+    return float(np.square(np.subtract(wsum, piece, out=piece), out=piece).sum())
 
 
 def run_protocol(config: ProtocolConfig, cache_dir=None, threads: int = 1, *,
@@ -375,25 +359,30 @@ def run_protocol(config: ProtocolConfig, cache_dir=None, threads: int = 1, *,
     map of run_protocols; without them the run is run_protocols of this
     config alone, over up to `threads` worker processes. The results are
     folded in one pass as they arrive: each task's counts and sums are added
-    to the run's totals, and its occupancy to its pool's, before the next
-    task is taken; only the window tallies are kept, for the window stderr.
+    to the run's totals, its occupancy to its pool's and its window tallies
+    copied into the run's pair of tally arrays, one entry per walker, before
+    the next task is taken. A `results` list given in full is copied the
+    same way, and the caller's list stays alive beside the copy.
     """
     if results is None:
         with closing(run_protocols([config], cache_dir, threads)) as traces:
             return next(traces)
-    blocks = _task_shape(config)[1]
+    walkers = _task_shape(config)[0] * config.runs
     counts, sums = np.zeros(config.iterations, dtype=np.int64), np.zeros(config.iterations)
-    wsums, wcnts, occupancy = [], [], []
+    occupancy, done = [], 0
     # task order: deterministic fold; no enumerate, which would keep the last task alive
     for c, s, wsum, wcnt, final in results:
         counts += c
         sums += s
-        wsums.append(wsum)
-        wcnts.append(wcnt)
-        if (len(wsums) - 1) % blocks == 0:  # a pool's first block starts its total
+        if done == 0:  # in the kernel's tally dtype, as the walker guard charges
+            wsums, wcnts = np.empty(walkers, wsum.dtype), np.empty(walkers, wcnt.dtype)
+        wsums[done:done + len(wsum)] = wsum
+        wcnts[done:done + len(wcnt)] = wcnt
+        if done % config.runs == 0:  # a pool's first block starts its total
             occupancy.append(np.zeros(len(final), dtype=np.int64))
         occupancy[-1] += final
-        del c, s  # this task's trace arrays go before the next one arrives
+        done += len(wsum)
+        del c, s, wsum, wcnt  # this task's arrays go before the next one arrives
     occupancy = np.concatenate(occupancy)
 
     # in place; entries with counts <= 1 divide by zero here and are set after
@@ -413,10 +402,9 @@ def run_protocol(config: ProtocolConfig, cache_dir=None, threads: int = 1, *,
     window = estimate[_window_start(config.iterations):]
     valid = ~np.isnan(window)
     window_estimate = float(window[valid].mean()) if valid.any() else float("nan")
-    total = sum(int(c.sum()) for c in wcnts)
+    total = int(wcnts.sum())
     if total > 0:
-        # window tallies are integers, so adding them per task is exact
-        ratio = sum(float(w.sum()) for w in wsums) / total
+        ratio = int(wsums.sum()) / total  # integer sums, one correctly rounded quotient
         window_stderr = float(np.sqrt(_residual_square_sum(wsums, wcnts, ratio)) / total)
     else:
         window_stderr = float("nan")

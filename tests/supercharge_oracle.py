@@ -7,7 +7,9 @@ supercharge creates a fermion wherever both neighbours are empty,
     Q = sum_i (-1)^{f<i} P_{i-1} c_i^dagger P_{i+1},
 
 with P the projector onto an empty site and f<i the fermions left of
-site i; H = Q Q^dagger + Q^dagger Q. The f-fermion block of H is the XXZ
+site i; H = Q Q^dagger + Q^dagger Q. Site amplitudes lambda_i, a factor on
+each term of Q, keep Q^2 = 0 and so the supersymmetry; unit amplitudes give
+the XXZ chain. The f-fermion block of H is the XXZ
 block (L = N - 1 - f, n_d = f) at the supersymmetric point (Fendley,
 Schoutens & de Boer, PRL 90, 120402, 2003; Fendley, Nienhuis & Schoutens,
 J. Phys. A 36, 12399, 2003). Everything here is built from occupation
@@ -29,11 +31,13 @@ def exclusion_configs(M: int, f: int) -> list[int]:
     )
 
 
-def supercharge(M: int, f: int) -> np.ndarray:
+def supercharge(M: int, f: int, amplitudes=None) -> np.ndarray:
     """Q from the f-fermion block to the (f+1)-fermion block, dense.
 
     Rows follow exclusion_configs(M, f + 1) and columns exclusion_configs(M, f).
+    `amplitudes` holds lambda_i for each of the M sites, 1 each by default.
     """
+    amplitudes = np.ones(M) if amplitudes is None else amplitudes
     rows = {c: r for r, c in enumerate(exclusion_configs(M, f + 1))}
     cols = exclusion_configs(M, f)
     Q = np.zeros((len(rows), len(cols)))
@@ -41,17 +45,17 @@ def supercharge(M: int, f: int) -> np.ndarray:
         for i in range(M):
             # site i and both of its neighbours empty (sites past the ends are empty)
             if c & (0b111 << i >> 1) == 0:
-                Q[rows[c | 1 << i], j] = (-1) ** bin(c & ((1 << i) - 1)).count("1")
+                Q[rows[c | 1 << i], j] = amplitudes[i] * (-1) ** bin(c & ((1 << i) - 1)).count("1")
     return Q
 
 
-def hamiltonian(M: int, f: int) -> np.ndarray:
+def hamiltonian(M: int, f: int, amplitudes=None) -> np.ndarray:
     """The f-fermion block of H = Q Q^dagger + Q^dagger Q."""
     H = np.zeros((len(exclusion_configs(M, f)),) * 2)
     if f > 0:
-        down = supercharge(M, f - 1)
+        down = supercharge(M, f - 1, amplitudes)
         H += down @ down.T
-    up = supercharge(M, f)
+    up = supercharge(M, f, amplitudes)
     return H + up.T @ up
 
 

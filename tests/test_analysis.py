@@ -36,6 +36,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SweepSpec("delta", (), (4,))
 
+    # a repeat would be counted twice: one more row and fit point, one more sampled walk
+    @pytest.mark.parametrize("values,n_list,message", [
+        ((0.99, 0.99, 0.98, 1.01), (4,), "values holds 0.99 more than once"),
+        ((1.0, 1.1, 1.0), (4,), "values holds 1.0 more than once"),
+        ((0.9, 1.1), (3, 3), "n_list holds 3 more than once"),
+        ((0.9, 1.1), (3, 4, 5, 4), "n_list holds 4 more than once"),
+    ])
+    @pytest.mark.parametrize("estimator", ["exact-gca", "sampled-qgca"])
+    def test_repeats_are_refused(self, values, n_list, message, estimator):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SweepSpec("delta", values, n_list, estimator=estimator)
+
     @pytest.mark.parametrize("beta", [0.0, -1.0, float("inf"), float("nan")])
     def test_beta_must_be_positive_and_finite(self, beta):
         with pytest.raises(ValueError, match="beta"):

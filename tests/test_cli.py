@@ -766,6 +766,21 @@ class TestExitCodes:
         assert err == "error: base_seed must be >= 0, got -1\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--estimator", "exact-gca", "--N", "4", "--values", "0.99,0.99,0.98,1.01"],
+         "values holds 0.99 more than once"),
+        (["--estimator", "exact-qgca", "--N", "3,3", "--points", "3"],
+         "n_list holds 3 more than once"),
+        (["--estimator", "sampled-gca", "--N", "3,4,3", "--values", "0.9,1.1",
+          "--runs", "10", "--iterations", "5"], "n_list holds 3 more than once"),
+    ], ids=["values", "N", "sampled-N"])
+    def test_repeated_sweep_entry_is_usage_error(self, capsys, tmp_path, argv, message):
+        # refused before any point runs or the output directory is made
+        code, out, err = run_cli(capsys, "sweep", *argv, "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
     def test_regularized_overflow_is_usage_error(self, capsys, tmp_path, fmt):
         # off the special point the lowest level of N=5 is -1.372, and e^{800 * 1.372} overflows

@@ -611,14 +611,16 @@ class TestWindowTallies:
         resid = np.concatenate([np.subtract(w, np.multiply(c, ratio))
                                 for w, c in zip(wsums, wcnts)])
         expected = float(np.square(resid).sum())
-        got = _residual_square_sum(wsums, wcnts, ratio)
+        got = _residual_square_sum(np.concatenate(wsums), np.concatenate(wcnts), ratio)
         assert struct.pack("<d", got) == struct.pack("<d", expected)
 
     def test_window_fold_peak_does_not_grow_with_walkers(self):
         # run_protocol's traced peak beside the gathered results of 2 and 18
-        # blocks per chain: a concatenated residual would add 8 bytes a walker
+        # blocks per chain, less the fold's own copy of the int8 tallies, the
+        # guard's 2 bytes a walker: a concatenated residual would add 8 a walker
         import tracemalloc
 
+        pools = len(decompose_n_sector(7).members)
         peaks = {}
         for runs in (2 * BLOCK_SIZE, 18 * BLOCK_SIZE):
             cfg = ProtocolConfig(PROTOCOL_QGCA, 7, 2.0, iterations=5, runs=runs)
@@ -627,12 +629,11 @@ class TestWindowTallies:
             try:
                 base = tracemalloc.get_traced_memory()[0]
                 trace = run_protocol(cfg, results=results)
-                peaks[runs] = tracemalloc.get_traced_memory()[1] - base
+                peaks[runs] = tracemalloc.get_traced_memory()[1] - base - 2 * pools * runs
             finally:
                 tracemalloc.stop()
             assert trace.window_legit > 0
-        pools = len(decompose_n_sector(7).members)
-        # the fold's buffer of BLOCK_SIZE float64 and ufunc cast buffers of as many;
+        # one piece's BLOCK_SIZE float64 residual and ufunc cast buffers of as many;
         # the residual of the smaller run alone would take 8 * pools * 2 * BLOCK_SIZE
         assert peaks[2 * BLOCK_SIZE] <= 2**18 < 8 * pools * 2 * BLOCK_SIZE
         assert peaks[18 * BLOCK_SIZE] - peaks[2 * BLOCK_SIZE] < 2**12

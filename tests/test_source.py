@@ -2,7 +2,8 @@
 module-level private name is read somewhere in the package, each owned
 decision is read in its owner module alone, only run_protocols builds the
 Monte Carlo worker map, only the map's forked workers touch sys.modules, and
-only the sampling paths import the sampler, inside the function."""
+only the sampling paths import the sampler, and only the sweep command the
+sweeps, inside the function."""
 
 import ast
 from pathlib import Path
@@ -180,22 +181,24 @@ def test_only_the_map_s_workers_touch_the_module_table():
     assert uses == [("dynamics.py", "worker")]
 
 
-def imports_sampler(node: ast.AST) -> bool:
-    """Whether `node` is an import statement that loads `dynamics`: relatively
-    (`from .dynamics import x`, `from . import dynamics`) or by its full name."""
+def imports_module(node: ast.AST, module: str) -> bool:
+    """Whether `node` is an import statement that loads the package's `module`:
+    relatively (`from .dynamics import x`, `from . import dynamics`) or by its
+    full name."""
     if isinstance(node, ast.Import):
         paths = [a.name for a in node.names]
     elif isinstance(node, ast.ImportFrom):
         paths = [f"{node.module or ''}.{a.name}" for a in node.names]
     else:
         return False
-    return any(parts[parts[0] in ("", "susychain")] == "dynamics"
+    return any(parts[parts[0] in ("", "susychain")] == module
                for parts in (path.split(".") for path in paths))
 
 
-def sampler_imports(source: str) -> list[str]:
-    """Where each statement that imports `dynamics` sits, one entry per statement:
-    the function or class around it (`Class.method` for a method), else `<module>`."""
+def import_sites(source: str, module: str) -> list[str]:
+    """Where each statement that imports the package's `module` sits, one entry per
+    statement: the function or class around it (`Class.method` for a method), else
+    `<module>`."""
     found = []
 
     def visit(node, where):
@@ -203,7 +206,7 @@ def sampler_imports(source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
                 continue
-            if imports_sampler(child):
+            if imports_module(child, module):
                 found.append(where)
             visit(child, where)
 
@@ -218,14 +221,31 @@ def test_the_check_finds_each_sampler_import():
               "class SweepSpec:\n    def __post_init__(self):\n"
               "        if self.sampled:\n            from susychain.dynamics import run_protocols\n\n"
               "def _exact():\n    from ._common import _csv_lines\n")
-    assert sampler_imports(source) == ["<module>", "<module>", "_cmd_dynamics",
-                                       "SweepSpec.__post_init__"]
+    assert import_sites(source, "dynamics") == ["<module>", "<module>", "_cmd_dynamics",
+                                                "SweepSpec.__post_init__"]
 
 
 def test_only_the_sampling_paths_import_the_sampler():
     # an exact or cache command never loads the sampler; each sampling path
     # imports it when it runs, and reads the attributes the module then holds
     imports = [(path.name, where) for path in sorted(PACKAGE.glob("*.py"))
-               for where in sampler_imports(path.read_text())]
+               for where in import_sites(path.read_text(), "dynamics")]
     assert imports == [("analysis.py", "SweepSpec.__post_init__"), ("analysis.py", "_sampled"),
                        ("cli.py", "_cmd_dynamics")]
+
+
+def test_the_check_finds_each_sweep_import():
+    source = ("from .analysis import ESTIMATORS\nfrom ._common import ESTIMATORS\n"
+              "import susychain.analysis\n\n"
+              "def _cmd_sweep(args):\n    from .analysis import SweepSpec, sweep\n\n"
+              "def _cmd_witten(args):\n    from . import analysis, dynamics\n\n"
+              "def _cmd_dynamics(args):\n    from .dynamics import run_protocols\n")
+    assert import_sites(source, "analysis") == ["<module>", "<module>", "_cmd_sweep",
+                                                "_cmd_witten"]
+
+
+def test_only_the_sweep_command_imports_the_sweeps():
+    # no other command loads the sweep module, which it never calls
+    imports = [(path.name, where) for path in sorted(PACKAGE.glob("*.py"))
+               for where in import_sites(path.read_text(), "analysis")]
+    assert imports == [("cli.py", "_cmd_sweep")]

@@ -1,8 +1,8 @@
 """The start-up path: `import susychain` loads nothing, so the command line
 sets OpenBLAS's thread count before numpy starts it; the sampler
-(`susychain.dynamics`), OpenSSL and numpy.random load only in the runs that
-use them, and a sampling command's forked workers load numpy.random without
-OpenSSL."""
+(`susychain.dynamics`), the sweeps (`susychain.analysis`), OpenSSL and
+numpy.random load only in the runs that use them, and a sampling command's
+forked workers load numpy.random without OpenSSL."""
 
 import os
 import subprocess
@@ -78,11 +78,11 @@ def test_threads_default_is_the_usable_cpu_count():
 
 
 # Runs `main(argv)` in a new interpreter; prints the exit code and which of
-# OpenSSL's binding, numpy.random, multiprocessing, concurrent.futures and the
-# sampler the run loaded.
+# OpenSSL's binding, numpy.random, multiprocessing, concurrent.futures, the
+# sweeps and the sampler the run loaded.
 _LOADS = ("import sys; from susychain.cli import main; code = main({argv!r}); "
           "print(code, sorted(m for m in ('_hashlib', 'concurrent.futures', 'multiprocessing', "
-          "'numpy.random', 'susychain.dynamics') if m in sys.modules))")
+          "'numpy.random', 'susychain.analysis', 'susychain.dynamics') if m in sys.modules))")
 
 
 def loads(*argv: str) -> str:
@@ -90,10 +90,11 @@ def loads(*argv: str) -> str:
 
 
 def test_cli_import_loads_neither_openssl_nor_numpy_random():
-    # nor the sampler
+    # nor the sweeps, nor the sampler
     loaded = run_fresh("import sys, susychain.cli; print(['_hashlib' in sys.modules, "
-                       "'numpy.random' in sys.modules, 'susychain.dynamics' in sys.modules])")
-    assert loaded == "[False, False, False]"
+                       "'numpy.random' in sys.modules, 'susychain.analysis' in sys.modules, "
+                       "'susychain.dynamics' in sys.modules])")
+    assert loaded == "[False, False, False, False]"
 
 
 @pytest.mark.parametrize("argv", [
@@ -105,10 +106,12 @@ def test_cli_import_loads_neither_openssl_nor_numpy_random():
     ("sweep", "--estimator", "exact-gca", "--N", "3,4", "--points", "3"),
 ])
 def test_exact_commands_load_neither_openssl_nor_numpy_random(tmp_path, argv):
-    # nor the sampler, nor multiprocessing or concurrent.futures, which no command loads
+    # nor the sampler, nor multiprocessing or concurrent.futures, which no command
+    # loads; only a sweep loads the sweeps
     if argv[0] == "sweep":
-        argv = (*argv, "--out", str(tmp_path))
-    assert loads(*argv) == "0 []"
+        assert loads(*argv, "--out", str(tmp_path)) == "0 ['susychain.analysis']"
+    else:
+        assert loads(*argv) == "0 []"
 
 
 def test_sampling_loads_numpy_random():
@@ -121,7 +124,8 @@ def test_sampled_sweep_loads_the_sampler(tmp_path):
     # the reference seed's SeedSequence loads numpy.random in the sweeping process
     assert loads("sweep", "--estimator", "sampled-qgca", "--N", "3,4", "--values", "1.0",
                  "--runs", "50", "--iterations", "5", "--threads", "1",
-                 "--out", str(tmp_path)) == "0 ['_hashlib', 'numpy.random', 'susychain.dynamics']"
+                 "--out", str(tmp_path)) == ("0 ['_hashlib', 'numpy.random', "
+                                             "'susychain.analysis', 'susychain.dynamics']")
 
 
 def test_sampling_forks_its_workers_without_multiprocessing():
@@ -169,7 +173,8 @@ def test_cache_loads_no_openssl_and_still_refuses_a_damaged_payload(tmp_path, ar
         assert loads("spectrum", "--N", "5", "--cache-dir", str(cache)) == "0 []"
     if argv[0] == "sweep":
         argv = (*argv, "--out", str(tmp_path / "out"))
-    assert loads(*argv, "--cache-dir", str(cache)) == "0 []"
+    assert loads(*argv, "--cache-dir", str(cache)) == \
+        ("0 ['susychain.analysis']" if argv[0] == "sweep" else "0 []")
     entry = sorted(cache.glob("v*/*.spec"))[-1]
     raw = bytearray(entry.read_bytes())
     raw[-1] ^= 0x01

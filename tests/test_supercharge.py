@@ -13,7 +13,13 @@ from supercharge_oracle import (
 )
 from susychain.basis import SectorKey, enumerate_sector
 from susychain.model import SUSY_POINT, build_hamiltonian
-from susychain.susy import assemble
+from susychain.susy import (
+    SusySpectrum,
+    assemble,
+    params_at,
+    witten_regularized,
+    wtilde_gca_exact,
+)
 
 BLOCKS = [SectorKey(L, n_d) for L in range(1, 12) for n_d in range(L + 1)]
 
@@ -95,3 +101,68 @@ def test_counted_index_is_the_zero_mode_census(N):
     zeros = np.abs(spec.energies) < 1e-10
     assert spec.zero_mode_count == abs(counted_index(N))
     assert spec.parities[zeros].sum() == counted_index(N)
+
+
+# Random site amplitudes deform Q but keep Q^2 = 0, so the index is the abstract's
+# topological number: no level may cross zero, whatever the amplitudes do to the
+# gap. lambda_i in [0.3, 2] for the M = N - 2 sites of each sector, drawn in turn
+# from one stream at seed 7.
+_draws = np.random.default_rng(7)
+AMPLITUDES = {N: _draws.uniform(0.3, 2.0, N - 2) for N in range(4, 13)}
+
+
+def deformed_spectrum(N: int) -> SusySpectrum:
+    """Sector N of the M1 chain under AMPLITUDES[N], levels sorted by (energy, L) as
+    the package sorts them; block f is (L = N - 1 - f, n_d = f), parity (-1)**f."""
+    M, columns = N - 2, []
+    for f in range((M + 1) // 2 + 1):
+        energies = np.linalg.eigvalsh(hamiltonian(M, f, AMPLITUDES[N]))
+        columns.append((energies, np.full(len(energies), N - 1 - f),
+                        np.full(len(energies), (-1) ** f)))
+    energies, lengths, parities = (np.concatenate(c) for c in zip(*columns))
+    order = np.lexsort((lengths, energies))
+    energies, lengths, parities = energies[order], lengths[order], parities[order]
+    zeros = np.flatnonzero(np.abs(energies) < 1e-10)
+    return SusySpectrum(N, energies, lengths, parities, (None,) * len(energies), len(zeros),
+                        int(lengths[zeros[0]]) if len(zeros) == 1 else None)
+
+
+@pytest.mark.parametrize("N", sorted(AMPLITUDES))
+def test_deformed_supercharge_is_nilpotent(N):
+    M = N - 2
+    for f in range((M + 1) // 2):
+        Q = supercharge(M, f, AMPLITUDES[N])
+        assert np.abs(supercharge(M, f + 1, AMPLITUDES[N]) @ Q).max(initial=0.0) <= 1e-13
+
+
+@pytest.mark.parametrize("N", sorted(AMPLITUDES))
+def test_regularized_index_survives_deformed_amplitudes(N):
+    spec = deformed_spectrum(N)
+    # the gap moves (N = 11: 1.0441 -> 0.4685), and the index does not
+    assert abs(spec.first_excited - assemble(N, SUSY_POINT).first_excited) > 0.05
+    assert spec.zero_mode_count == abs(counted_index(N))
+    for beta0 in (0.5, 5.0):
+        assert witten_regularized(spec, beta0) == pytest.approx(counted_index(N), abs=1e-10)
+
+
+@pytest.mark.parametrize("N", sorted(AMPLITUDES))
+def test_deformed_gca_estimate_reaches_the_index(N):
+    # With Tr(-1)^F e^(-beta H) = W at every beta, W~ = W / Z, and Z = |W| plus the
+    # D - |W| positive levels' weights, each at most e^(-beta E1). So
+    # |W~ - W| <= (D - |W|) e^(-beta E1), to rounding; the bound was set before
+    # any value was computed.
+    spec = deformed_spectrum(N)
+    W, D = counted_index(N), len(spec.energies)
+    errors = {beta: abs(wtilde_gca_exact(spec, beta) - W) for beta in (5.0, 20.0, 40.0)}
+    for beta, error in errors.items():
+        assert error <= (D - abs(W)) * np.exp(-beta * spec.first_excited) + 1e-12
+    assert errors[40.0] <= 1e-6  # N = 11 reads -0.8293, -0.99983 and -1.000000 at beta = 5, 20, 40
+
+
+def test_anisotropy_moves_the_regularized_index_itself():
+    # Delta breaks Q^2 = 0 where the amplitudes did not: at N = 10 the trace
+    # depends on beta0 and leaves W = -1
+    spec = assemble(10, params_at("delta", 1.3))
+    values = [witten_regularized(spec, beta0) for beta0 in (0.5, 1.0, 5.0)]
+    assert values == pytest.approx([-1.2348, -1.3497, -3.1119], abs=1e-4)
+    assert min(abs(v - counted_index(10)) for v in values) > 0.2
