@@ -53,13 +53,16 @@ def enumerate_sector(key: SectorKey) -> np.ndarray:
     return np.array(sorted(bits), dtype=np.int64)
 
 
-def decompose_n_sector(N: int) -> NSector:
-    """Blocks {(L, N-L-1)} for ceil((N-1)/2) <= L <= N-1, ascending in L.
+def _member_lengths(N: int) -> range:
+    """Chain lengths of sector N's blocks (L, N-L-1): ceil((N-1)/2) <= L <= N-1.
 
     The lower bound comes from n_d <= L; the upper from n_d >= 0.
     """
     if N < 3:
         raise ValueError(f"sector label must be >= 3, got {N}")
-    l_min = -((1 - N) // 2)  # ceil((N-1)/2)
-    l_max = N - 1
-    return NSector(N, tuple(SectorKey(L, N - L - 1) for L in range(l_min, l_max + 1)))
+    return range(-((1 - N) // 2), N)
+
+
+def decompose_n_sector(N: int) -> NSector:
+    """Blocks {(L, N-L-1)} for ceil((N-1)/2) <= L <= N-1, ascending in L."""
+    return NSector(N, tuple(SectorKey(L, N - L - 1) for L in _member_lengths(N)))

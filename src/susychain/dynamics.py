@@ -22,7 +22,8 @@ one process map and are folded in task order, so outputs are
 bit-identical for any worker count. run_protocols streams the blocks of
 many runs through one map: its workers are forked once onto pipes, each
 worker builds the tasks it takes, pools and all, and they walk the next
-run's blocks while the caller handles the last run's trace.
+run's blocks while the caller handles the last run's trace. A worker loads
+neither OpenSSL nor more of numpy.random than a Philox stream needs.
 """
 
 from __future__ import annotations
@@ -129,12 +130,20 @@ def metropolis_accept(delta_e, beta: float, u):
 
 
 def seed_stream(base_seed: int, tag: str, N: int, run_index: int) -> np.random.Generator:
-    """Independent reproducible stream for one (protocol, sector, run) task."""
-    ss = np.random.SeedSequence(
+    """Independent reproducible stream for one (protocol, sector, run) task.
+
+    The classes, the ones numpy.random exports, come from their own modules: in
+    a forked worker of _parallel_map, whose numpy.random is a bare package, that
+    loads only what a Philox stream needs; elsewhere numpy.random loads in full.
+    """
+    from numpy.random._generator import Generator
+    from numpy.random._philox import Philox
+    from numpy.random.bit_generator import SeedSequence
+    ss = SeedSequence(
         entropy=int(base_seed),
         spawn_key=(zlib.crc32(tag.encode()), int(N), int(run_index)),
     )
-    return np.random.Generator(np.random.Philox(ss))
+    return Generator(Philox(ss))
 
 
 def _pools(config: ProtocolConfig, cache_dir) -> list[tuple[str, tuple]]:
@@ -258,9 +267,12 @@ def _parallel_map(fn, tasks, workers: int):
     tasks[number] and pickles [ok, result or exception] to its own pipe, read
     when that task is next and popped as it is yielded. A worker that ends
     early raises ChildProcessError. Using the iterator up or closing it kills
-    and reaps every worker. Workers load no OpenSSL: none of them hashes
-    through it, and numpy.random imports hashlib, which then takes CPython's
-    built-in hashes. At one worker, or without os.fork, the tasks run in this
+    and reaps every worker. A worker marks OpenSSL's binding absent, so the
+    hashlib that SeedSequence imports takes CPython's built-in hashes, and
+    puts numpy.random in sys.modules unexecuted, so seed_stream loads no
+    RandomState (mtrand), MT19937, SFC64 or _pickle. A module the caller has
+    loaded stays: a sampled sweep's workers keep the numpy.random of its
+    reference seed. At one worker, or without os.fork, the tasks run in this
     process, which is left as it is.
     """
     if workers == 1 or not hasattr(os, "fork"):
@@ -278,7 +290,11 @@ def _parallel_map(fn, tasks, workers: int):
             pid = os.fork()
             if pid == 0:  # the worker only writes, and never returns into the caller
                 try:
-                    sys.modules.setdefault("_hashlib", None)  # the caller's own stays loaded
+                    from importlib.util import find_spec, module_from_spec
+                    # no OpenSSL, and numpy.random without its __init__; the caller's stay
+                    for name, module in (("_hashlib", None), ("numpy.random", module_from_spec(
+                            find_spec("numpy.random")))):
+                        sys.modules.setdefault(name, module)
                     for f in (todo, notes, *pipes):  # a dead coordinator means EOF or EPIPE
                         f.close()
                     with open(w, "wb") as out:

@@ -13,6 +13,7 @@ finite-difference slope reads its energies so both come from one solver.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import struct
 import tempfile
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import SectorKey, decompose_n_sector
+from .basis import SectorKey, _member_lengths, decompose_n_sector
 from .model import SUSY_POINT, ModelParams, build_hamiltonian
 
 CACHE_VERSION = 3  # 1 also stored the eigenvectors; 1 and 2 checked with sha256
@@ -46,22 +47,61 @@ class SolverError(RuntimeError):
 
 
 def _check_block(owner: str, key: SectorKey) -> None:
-    """Refuse block `key`, which `owner` needs, if it exceeds MAX_BLOCK_BYTES as a dense matrix."""
-    size = 8 * key.dimension**2
-    if size > MAX_BLOCK_BYTES:
-        raise ValueError(
-            f"{owner} needs the dense block (L={key.L}, n_d={key.n_d}) of dimension "
-            f"{key.dimension}, {size} bytes; the limit is {MAX_BLOCK_BYTES} bytes "
-            f"({MAX_BLOCK_BYTES // 2**20} MiB) per block")
+    """Refuse block `key`, which `owner` needs, if it exceeds MAX_BLOCK_BYTES as a dense matrix.
+
+    A dimension of 10**15 or more, far past the limit, is never computed: the
+    message gives it and the size to three digits, from lgamma.
+    """
+    try:
+        log10_dim = (math.lgamma(key.L + 1) - math.lgamma(key.n_d + 1)
+                     - math.lgamma(key.L - key.n_d + 1)) / math.log(10)
+    except OverflowError:  # L past the float range
+        log10_dim = math.inf
+    if log10_dim < 15:
+        size = 8 * key.dimension**2
+        if size <= MAX_BLOCK_BYTES:
+            return
+        figures = f"{key.dimension}, {size} bytes"
+    else:
+        figures = f"{_about(log10_dim)}, {_about(math.log10(8) + 2 * log10_dim)} bytes"
+    raise ValueError(
+        f"{owner} needs the dense block (L={key.L}, n_d={key.n_d}) of dimension "
+        f"{figures}; the limit is {MAX_BLOCK_BYTES} bytes "
+        f"({MAX_BLOCK_BYTES // 2**20} MiB) per block")
+
+
+def _about(log10: float) -> str:
+    """10**log10 to three significant digits."""
+    if log10 == math.inf:
+        return "more than 1e+308"
+    mantissa, carry = f"{10 ** (log10 % 1):.2e}".split("e")  # carry: 1 if it rounds to 10
+    return f"about {mantissa}e+{math.floor(log10) + int(carry)}"
 
 
 def _check_sector(N: int, full_chains: bool = False) -> tuple[SectorKey, ...]:
-    """Sector N's member blocks; refuses N, building no basis, if a block it needs is too large."""
-    members = keys = decompose_n_sector(N).members
-    if full_chains:  # every block of each member chain: the largest is n_d = L//2
-        keys = [SectorKey(key.L, key.L // 2) for key in keys]
-    _check_block(f"N={N}", max(keys, key=lambda k: k.dimension))
-    return members
+    """Sector N's member blocks; refuses N, building no basis, if a block it needs is too large.
+
+    The largest block is found without a binomial or a key per member. Of each
+    member chain it is n_d = L // 2, so the largest is the longest chain's.
+    The members' own dimensions C(L, N-L-1) rise and then fall in L (binomials
+    along a line of Pascal's triangle are log-concave), so a bisection finds
+    the first largest: the first L whose successor is not larger.
+    """
+    lengths = _member_lengths(N)  # refuses N < 3 first
+    if full_chains:
+        L, n_d = N - 1, (N - 1) // 2
+    else:
+        lo, hi = lengths.start, lengths.stop - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            k = N - mid - 1  # C(mid+1, k-1) / C(mid, k) = (mid+1) k / ((mid-k+1)(mid-k+2))
+            if (mid + 1) * k > (mid - k + 1) * (mid - k + 2):
+                lo = mid + 1
+            else:
+                hi = mid
+        L, n_d = lo, N - lo - 1
+    _check_block(f"N={N}", SectorKey(L, n_d))
+    return decompose_n_sector(N).members
 
 
 def _solve_block(key: SectorKey, params: ModelParams, vectors: bool = False):

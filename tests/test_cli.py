@@ -950,6 +950,30 @@ class TestSizeGuard:
         assert err.rstrip().endswith("the limit is 268435456 bytes (256 MiB) per block")
         assert not out.exists()
 
+    # a fresh process, so a guard that computes a binomial per member, or prints
+    # one of 10**5 digits, shows as a timeout or a traceback; the block and its
+    # size are named to three digits. `dynamics` pools whole chains, so it needs
+    # the longest chain's middle block; the exact-gca sweep needs the members'
+    @pytest.mark.parametrize("N,members,chains", [
+        (10**6, "(L=723606, n_d=276393) of dimension about 2.61e+208984, about 5.43e+417969",
+         "(L=999999, n_d=499999) of dimension about 3.95e+301026, about 1.25e+602054"),
+        (10**9, "(L=723606797, n_d=276393202) of dimension about 3.35e+208987635, "
+                "about 9.00e+417975271",
+         "(L=999999999, n_d=499999999) of dimension about 5.82e+301029990, "
+         "about 2.71e+602059982"),
+    ], ids=["1e6", "1e9"])
+    @pytest.mark.parametrize("command", ["spectrum", "dynamics", "sweep"])
+    def test_huge_sector_is_refused_at_once(self, tmp_path, command, N, members, chains):
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "susychain.cli", command, "--N", str(N), "--out", str(out)],
+            capture_output=True, text=True, env=_child_env(), timeout=20)
+        block = chains if command == "dynamics" else members
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: N={N} needs the dense block {block} bytes; the limit "
+                               "is 268435456 bytes (256 MiB) per block\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ("spectrum", "--N", "22"),
         ("witten", "--N", "22", "--which", "gca"),

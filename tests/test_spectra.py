@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import susychain.spectra as spectra
-from susychain.basis import SectorKey
+from susychain.basis import SectorKey, decompose_n_sector
 from susychain.cli import main
 from susychain.model import ModelParams, build_hamiltonian
 from susychain.spectra import (
@@ -101,6 +101,20 @@ def test_full_chain_small_spectra():
     assert np.allclose(np.sort(chain1), [0.0, 1.0], atol=1e-12)
     chain2 = np.concatenate(full_chain_spectrum(2, SUSY))
     assert np.allclose(np.sort(chain2), [0.0, 1.0, 2.0, 2.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("full_chains", [False, True])
+def test_sector_guard_names_the_first_largest_block(monkeypatch, full_chains):
+    # the bisection over member lengths against every member's binomial: the guard
+    # names max()'s block, the first of the largest, for every N up to 600
+    named = []
+    monkeypatch.setattr(spectra, "_check_block", lambda owner, key: named.append(key))
+    for N in range(3, 601):
+        spectra._check_sector(N, full_chains)
+    expected = [max(decompose_n_sector(N).members if not full_chains else
+                    [SectorKey(k.L, k.L // 2) for k in decompose_n_sector(N).members],
+                    key=lambda k: k.dimension) for N in range(3, 601)]
+    assert named == expected
 
 
 def test_full_chain_spectrum_is_memoized_and_read_only(solves):

@@ -139,13 +139,16 @@ def test_sampling_forks_its_workers_without_multiprocessing():
 
 def test_sampling_workers_load_numpy_random_without_openssl():
     # each worker reports after every task it walks (a blocked module is None
-    # in sys.modules); the coordinator, which samples nothing, loads neither
+    # in sys.modules): its numpy.random is a bare package, so neither the legacy
+    # RandomState nor the unused bit generators load; the coordinator, which
+    # samples nothing, loads neither OpenSSL nor numpy.random
     probe = (
         "import os, sys, susychain.dynamics as d; d._usable_cpus = lambda: 2\n"
         "walk = d._walk_block\n"
         "def reporting(*task):\n"
         "    result = walk(*task)\n"
-        "    loaded = [sys.modules.get(m) is not None for m in ('_hashlib', 'numpy.random')]\n"
+        "    loaded = [sys.modules.get(m) is not None for m in ('_hashlib', 'numpy.random', "
+        "'numpy.random.mtrand', 'numpy.random._mt19937', 'numpy.random._sfc64')]\n"
         "    os.write(1, f'worker {os.getpid()} {loaded}\\n'.encode())\n"
         "    return result\n"
         "d._walk_block = reporting\n"
@@ -156,8 +159,26 @@ def test_sampling_workers_load_numpy_random_without_openssl():
     coordinator = next(line.split()[1] for line in lines if line.startswith("coordinator"))
     reports = [line.split(maxsplit=2)[1:] for line in lines if line.startswith("worker")]
     assert len(reports) == 3  # one task for each chain of N = 6
-    assert all(pid != coordinator and loaded == "[False, True]" for pid, loaded in reports)
+    assert all(pid != coordinator and loaded == "[False, True, False, False, False]"
+               for pid, loaded in reports)
     assert lines[-1] == "0 ['susychain.dynamics']"
+
+
+def test_bare_package_workers_write_the_in_process_traces(tmp_path):
+    # --threads 2 runs first, so its workers fork before this interpreter loads
+    # numpy.random and walk with the bare package; --threads 1 then walks in
+    # process with the whole package
+    probe = (
+        "import sys, susychain.dynamics as d; d._usable_cpus = lambda: 2\n"
+        "from susychain.cli import main\n"
+        "for t in ('2', '1'):\n"
+        "    print(t, 'numpy.random' in sys.modules, main(['dynamics', '--protocol', 'qgca', "
+        f"'--N', '6', '--runs', '20000', '--iterations', '50', '--threads', t, "
+        f"'--out', {str(tmp_path)!r} + '/t' + t]))\n")
+    lines = run_fresh(probe).splitlines()
+    assert [line for line in lines if line[0] in "12"] == ["2 False 0", "1 False 0"]
+    two, one = (tmp_path / f"t{t}" / "trace_qgca_N6.csv" for t in "21")
+    assert two.read_bytes() == one.read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

@@ -442,6 +442,21 @@ def test_splitting_rate_reaches_zero_mode_limit_at_large_beta(N, beta):
     assert slope_cn(N, beta, COUPLING_DELTA) == pytest.approx(ZERO_MODE_LIMIT[N], rel=1e-5)
 
 
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="float64 splits each exact SUSY doublet by about 1e-15 and beta multiplies the "
+           "split, so at extreme beta the Gibbs weights of one level of a pair swamp its "
+           "partner's: N = 6 has no zero mode, yet gca reads 4.4e-3 at beta = 1e13 and "
+           "0.99972 at 1e16, qgca 1.5e-3 and 0.90515 (ROADMAP 'Defects found')",
+)
+@pytest.mark.parametrize("beta", [1e13, 1e16])
+@pytest.mark.parametrize("which", ["gca", "qgca"])
+def test_exact_estimators_keep_a_paired_sector_at_zero_at_extreme_beta(which, beta):
+    value = (wtilde_gca_exact(assemble(6, SUSY), beta) if which == "gca"
+             else wtilde_qgca_exact(6, SUSY, beta))
+    assert value == pytest.approx(W_REG[6], abs=1e-9)
+
+
 @pytest.mark.parametrize("estimate", [finite_difference_dw, hellmann_feynman_dw])
 def test_slope_estimators_reject_unknown_coupling(estimate):
     with pytest.raises(ValueError, match="unknown coupling"):
